@@ -266,16 +266,21 @@ def isolate_real_roots(p: Poly) -> list[IsolatedRoot]:
         stack.append((lo, mid, left))
         stack.append((mid, hi, count - left))
     out.sort(key=lambda r: r.lo)
-    # shrink until pairwise disjoint so downstream midpoint sampling is sound
+    return make_disjoint(out)
+
+
+def make_disjoint(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
+    """Halve neighbouring intervals of roots sorted by `lo` until they are
+    pairwise disjoint, so midpoints between them are sound samples."""
     changed = True
     while changed:
         changed = False
-        for i in range(len(out) - 1):
-            if out[i].hi > out[i + 1].lo:
-                out[i] = out[i].refined((out[i].hi - out[i].lo) / 2)
-                out[i + 1] = out[i + 1].refined((out[i + 1].hi - out[i + 1].lo) / 2)
+        for i in range(len(roots) - 1):
+            if roots[i].hi > roots[i + 1].lo:
+                roots[i] = roots[i].refined((roots[i].hi - roots[i].lo) / 2)
+                roots[i + 1] = roots[i + 1].refined((roots[i + 1].hi - roots[i + 1].lo) / 2)
                 changed = True
-    return out
+    return roots
 
 
 def rational_roots(p: Poly) -> list[Fraction]:

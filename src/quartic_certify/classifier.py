@@ -20,8 +20,17 @@ compared directly; simple irrational roots are compared to tau through
 sign-change interval refinement, never through floats.  The module also
 provides the independent quartic root-nature oracle (square-free
 decomposition plus Sturm counts on f(x, 1)), a float minimum-on-the-circle
-estimate that is advisory only, and the exact witness search that backs
+estimate that is advisory only, and the witness search that backs
 indefinite verdicts.
+
+Witnesses follow "floats propose, exact arithmetic decides".  The critical
+points of f(t, 1) come from a closed-form float cubic solve, lowest float
+value first; each is rounded to a few short dyadic rationals, and a
+candidate is accepted only if its exact value f(t, 1) is negative.  Only
+when every candidate fails (a negative dip narrower than float resolution,
+a near-double critical point, or coefficients beyond the float range) does
+the exact Sturm search run: it isolates the real roots of f(t, 1) and
+samples every gap between them.  A float never decides a witness.
 """
 
 from __future__ import annotations
@@ -476,23 +485,103 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]
     return f(mid), mid
 
 
-# -- exact witness search ----------------------------------------------------
+# -- witness search: floats propose, exact arithmetic decides ----------------
 
 
 def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Two rational points with f > 0 and f < 0, for an indefinite form.
 
-    (1, 0) always evaluates to 1 for a monic form.  A negative point is
-    hunted exactly: the negative set of p(t) = f(t, 1) is a union of open
-    intervals between consecutive real roots, so sampling one rational
-    point strictly inside every root gap (and beyond the extreme roots)
-    must find it.  Raises ValueError if the form is not indefinite.
+    (1, 0) always evaluates to 1 for a monic form.  The negative point is
+    proposed in floats and accepted in exact arithmetic: an indefinite
+    monic form has a negative global minimum of p(t) = f(t, 1), attained at
+    a real critical point, so `_critical_point_witness` rounds those points
+    to short dyadic rationals and keeps the first one whose exact value is
+    negative.  When none is (a dip narrower than float resolution, a
+    near-double critical point, coefficients beyond the float range),
+    `_sturm_witness` finds the point by exact root isolation.  Raises
+    ValueError if the form is not indefinite.
     """
+    t = _critical_point_witness(m)
+    if t is None:
+        t = _sturm_witness(m)
+    return (Fraction(1), Fraction(0)), (t, Fraction(1))
+
+
+def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
+    """A rational t with exact f(t, 1) < 0 near a float critical point, or None."""
+    try:
+        a3, a2, a1, a0 = float(m.a3), float(m.a2), float(m.a1), float(m.a0)
+        # p'(t) / 4 = t^3 + (3/4) a3 t^2 + (1/2) a2 t + (1/4) a1
+        points = _cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    ranked = []
+    for x in points:
+        value = (((x + a3) * x + a2) * x + a1) * x + a0
+        if math.isfinite(x) and math.isfinite(value):
+            ranked.append((value, x))
+    ranked.sort()
+
+    # lcm den^4 p(n / den) = lcm n^4 + c3 n^3 den + c2 n^2 den^2 + c1 n den^3
+    # + c0 den^4 with integers ci = lcm ai, so integers decide the sign
+    lcm = math.lcm(m.a3.denominator, m.a2.denominator, m.a1.denominator, m.a0.denominator)
+    c3, c2, c1, c0 = (a.numerator * (lcm // a.denominator) for a in (m.a3, m.a2, m.a1, m.a0))
+    for _, x in ranked:
+        for n, den in _dyadic_ratios(x):
+            den2 = den * den
+            if (((lcm * n + c3 * den) * n + c2 * den2) * n + c1 * den2 * den) * n + c0 * den2 * den2 < 0:
+                return Fraction(n, den)
+    return None
+
+
+def _dyadic_ratios(x: float):
+    """(n, 2**k) for x rounded to k = 4, 16, 32 fractional bits, coarsest
+    first, then x itself; a dip of half-width w around x accepts the first
+    k with 2**-(k+1) < w.  Rounds x's exact integer ratio, so no x overflows."""
+    num, den = x.as_integer_ratio()
+    for bits in (4, 16, 32):
+        scale = 1 << bits
+        if scale >= den:
+            break
+        yield (2 * num * scale + den) // (2 * den), scale
+    yield num, den
+
+
+def _cubic_real_roots(b: float, c: float, d: float) -> list[float]:
+    """Real roots of t^3 + b t^2 + c t + d in floats: closed form on the
+    depressed cubic, each polished by two Newton steps.  Close or double
+    roots may come out inaccurate or be missed; callers only propose."""
+    shift = b / 3
+    p = c - b * shift
+    q = (2 * shift * shift - c) * shift + d
+    disc = q * q / 4 + p * p * p / 27
+    if disc < 0:
+        # three real roots (p < 0): trigonometric form
+        r = math.sqrt(-p / 3)
+        angle = math.acos(max(-1.0, min(1.0, -q / (2 * r * r * r)))) / 3
+        roots = [2 * r * math.cos(angle - k * 2 * math.pi / 3) - shift for k in range(3)]
+    else:
+        # one real root: Cardano, choosing the cube root that does not cancel
+        big = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
+        roots = [(big - p / (3 * big) if big else 0.0) - shift]
+    for i, x in enumerate(roots):
+        for _ in range(2):
+            slope = (3 * x + 2 * b) * x + c
+            if not slope:
+                break
+            x -= (((x + b) * x + c) * x + d) / slope
+        roots[i] = x
+    return roots
+
+
+def _sturm_witness(m: MonicQuartic) -> Fraction:
+    """Exact fallback: a negative point of f(t, 1) found by sampling every
+    gap between its Sturm-isolated real roots (the negative set is a union
+    of such gaps)."""
     poly = pr.make_poly(m.dehomogenized())
-    positive = (Fraction(1), Fraction(0))
     for t in _root_gap_samples(poly):
         if sign_of(pr.evaluate(poly, t)) < 0:
-            return positive, (t, Fraction(1))
+            return t
     raise ValueError("form takes no negative value: not indefinite")
 
 
@@ -545,25 +634,11 @@ def _real_root_brackets(
             stack.append((mid, hi, count - left))
         if hit is None:
             intervals.sort(key=lambda r: r.lo)
-            return exact, _disjoint(intervals)
+            return exact, pr.make_disjoint(intervals)
         exact.append(hit)
         sf, rem = pr.poly_divmod(sf, pr.make_poly([-hit, Fraction(1)]))
         assert not rem
     return exact, []
-
-
-def _disjoint(intervals: list[IsolatedRoot]) -> list[IsolatedRoot]:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(intervals) - 1):
-            if intervals[i].hi > intervals[i + 1].lo:
-                intervals[i] = intervals[i].refined((intervals[i].hi - intervals[i].lo) / 2)
-                intervals[i + 1] = intervals[i + 1].refined(
-                    (intervals[i + 1].hi - intervals[i + 1].lo) / 2
-                )
-                changed = True
-    return intervals
 
 
 def _shrink_away(iso: IsolatedRoot, points: list[Fraction]) -> IsolatedRoot:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,20 +199,29 @@ class Report:
             if self.include_case and out["case"] is not None:
                 agreement["case_facts"] = table3_facts_hold(form, out["case"]["id"])
 
-        # the oracle runs on the normalised (positive-side) problem
+        # the oracle runs on the normalised (positive-side) problem; a form
+        # that does not fit in floats skips it, leaving "oracle" null
         coeffs = self._normalized_coefficients()
-        minimum, _ = circle_min_estimate_plain(coeffs, ORACLE_SAMPLES)
-        out["oracle"] = {"circle_min": minimum, "samples": ORACLE_SAMPLES}
-        if cls is Definiteness.INDEFINITE:
-            agreement["oracle"] = minimum < ORACLE_TOLERANCE
-        else:
-            agreement["oracle"] = minimum > -ORACLE_TOLERANCE
+        try:
+            minimum, _ = circle_min_estimate_plain(coeffs, ORACLE_SAMPLES)
+        except OverflowError:
+            minimum = math.nan
+        if math.isfinite(minimum):
+            out["oracle"] = {"circle_min": minimum, "samples": ORACLE_SAMPLES}
+            if cls is Definiteness.INDEFINITE:
+                agreement["oracle"] = minimum < ORACLE_TOLERANCE
+            else:
+                agreement["oracle"] = minimum > -ORACLE_TOLERANCE
 
         return any(flag is False for flag in agreement.values())
 
     def _normalized_coefficients(self) -> tuple[Fraction, ...]:
         if self.problem.degenerate_leading:
-            return (Fraction(0),) + self.problem.degenerate_coeffs
+            coeffs = (Fraction(0),) + self.problem.degenerate_coeffs
+            # degenerate forms are decided unflipped; flip a negative verdict
+            if self.verdict.classification is Definiteness.NEGATIVE_SEMIDEFINITE:
+                coeffs = tuple(-c for c in coeffs)
+            return coeffs
         return self.problem.form.coefficients()
 
 

@@ -78,7 +78,8 @@ class QuadExt:
       * q = 0 implies d = 0, so rational values have one canonical form.
 
     Arithmetic (+, -, *) is closed and exact; two irrational operands must
-    share the same radicand.  Division by a nonzero rational is supported.
+    share the same radicand (equality needs none).  Division by a nonzero
+    rational is supported.
     Comparisons and `sign()` are exact, by case analysis on the signs of p
     and q and comparison of p**2 with q**2 * d; no radical is ever extracted
     numerically.
@@ -212,9 +213,17 @@ class QuadExt:
         return (self - o).sign()
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (QuadExt, Fraction, int)):
+        """Exact equality, also across radicands: q*sqrt(d) is fixed by the
+        sign of q and by q**2 * d, so sqrt(8) == 2*sqrt(2) while sqrt(2) and
+        sqrt(3), whose product is not a rational square, never match."""
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._diff_sign(other) == 0
+        return (
+            self.p == o.p
+            and _int_sign(self.q) == _int_sign(o.q)
+            and self.q * self.q * self.d == o.q * o.q * o.d
+        )
 
     def __lt__(self, other: QuadExt | Fraction | int):
         s = self._diff_sign(other)
@@ -233,10 +242,11 @@ class QuadExt:
         return NotImplemented if s is None else s >= 0
 
     def __hash__(self) -> int:
-        # rational values must hash like their Fraction so == stays consistent
+        # hash what == compares: a rational value like its Fraction, an
+        # irrational one by the radicand-free (p, q**2 d, sign q)
         if self.q == 0:
             return hash(self.p)
-        return hash((self.p, self.q, self.d))
+        return hash((self.p, self.q * self.q * self.d, self.q > 0))
 
     # -- rendering -------------------------------------------------------
 

@@ -11,6 +11,7 @@ from quartic_certify import (
     MonicQuartic,
     PencilCubic,
     QuadExt,
+    certify,
     circle_min_estimate,
     classify_case,
     cubic_root_profile,
@@ -25,6 +26,7 @@ from quartic_certify import (
     witness_search,
 )
 from quartic_certify import _polyroots as pr
+from quartic_certify import classifier
 from quartic_certify.classifier import _case_from_profile
 
 from conftest import random_monic
@@ -249,3 +251,49 @@ class TestWitnessSearch:
             (px, py), (nx, ny) = witness_search(m)
             assert evaluate(m, px, py) > 0 and evaluate(m, nx, ny) < 0
         assert seen > 50
+
+
+@pytest.fixture
+def sturm_calls(monkeypatch):
+    """Forms for which witness_search took the exact Sturm fallback."""
+    calls = []
+    real = classifier._sturm_witness
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(classifier, "_sturm_witness", spy)
+    return calls
+
+
+class TestWitnessFallback:
+    @pytest.mark.parametrize("exponent, fallbacks", [(20, 0), (40, 1), (60, 1), (100, 1)])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_tiny_dip(self, sturm_calls, exponent, fallbacks, side):
+        # (x^2 - 2y^2)^2 - eps y^4 dips below 0 only within ~eps^(1/2) of
+        # t = +-sqrt(2); below ~1e-32 no float-proposed rational lands there
+        eps = F(1, 10**exponent)
+        problem, verdict = certify(*(side * c for c in (1, 0, -4, 0, 4 - eps)))
+        assert verdict.classification is Definiteness.INDEFINITE
+        assert len(sturm_calls) == fallbacks
+        pos, neg = verdict.witnesses
+        assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
+
+    def test_coefficient_beyond_float_range(self, sturm_calls):
+        problem, verdict = certify(1, 0, 0, 0, -10**400)
+        assert verdict.classification is Definiteness.INDEFINITE
+        assert len(sturm_calls) == 1
+        pos, neg = verdict.witnesses
+        assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
+
+    def test_corpus_needs_no_fallback(self, small_corpus, sturm_calls):
+        indefinite = 0
+        for m in small_corpus:
+            verdict = decide_monic(m)
+            if verdict.classification is Definiteness.INDEFINITE:
+                indefinite += 1
+                # short dyadic witnesses, not the float's full 53-bit ratio
+                assert verdict.witnesses[1][0].denominator <= 2**16
+        assert indefinite > 50
+        assert sturm_calls == []

@@ -112,6 +112,20 @@ class TestJsonReport:
             assert code != 70
             assert all(v is not False for v in out["agreement"].values())
 
+    def test_degenerate_negative_semidefinite_oracle_agrees(self):
+        # -(x^2 + y^2) y^2: the oracle must see the sign-flipped form
+        code, out = run_json(["0", "0", "-1", "0", "-1"])
+        assert code == 1
+        assert out["verdict"] == "negative-semidefinite-not-definite"
+        assert out["agreement"]["oracle"] is True
+
+    def test_oracle_skipped_beyond_float_range(self):
+        code, out = run_json(["1", "0", "0", "0", "1e400"])
+        assert code == 0
+        assert out["verdict"] == "positive-definite"
+        assert out["oracle"] is None and out["agreement"]["oracle"] is None
+        assert all(v is not False for v in out["agreement"].values())
+
     def test_no_crosscheck_skips_oracles(self):
         _, out = run_json(["--no-crosscheck", "1", "0", "0", "1", "1"])
         assert out["classical"] is None and out["oracle"] is None
@@ -162,6 +176,18 @@ class TestBatch:
         assert "error" in rows[1]
         assert rows[0]["verdict"] == "positive-definite"
         assert rows[2]["verdict"] == "positive-semidefinite-not-definite"
+
+    def test_oracle_skipped_beyond_float_range(self, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 0 1e400\n1 0 0 0 -1e400\n1 0 0 1 1\n")
+        code, text = run(["--batch", str(path)])
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [r["verdict"] for r in rows[:3]] == [
+            "positive-definite", "indefinite", "positive-definite"]
+        for row in rows[:2]:
+            assert row["oracle"] is None and row["agreement"]["oracle"] is None
+        assert rows[2]["agreement"]["oracle"] is True
 
     def test_batch_rejects_positional_coefficients(self, tmp_path):
         path = tmp_path / "forms.txt"

@@ -77,6 +77,26 @@ class TestQuadExt:
         # rational operands mix with anything
         assert QuadExt(F(1)) + QuadExt(F(0), F(1), F(3)) == QuadExt(F(1), F(1), F(3))
 
+    def test_equality_across_radicands(self):
+        root2, root8 = QuadExt(F(0), F(1), F(2)), QuadExt(F(0), F(1), F(8))
+        assert root8 == 2 * root2
+        assert QuadExt(F(1), F(-1), F(8)) == QuadExt(F(1), F(-2), F(2))
+        assert QuadExt(F(1, 3), F(3, 2), F(2, 9)) == QuadExt(F(1, 3), F(1, 2), F(2))
+        assert hash(root8) == hash(2 * root2)
+        assert len({root8, 2 * root2}) == 1
+
+    def test_inequality_across_radicands(self):
+        root2, root3 = QuadExt(F(0), F(1), F(2)), QuadExt(F(0), F(1), F(3))
+        assert (root2 == root3) is False
+        assert root2 != root3
+        assert QuadExt(F(0), F(1), F(8)) != QuadExt(F(0), F(-2), F(2))  # opposite signs
+        assert QuadExt(F(1), F(1), F(8)) != QuadExt(F(0), F(2), F(2))  # rational parts differ
+        assert QuadExt(F(0), F(1), F(6)) != QuadExt(F(0), F(1), F(2)) * QuadExt(F(0), F(1), F(2))
+        assert root2 != 1 and root2 != F(7, 5)
+        # equality is exact, arithmetic across radicands still refuses
+        with pytest.raises(MismatchedRadicandError):
+            root2 * root3
+
     def test_division_by_rational(self):
         x = QuadExt(F(4), F(2), F(3))
         assert x / 2 == QuadExt(F(2), F(1), F(3))
