@@ -6,17 +6,25 @@ Sturm chains, and real-root isolation with exact rational interval
 endpoints.  Polynomials are tuples of Fractions, low degree first, with no
 trailing zero coefficients (the zero polynomial is the empty tuple).
 
-Rational roots are found without any integer factoring: the polynomial is
-monicised by the substitution x -> t/lc, whose rational roots become
-integer roots of a monic integer polynomial; those are isolated to width
-below 1 by Sturm bisection and the at most two integer candidates per
-interval are tested exactly.
+There is one isolation routine, `isolate_real_roots`: Sturm bisection from
+the Cauchy bound, where a midpoint that lands exactly on a (necessarily
+rational) root is recorded and deflated away before isolation restarts.
+Rational roots are found on top of it without any integer factoring: a
+rational root of a monic polynomial whose coefficient denominators have
+lcm L has a denominator dividing L, and two such numbers lie at least
+1/L**2 apart.  So each isolating interval is refined below width 1/(2 L**2);
+the best approximation of its midpoint with denominator at most L is then
+the only rational root the interval can hold, and it is kept if it lies
+inside the interval and is exactly a root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exactnum import rational_sign
 
 Poly = tuple[Fraction, ...]
 
@@ -161,18 +169,14 @@ def _variations(signs) -> int:
     return flips
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
 def variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations(_sign(evaluate(q, x)) for q in chain)
+    return _variations(rational_sign(evaluate(q, x)) for q in chain)
 
 
 def variations_at_inf(chain: list[Poly], positive: bool) -> int:
     signs = []
     for q in chain:
-        s = _sign(q[-1])
+        s = rational_sign(q[-1])
         if not positive and degree(q) % 2 == 1:
             s = -s
         signs.append(s)
@@ -210,10 +214,10 @@ class IsolatedRoot:
 
     def refined(self, max_width: Fraction) -> IsolatedRoot:
         lo, hi = self.lo, self.hi
-        sign_lo = _sign(evaluate(self.poly, lo))
+        sign_lo = rational_sign(evaluate(self.poly, lo))
         while hi - lo > max_width:
             mid = (lo + hi) / 2
-            s = _sign(evaluate(self.poly, mid))
+            s = rational_sign(evaluate(self.poly, mid))
             if s == 0:
                 # the midpoint is the (rational) root itself; shave the lo
                 # side instead, keeping the root strictly interior
@@ -225,150 +229,63 @@ class IsolatedRoot:
                 hi = mid
         return IsolatedRoot(self.poly, lo, hi)
 
-    def compare_to(self, value: Fraction) -> int:
-        """Exact sign of (root - value); the root must be irrational."""
-        root = self
-        while root.lo < value < root.hi:
-            root = root.refined((root.hi - root.lo) / 2)
-        return 1 if value <= root.lo else -1
-
     def __float__(self) -> float:
         r = self.refined(Fraction(1, 10**17))
         return float((r.lo + r.hi) / 2)
 
 
-def isolate_real_roots(p: Poly) -> list[IsolatedRoot]:
-    """Isolate all real roots of a squarefree p with no rational roots.
+def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[IsolatedRoot]]:
+    """All distinct real roots of a squarefree p, in increasing order.
 
-    Returns disjoint intervals in increasing order, one per root.  Since no
-    root is rational, bisection midpoints can never hit a root and all
-    interval endpoints are non-roots.
+    Returns (exact, isolated): the roots a bisection midpoint landed on,
+    each deflated away before isolation restarts, and isolating intervals
+    of the deflated polynomial for the others.  The intervals, leaves of
+    one bisection, are disjoint, and are refined until their closures hold
+    no exact root, so midpoints between neighbouring roots are sound samples.
     """
-    if degree(p) < 1:
-        return []
-    chain = sturm_chain(p)
-    bound = cauchy_root_bound(p)
-    total = variations_at(chain, -bound) - variations_at(chain, bound)
-    out: list[IsolatedRoot] = []
-
-    stack = [(-bound, bound, total)]
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            out.append(IsolatedRoot(p, lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if evaluate(p, mid) == 0:
-            raise ArithmeticError("unexpected rational root during isolation")
-        left = variations_at(chain, lo) - variations_at(chain, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left))
-    out.sort(key=lambda r: r.lo)
-    return make_disjoint(out)
-
-
-def make_disjoint(roots: list[IsolatedRoot]) -> list[IsolatedRoot]:
-    """Halve neighbouring intervals of roots sorted by `lo` until they are
-    pairwise disjoint, so midpoints between them are sound samples."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(roots) - 1):
-            if roots[i].hi > roots[i + 1].lo:
-                roots[i] = roots[i].refined((roots[i].hi - roots[i].lo) / 2)
-                roots[i + 1] = roots[i + 1].refined((roots[i + 1].hi - roots[i + 1].lo) / 2)
-                changed = True
-    return roots
+    exact: list[Fraction] = []
+    while degree(p) >= 1:
+        chain = sturm_chain(p)
+        bound = cauchy_root_bound(p)
+        total = variations_at(chain, -bound) - variations_at(chain, bound)
+        isolated: list[IsolatedRoot] = []
+        stack = [(-bound, bound, total)]
+        while stack:
+            lo, hi, count = stack.pop()
+            if count == 0:
+                continue
+            if count == 1:
+                isolated.append(IsolatedRoot(p, lo, hi))
+                continue
+            mid = (lo + hi) / 2
+            if evaluate(p, mid) == 0:
+                break
+            left = variations_at(chain, lo) - variations_at(chain, mid)
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, count - left))
+        else:  # no midpoint hit a root
+            isolated.sort(key=lambda r: r.lo)
+            for i, iso in enumerate(isolated):
+                while any(iso.lo <= x <= iso.hi for x in exact):
+                    iso = iso.refined((iso.hi - iso.lo) / 2)
+                isolated[i] = iso
+            return sorted(exact), isolated
+        exact.append(mid)
+        p, _ = poly_divmod(p, make_poly([-mid, Fraction(1)]))
+    return sorted(exact), []
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All distinct rational roots of p, in increasing order.
-
-    Uses the monicising substitution x -> t/lc on the squarefree part after
-    clearing denominators; integer candidates come from isolating intervals
-    narrowed below width 1, so no divisor enumeration is ever done.
-    """
+    """All distinct rational roots of p, in increasing order (see the
+    module docstring for why one candidate per interval suffices)."""
     sf = squarefree_part(p)
     if degree(sf) < 1:
         return []
-    den = 1
-    for c in sf:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = [int(c * den) for c in sf]
-    n = len(ints) - 1
-    lc = ints[-1]
-    # q(t) = den-cleared sf at t/lc, rescaled monic: roots are t = lc*x;
-    # bound the search by lc * (bound on x), much tighter than q's own bound
-    q = make_poly(Fraction(ints[i]) * Fraction(lc) ** (n - 1 - i) for i in range(n + 1))
-    t_bound = abs(lc) * cauchy_root_bound(sf)
-    roots = [Fraction(t, lc) for t in _integer_roots_monic(q, t_bound)]
-    roots.sort()
-    return roots
-
-
-def _int_scaled(p: Poly) -> list[int]:
-    """Clear denominators with a positive factor (signs preserved)."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    return [int(c * den) for c in p]
-
-
-def _sign_at_half(q_ints: list[int], numerator: int) -> int:
-    """Sign of q(numerator / 2) via an all-integer Horner scheme."""
-    acc = q_ints[-1]
-    w = 1
-    for c in reversed(q_ints[:-1]):
-        w <<= 1
-        acc = acc * numerator + c * w
-    return (acc > 0) - (acc < 0)
-
-
-def _integer_roots_monic(q: Poly, bound: Fraction) -> list[int]:
-    """Integer roots of a monic integer-coefficient polynomial in [-bound, bound].
-
-    All interval endpoints are half-integers, which are never roots of a
-    monic integer polynomial (the numerator of q(odd/2) is odd), so Sturm
-    counts over (lo, hi] are always valid and no midpoint hits a root.
-    Endpoints are tracked as odd numerators over 2 and every chain sign is
-    computed in integer arithmetic.
-    """
-    chain = [_int_scaled(p) for p in sturm_chain(q)]
-    cache: dict[int, int] = {}
-
-    def vary(numerator: int) -> int:
-        v = cache.get(numerator)
-        if v is None:
-            v = cache[numerator] = _variations(_sign_at_half(p, numerator) for p in chain)
-        return v
-
-    hi0 = 2 * _floor(bound) + 3  # (hi0 / 2) >= bound + 1/2, odd
-    out: list[int] = []
-    stack = [(-hi0, hi0)]
-    while stack:
-        lo, hi = stack.pop()
-        if vary(lo) - vary(hi) == 0:
-            continue
-        if hi - lo == 2:
-            t = (lo + 1) // 2  # the unique integer inside (lo/2, hi/2)
-            if evaluate(q, Fraction(t)) == 0:
-                out.append(t)
-            continue
-        mid = 2 * ((lo + hi) // 4) + 1
-        if mid <= lo:
-            mid += 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return sorted(set(out))
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    lcm = math.lcm(*(c.denominator for c in sf))
+    roots, isolated = isolate_real_roots(sf)
+    for iso in isolated:
+        iso = iso.refined(Fraction(1, 2 * lcm * lcm))
+        candidate = ((iso.lo + iso.hi) / 2).limit_denominator(lcm)
+        if iso.lo < candidate < iso.hi and evaluate(sf, candidate) == 0:
+            roots.append(candidate)
+    return sorted(roots)

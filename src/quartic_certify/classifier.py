@@ -16,8 +16,8 @@ realise, and hence the full projective root picture of the quartic:
     case 9  real quadruple root               triple root = tau
 
 All case decisions are exact: multiple roots of g are always rational and
-compared directly; simple irrational roots are compared to tau through
-sign-change interval refinement, never through floats.  The module also
+compared directly; simple roots are placed relative to tau by Sturm counts
+of g at tau, never through floats.  The module also
 provides the independent quartic root-nature oracle (square-free
 decomposition plus Sturm counts on f(x, 1)), a float minimum-on-the-circle
 estimate that is advisory only, and the witness search that backs
@@ -42,7 +42,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _polyroots as pr
-from ._polyroots import IsolatedRoot
 from .exactnum import sign_of
 from .forms import MonicQuartic, evaluate_plain
 from .pencil import (
@@ -114,7 +113,7 @@ class CubicRootProfile:
     """
 
     rational_roots: tuple[tuple[Fraction, int], ...]
-    irrational_roots: tuple[IsolatedRoot, ...]
+    irrational_roots: tuple[pr.IsolatedRoot, ...]
     conjugate_factor: pr.Poly | None
 
     @property
@@ -154,7 +153,7 @@ class CubicRootProfile:
 def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
     poly = pr.make_poly(p.as_poly())
     rational: list[tuple[Fraction, int]] = []
-    irrational: list[IsolatedRoot] = []
+    irrational: list[pr.IsolatedRoot] = []
     conjugate: pr.Poly | None = None
 
     for factor, mult in pr.squarefree_factors(poly):
@@ -168,7 +167,7 @@ def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
         if pr.degree(rest) == 0:
             continue
         assert mult == 1, "irrational multiple root of a rational cubic"
-        isolated = pr.isolate_real_roots(rest)
+        _, isolated = pr.isolate_real_roots(rest)  # rest has no rational root
         irrational.extend(isolated)
         hidden = pr.degree(rest) - len(isolated)
         if hidden:
@@ -183,13 +182,6 @@ def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
     return profile
 
 
-def _compare_root(root: Fraction | IsolatedRoot, value: Fraction) -> int:
-    """Exact sign of (root - value)."""
-    if isinstance(root, IsolatedRoot):
-        return root.compare_to(value)
-    return sign_of(root - value)
-
-
 def classify_case(m: MonicQuartic) -> IntersectionCase:
     cubic = pencil_coeffs(m)
     tau = m.a3**2 / 4
@@ -199,8 +191,9 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
 
 def _case_from_counts(cubic: PencilCubic, tau: Fraction) -> int:
     """Case decision from multiplicity structure plus exact Sturm counts of
-    the roots of g against tau; no roots are ever extracted or isolated.
-    Agrees with `_case_from_profile` (tested), but runs in O(1) exact ops.
+    the roots of g against tau; no roots are ever extracted or isolated, so
+    it runs in O(1) exact operations.  `quartic_root_nature` checks it
+    independently, from the roots of the quartic itself.
     """
     g = pr.make_poly(cubic.as_poly())
     common = pr.poly_gcd(g, pr.derivative(g))
@@ -249,54 +242,6 @@ def _case_from_counts(cubic: PencilCubic, tau: Fraction) -> int:
     else:
         n_eq = 0
         n_gt = pr.variations_at(chain, tau) - pr.variations_at_inf(chain, True)
-    if n_gt == 0:
-        return 1
-    if n_gt == 2 or (n_gt == 1 and n_eq == 1):
-        return 2
-    raise InconsistentCaseError("simple-roots pattern matches no row")
-
-
-def _case_from_profile(profile: CubicRootProfile, tau: Fraction) -> int:
-    if profile.conjugate_pair:
-        real: list[Fraction | IsolatedRoot] = [r for r, _ in profile.rational_roots]
-        real += list(profile.irrational_roots)
-        if len(real) != 1 or _compare_root(real[0], tau) > 0:
-            raise InconsistentCaseError("conjugate pair with real root above tau")
-        return 3
-
-    mults = sorted(mult for _, mult in profile.rational_roots)
-    if mults == [3]:
-        root = profile.rational_roots[0][0]
-        cmp = sign_of(root - tau)
-        if cmp < 0:
-            return 8
-        if cmp == 0:
-            return 9
-        raise InconsistentCaseError("triple root above tau")
-
-    if 2 in mults:
-        double = next(r for r, k in profile.rational_roots if k == 2)
-        simples: list[Fraction | IsolatedRoot] = [
-            r for r, k in profile.rational_roots if k == 1
-        ]
-        simples += list(profile.irrational_roots)
-        (simple,) = simples
-        dc = sign_of(double - tau)
-        sc = _compare_root(simple, tau)
-        if dc == 0:
-            return 6 if sc < 0 else 7
-        if dc < 0 and sc <= 0:
-            return 4
-        if dc > 0 and sc <= 0:
-            return 5
-        raise InconsistentCaseError("double/simple pattern matches no row")
-
-    # three distinct simple real roots
-    roots: list[Fraction | IsolatedRoot] = [r for r, _ in profile.rational_roots]
-    roots += list(profile.irrational_roots)
-    cmps = [_compare_root(r, tau) for r in roots]
-    n_gt = sum(c > 0 for c in cmps)
-    n_eq = sum(c == 0 for c in cmps)
     if n_gt == 0:
         return 1
     if n_gt == 2 or (n_gt == 1 and n_eq == 1):
@@ -588,9 +533,7 @@ def _sturm_witness(m: MonicQuartic) -> Fraction:
 def _root_gap_samples(poly: pr.Poly) -> list[Fraction]:
     """Rational sample points: one strictly between each pair of consecutive
     real roots of poly, plus one beyond each extreme root."""
-    exact, isolated = _real_root_brackets(pr.squarefree_part(poly))
-    isolated = [_shrink_away(iso, exact) for iso in isolated]
-
+    exact, isolated = pr.isolate_real_roots(pr.squarefree_part(poly))
     # brackets (lo, hi) per root, degenerate for the exactly-hit roots
     brackets = [(r, r) for r in exact] + [(iso.lo, iso.hi) for iso in isolated]
     brackets.sort()
@@ -601,48 +544,3 @@ def _root_gap_samples(poly: pr.Poly) -> list[Fraction]:
         samples.append((hi + lo2) / 2)
     samples.append(brackets[-1][1] + 1)
     return samples
-
-
-def _real_root_brackets(
-    sf: pr.Poly,
-) -> tuple[list[Fraction], list[IsolatedRoot]]:
-    """All distinct real roots of a squarefree polynomial, without any
-    rational-root extraction: Sturm bisection isolates them, and the rare
-    midpoint that lands exactly on a (necessarily rational) root is
-    recorded and deflated away before re-isolating."""
-    exact: list[Fraction] = []
-    while pr.degree(sf) >= 1:
-        chain = pr.sturm_chain(sf)
-        bound = pr.cauchy_root_bound(sf)
-        total = pr.variations_at(chain, -bound) - pr.variations_at(chain, bound)
-        intervals: list[IsolatedRoot] = []
-        stack = [(-bound, bound, total)]
-        hit: Fraction | None = None
-        while stack:
-            lo, hi, count = stack.pop()
-            if count == 0:
-                continue
-            if count == 1:
-                intervals.append(IsolatedRoot(sf, lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            if pr.evaluate(sf, mid) == 0:
-                hit = mid
-                break
-            left = pr.variations_at(chain, lo) - pr.variations_at(chain, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, count - left))
-        if hit is None:
-            intervals.sort(key=lambda r: r.lo)
-            return exact, pr.make_disjoint(intervals)
-        exact.append(hit)
-        sf, rem = pr.poly_divmod(sf, pr.make_poly([-hit, Fraction(1)]))
-        assert not rem
-    return exact, []
-
-
-def _shrink_away(iso: IsolatedRoot, points: list[Fraction]) -> IsolatedRoot:
-    # strict separation, else a gap midpoint could coincide with a root
-    while any(iso.lo <= p <= iso.hi for p in points):
-        iso = iso.refined((iso.hi - iso.lo) / 2)
-    return iso

@@ -9,7 +9,9 @@ with
     0   positive or negative definite
     1   semidefinite boundary (including the identically zero form)
     2   indefinite
-    64  malformed coefficient input
+    64  malformed or oversize coefficient input: a decimal exponent beyond
+        +-1000, or more than 2000 bits in the five numerators and
+        denominators together
     70  an internal cross-check disagreed (never expected in a release)
 
 Exact values come first in the JSON report; decimal fields are renderings
@@ -35,7 +37,8 @@ from .forms import (
     from_plain_coeffs,
     to_weighted,
 )
-from .pencil import critical_param, g_eval, pencil_coeffs, pencil_matrix
+# pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
+from .pencil import critical_param, g_eval, pencil_coeffs, pencil_matrix  # noqa: F401
 from .positivity import (
     Definiteness,
     Verdict,
@@ -61,28 +64,28 @@ _EXIT_BY_CLASS = {
 
 ORACLE_SAMPLES = 4096
 ORACLE_TOLERANCE = 1e-6
+# larger forms are rejected: derived exact values would pass the int-to-str limit
+MAX_FORM_BITS = 2000
 
 
-class CoefficientError(ValueError):
+class InputError(ValueError):
+    """Input that is rejected: exit 64, or an error line in a batch."""
+
+
+class CoefficientError(InputError):
     def __init__(self, position: int, text: str):
         super().__init__(f"coefficient #{position} ({'e4 e3 e2 e1 e0'.split()[position - 1]}): "
                          f"cannot parse {text!r} as a rational")
         self.position = position
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _scalar_json(value: QuadExt | Fraction | None, digits: int) -> dict | None:
-    if value is None:
-        return None
+def _scalar_json(value: QuadExt | Fraction, digits: int) -> dict:
     if isinstance(value, Fraction):
         value = QuadExt(value)
     return {
-        "p": _frac_str(value.p),
-        "q": _frac_str(value.q),
-        "d": _frac_str(value.d),
+        "p": str(value.p),
+        "q": str(value.q),
+        "d": str(value.d),
         "decimal": to_decimal(value, digits),
     }
 
@@ -100,7 +103,7 @@ class Report:
         """Assemble the JSON-ready dict and the process exit code."""
         cls = self.verdict.classification
         out: dict = {
-            "input": [_frac_str(c) for c in self.coefficients],
+            "input": [str(c) for c in self.coefficients],
             "orientation": self.problem.orientation.value if self.problem.orientation else None,
             "verdict": cls.value,
             "lambda0": None,
@@ -116,16 +119,14 @@ class Report:
 
         form = self.problem.form
         if form is not None:
-            cubic = pencil_coeffs(form)
-            lam0 = critical_param(cubic)
-            out["a3_sq_over_4"] = _frac_str(form.a3**2 / 4)
+            lam0 = self.verdict.lam0
+            out["a3_sq_over_4"] = str(form.a3**2 / 4)
             if lam0.is_real:
                 out["lambda0"] = _scalar_json(lam0.value, self.digits)
-                out["g_lambda0"] = _scalar_json(g_eval(cubic, lam0.value), self.digits)
+                out["g_lambda0"] = _scalar_json(self.verdict.g_lam0, self.digits)
             else:
                 out["lambda0"] = {"p": None, "q": None,
-                                  "d": _frac_str(lam0.radicand), "decimal": None}
-                out["g_lambda0"] = None
+                                  "d": str(lam0.radicand), "decimal": None}
             if self.include_case:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
@@ -156,7 +157,7 @@ class Report:
         out = {}
         for label, (x, y) in (("positive", pos), ("negative", neg)):
             value = evaluate_plain(*self.coefficients, x, y)
-            out[label] = {"x": _frac_str(x), "y": _frac_str(y), "value": _frac_str(value)}
+            out[label] = {"x": str(x), "y": str(y), "value": str(value)}
         return out
 
     def _run_crosschecks(self, out: dict, form) -> bool:
@@ -168,21 +169,24 @@ class Report:
                 Definiteness.POSITIVE_DEFINITE,
                 Definiteness.NEGATIVE_DEFINITE,
             )
-            quantities = classical_quantities(to_weighted(form))
-            agreement["classical"] = classical_is_pd(to_weighted(form)) == positive_side_pd
+            weighted = to_weighted(form)
+            quantities = classical_quantities(weighted)
+            pd = classical_is_pd(weighted)
+            agreement["classical"] = pd == positive_side_pd
             out["classical"] = {
-                "G": _frac_str(quantities.G),
-                "H": _frac_str(quantities.H),
-                "I": _frac_str(quantities.I),
-                "J": _frac_str(quantities.J),
-                "Delta": _frac_str(quantities.delta),
-                "aux": _frac_str(quantities.aux),
-                "pd": classical_is_pd(to_weighted(form)),
+                "G": str(quantities.G),
+                "H": str(quantities.H),
+                "I": str(quantities.I),
+                "J": str(quantities.J),
+                "Delta": str(quantities.delta),
+                "aux": str(quantities.aux),
+                "pd": pd,
             }
 
-            lam0 = critical_param(pencil_coeffs(form))
+            # the certificate, when there is one, is M(lam0) itself
+            lam0 = self.verdict.lam0
             if lam0.is_real:
-                mat = pencil_matrix(form, lam0.value)
+                mat = self.verdict.certificate or pencil_matrix(form, lam0.value)
                 semidefinite = cls in (
                     Definiteness.POSITIVE_DEFINITE,
                     Definiteness.NEGATIVE_DEFINITE,
@@ -225,12 +229,15 @@ class Report:
         return self.problem.form.coefficients()
 
 
-def _scalar_text(entry: dict) -> str:
+def _exact_text(entry: dict) -> str:
     if entry["q"] == "0":
-        exact = entry["p"]
-    else:
-        sign = "-" if entry["q"].startswith("-") else "+"
-        exact = f"{entry['p']} {sign} {entry['q'].lstrip('-')}*sqrt({entry['d']})"
+        return entry["p"]
+    sign = "-" if entry["q"].startswith("-") else "+"
+    return f"{entry['p']} {sign} {entry['q'].lstrip('-')}*sqrt({entry['d']})"
+
+
+def _scalar_text(entry: dict) -> str:
+    exact = _exact_text(entry)
     if entry["decimal"] == exact:
         return exact
     return f"{exact} = {entry['decimal']}"
@@ -256,15 +263,7 @@ def _render_text(out: dict) -> str:
     if out["certificate"] is not None:
         lines.append("certificate (PSD Gram matrix of the normalised form):")
         for row in out["certificate"]:
-            rendered = []
-            for entry in row:
-                if entry["q"] == "0":
-                    rendered.append(entry["p"])
-                else:
-                    sign = "-" if entry["q"].startswith("-") else "+"
-                    mag = entry["q"].lstrip("-")
-                    rendered.append(f"{entry['p']} {sign} {mag}*sqrt({entry['d']})")
-            lines.append("  [" + ", ".join(rendered) + "]")
+            lines.append("  [" + ", ".join(_exact_text(entry) for entry in row) + "]")
     if out["witnesses"] is not None:
         w = out["witnesses"]
         lines.append(
@@ -294,6 +293,10 @@ def _parse_coefficients(raw: list[str]) -> tuple[Fraction, ...]:
             coeffs.append(parse_rational(text))
         except ValueError:
             raise CoefficientError(i, text) from None
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+    if bits > MAX_FORM_BITS:
+        raise InputError(f"form too large: its numerators and denominators take {bits} bits, "
+                         f"more than {MAX_FORM_BITS}")
     return tuple(coeffs)
 
 
@@ -333,7 +336,7 @@ def _run_batch(args, stdout) -> int:
             continue
         try:
             coeffs = _parse_coefficients(fields)
-        except CoefficientError as exc:
+        except InputError as exc:
             print(json.dumps({"line": lineno, "error": str(exc)}), file=stdout)
             parse_failed = True
             continue
@@ -417,7 +420,7 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         return EXIT_PARSE
     try:
         coeffs = _parse_coefficients(args.coefficients)
-    except CoefficientError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -58,10 +58,21 @@ def sqrt_exact(value: Fraction) -> Fraction | None:
     return None
 
 
+MAX_EXPONENT = 1000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly."""
+    """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly.
+
+    A decimal exponent beyond +-MAX_EXPONENT is rejected before any digits
+    are built: "1e200000" alone would make a 200001-digit integer.
+    """
+    text = text.strip()
+    _, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(text.strip())
+        if marker and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
@@ -194,8 +205,8 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of p + q*sqrt(d) in {-1, 0, +1}."""
-        sp = _int_sign(self.p)
-        sq = _int_sign(self.q)
+        sp = rational_sign(self.p)
+        sq = rational_sign(self.q)
         if sq == 0:
             return sp
         if sp == 0:
@@ -203,7 +214,7 @@ class QuadExt:
         if sp == sq:
             return sp
         # opposite signs: |p| vs |q|*sqrt(d) decides, compare squares
-        cmp = _int_sign(self.p * self.p - self.q * self.q * self.d)
+        cmp = rational_sign(self.p * self.p - self.q * self.q * self.d)
         return sp * cmp
 
     def _diff_sign(self, other: QuadExt | Fraction | int) -> int | None:
@@ -221,7 +232,7 @@ class QuadExt:
             return NotImplemented
         return (
             self.p == o.p
-            and _int_sign(self.q) == _int_sign(o.q)
+            and rational_sign(self.q) == rational_sign(o.q)
             and self.q * self.q * self.d == o.q * o.q * o.d
         )
 
@@ -269,7 +280,8 @@ class QuadExt:
         return f"{self.p} {sign} {term}"
 
 
-def _int_sign(value: Fraction) -> int:
+def rational_sign(value: Fraction) -> int:
+    """Sign of a Fraction (or int) in {-1, 0, +1}, with no type coercion."""
     if value > 0:
         return 1
     if value < 0:
@@ -281,7 +293,7 @@ def sign_of(value: QuadExt | Fraction | int) -> int:
     """Exact sign in {-1, 0, +1} for any scalar this package computes with."""
     if isinstance(value, QuadExt):
         return value.sign()
-    return _int_sign(as_fraction(value))
+    return rational_sign(as_fraction(value))
 
 
 def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
@@ -289,18 +301,31 @@ def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
 
     The square root is taken with `decimal` at a working precision well above
     the requested digits, so every printed digit agrees with the exact value.
+    When p and q*sqrt(d) cancel so far that the rounding error of that sum
+    could reach the printed digits (or the sign), the precision is doubled
+    until it cannot.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     with localcontext() as ctx:
         ctx.prec = max(digits + 25, 50)
-        if isinstance(value, QuadExt):
-            rat = Decimal(value.p.numerator) / Decimal(value.p.denominator)
-            if value.q != 0:
-                root = (Decimal(value.d.numerator) / Decimal(value.d.denominator)).sqrt()
-                rat += (Decimal(value.q.numerator) / Decimal(value.q.denominator)) * root
+        if isinstance(value, QuadExt) and value.q != 0:
+            while True:
+                rat = _decimal(value.p)
+                surd = _decimal(value.q) * _decimal(value.d).sqrt()
+                total = rat + surd
+                # the roundings above err by less than
+                # (|rat| + |surd|) * 10**(2 - prec); keep that below a
+                # tenth of the last printed digit
+                if abs(total) > (abs(rat) + abs(surd)).scaleb(digits + 3 - ctx.prec):
+                    break
+                ctx.prec *= 2
         else:
-            frac = as_fraction(value)
-            rat = Decimal(frac.numerator) / Decimal(frac.denominator)
+            total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value))
         ctx.prec = digits
-        return str(+rat)
+        return str(+total)
+
+
+def _decimal(value: Fraction) -> Decimal:
+    """value rounded to the current decimal context."""
+    return Decimal(value.numerator) / Decimal(value.denominator)

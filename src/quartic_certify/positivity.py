@@ -23,12 +23,12 @@ still be semidefinite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import QuadExt, as_fraction, sign_of
 from .forms import MonicQuartic, NormalizedProblem, Orientation, evaluate_plain
-from .pencil import Sym3Matrix, critical_param, g_eval, pencil_coeffs, pencil_matrix
+from .pencil import CriticalParam, Sym3Matrix, critical_param, g_eval, pencil_coeffs, pencil_matrix
 
 __all__ = [
     "Definiteness",
@@ -64,11 +64,17 @@ class Verdict:
     matrix of the original form is its negation.  `witnesses` accompanies
     every indefinite verdict: two rational points where the decided form is
     exactly positive and exactly negative.
+
+    `lam0` and `g_lam0` (None unless lam0 is real) are the exact values the
+    sign tests read, for reports and cross-checks to reuse; a
+    degenerate-leading form has no pencil and leaves both None.
     """
 
     classification: Definiteness
     certificate: Sym3Matrix | None = None
     witnesses: tuple[Point, Point] | None = None
+    lam0: CriticalParam | None = None
+    g_lam0: QuadExt | Fraction | None = None
 
 
 def sylvester_pd(mat: Sym3Matrix) -> bool:
@@ -89,23 +95,24 @@ def decide_monic(m: MonicQuartic) -> Verdict:
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
     if not lam0.is_real:
-        return _indefinite_with_witnesses(m)
+        return _indefinite_with_witnesses(m, lam0, None)
+    g_lam0 = g_eval(cubic, lam0.value)
     tau = m.a3**2 / 4
     slack = sign_of(lam0.value - tau)
-    value = sign_of(g_eval(cubic, lam0.value))
+    value = sign_of(g_lam0)
     if slack > 0 and value > 0:
         cls = Definiteness.POSITIVE_DEFINITE
     elif slack >= 0 and value >= 0:
         cls = Definiteness.POSITIVE_SEMIDEFINITE
     else:
-        return _indefinite_with_witnesses(m)
-    return Verdict(cls, certificate=pencil_matrix(m, lam0.value))
+        return _indefinite_with_witnesses(m, lam0, g_lam0)
+    return Verdict(cls, certificate=pencil_matrix(m, lam0.value), lam0=lam0, g_lam0=g_lam0)
 
 
-def _indefinite_with_witnesses(m: MonicQuartic) -> Verdict:
+def _indefinite_with_witnesses(m: MonicQuartic, lam0: CriticalParam, g_lam0) -> Verdict:
     from .classifier import witness_search
 
-    return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m))
+    return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m), lam0=lam0, g_lam0=g_lam0)
 
 
 def decide_negative_side(m: MonicQuartic) -> Verdict:
@@ -118,7 +125,7 @@ def decide_negative_side(m: MonicQuartic) -> Verdict:
         Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
     }
     cls = mapping.get(verdict.classification, verdict.classification)
-    return Verdict(cls, certificate=verdict.certificate, witnesses=verdict.witnesses)
+    return replace(verdict, classification=cls)
 
 
 def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:

@@ -27,7 +27,6 @@ from quartic_certify import (
 )
 from quartic_certify import _polyroots as pr
 from quartic_certify import classifier
-from quartic_certify.classifier import _case_from_profile
 
 from conftest import random_monic
 
@@ -107,12 +106,6 @@ class TestNineCases:
             case = classify_case(m)
             assert case.case_id == quartic_root_nature(m).implied_case()
             assert table3_facts_hold(m, case.case_id)
-
-    def test_counting_route_matches_profile_route(self, small_corpus):
-        for m in small_corpus[:200]:
-            profile = cubic_root_profile(pencil_coeffs(m))
-            tau = m.a3**2 / 4
-            assert _case_from_profile(profile, tau) == classify_case(m).case_id
 
     def test_verdict_case_consistency(self, small_corpus):
         for m in small_corpus:

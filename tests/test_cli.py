@@ -62,6 +62,12 @@ class TestExitCodes:
         assert main(["1", "2", "x", "4", "5"]) == 64
         assert "coefficient #3" in capsys.readouterr().err
 
+    def test_oversize_form_rejected(self, capsys):
+        # 250-digit numerators and denominators: far beyond 2000 bits
+        big = "7" * 250 + "/1" + "0" * 249  # coprime, so nothing cancels
+        assert main([big] * 5) == 64
+        assert "too large" in capsys.readouterr().err
+
     def test_wrong_arity(self, capsys):
         assert main(["1", "2", "3"]) == 64
 
@@ -169,13 +175,16 @@ class TestBatch:
 
     def test_malformed_line_continues(self, tmp_path):
         path = tmp_path / "mixed.txt"
-        path.write_text("1 0 0 1 1\nnot a form\n1 4 6 4 1\n")
+        path.write_text("1 0 0 1 1\nnot a form\n1 0 0 0 1e2000\n1 4 6 4 1\n")
         code, text = run(["--batch", str(path)])
         assert code == 64
         rows = [json.loads(line) for line in text.splitlines()]
         assert "error" in rows[1]
+        assert set(rows[2]) == {"line", "error"} and rows[2]["line"] == 3  # exponent cap
         assert rows[0]["verdict"] == "positive-definite"
-        assert rows[2]["verdict"] == "positive-semidefinite-not-definite"
+        assert rows[3]["verdict"] == "positive-semidefinite-not-definite"
+        assert rows[4] == {"summary": {"positive-definite": 1,
+                                       "positive-semidefinite-not-definite": 1}}
 
     def test_oracle_skipped_beyond_float_range(self, tmp_path):
         path = tmp_path / "forms.txt"
@@ -188,6 +197,22 @@ class TestBatch:
         for row in rows[:2]:
             assert row["oracle"] is None and row["agreement"]["oracle"] is None
         assert rows[2]["agreement"]["oracle"] is True
+
+    def test_report_reads_the_verdict_record(self, monkeypatch, tmp_path):
+        # the report and the cross-checks reuse lam0, g(lam0) and the
+        # certificate of the verdict instead of recomputing them
+        import quartic_certify.cli as cli
+
+        path = tmp_path / "forms.txt"
+        path.write_text(GOLDEN_LINES + "1 0 -5 0 4\n1 0 3 0 -4\n0 0 -1 0 -1\n")
+        expected = run(["--batch", str(path)])
+
+        def forbidden(*args):
+            raise AssertionError("recomputed in the report")
+
+        for name in ("pencil_coeffs", "critical_param", "g_eval"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert run(["--batch", str(path)]) == expected
 
     def test_batch_rejects_positional_coefficients(self, tmp_path):
         path = tmp_path / "forms.txt"

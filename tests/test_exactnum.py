@@ -177,10 +177,12 @@ class TestBoundary:
         assert parse_rational("-3/4") == F(-3, 4)
         assert parse_rational("7") == 7
         assert parse_rational("1e-2") == F(1, 100)
-        with pytest.raises(ValueError):
-            parse_rational("seven")
-        with pytest.raises(ValueError):
-            parse_rational("1/0")
+        # decimal exponents are capped at +-1000
+        assert parse_rational("1e1000") == 10**1000
+        assert parse_rational("-2.5E-1000") == F(-25, 10**1001)
+        for text in ("seven", "1/0", "1e1001", "1e-1001", "1e200000"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
     def test_to_decimal_digits(self):
         assert to_decimal(F(1, 4), 12) == "0.25"
@@ -188,3 +190,18 @@ class TestBoundary:
         assert to_decimal(lam0, 12) == "1.15470053838"
         # 2/sqrt(3) = 1.1547005383792515...
         assert to_decimal(lam0, 17) == "1.1547005383792515"
+
+    def test_to_decimal_under_cancellation(self):
+        # a/b - sqrt(2) with a/b the 81st convergent of sqrt(2), about
+        # -2.77e-62: the default working precision cannot see its sign
+        a, b = 1, 1
+        for _ in range(80):
+            a, b = a + 2 * b, a + b
+        value = QuadExt(F(a, b), F(-1), F(2))
+        assert value.sign() == -1
+        with localcontext() as ctx:
+            ctx.prec = 200
+            exact = Decimal(a) / Decimal(b) - Decimal(2).sqrt()
+            ctx.prec = 12
+            expected = str(+exact)
+        assert to_decimal(value, 12) == expected == "-2.76620249538E-62"

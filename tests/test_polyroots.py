@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -64,8 +65,8 @@ def test_isolation_three_irrational_roots():
     # x^3 - 4x + 1: irreducible over Q with three real roots
     p = pr.make_poly([F(1), F(-4), F(0), F(1)])
     assert pr.rational_roots(p) == []
-    roots = pr.isolate_real_roots(p)
-    assert len(roots) == 3
+    exact, roots = pr.isolate_real_roots(p)
+    assert exact == [] and len(roots) == 3
     approx = sorted(float(r) for r in roots)
     for a in approx:
         assert abs(a**3 - 4 * a + 1) < 1e-9
@@ -74,13 +75,18 @@ def test_isolation_three_irrational_roots():
         assert r1.hi <= r2.lo
 
 
-def test_compare_to_refines():
-    p = pr.make_poly([F(-2), F(0), F(1)])  # sqrt(2)
-    (root,) = [r for r in pr.isolate_real_roots(p) if float(r) > 0]
-    assert root.compare_to(F(1)) == 1
-    assert root.compare_to(F(3, 2)) == -1
-    assert root.compare_to(F(141421356, 100000000)) == 1
-    assert root.compare_to(F(141421357, 100000000)) == -1
+def test_isolation_records_a_root_hit_by_bisection():
+    # x^3 - 2x: Cauchy bound 3, so the first midpoint is the root 0
+    p = pr.make_poly([F(0), F(-2), F(0), F(1)])
+    exact, roots = pr.isolate_real_roots(p)
+    assert exact == [F(0)]
+    assert len(roots) == 2
+    for iso, sign in zip(roots, (-1, 1)):
+        # closures clear of the exact root; one sign change of x^2 - 2
+        assert not iso.lo <= 0 <= iso.hi
+        assert pr.evaluate(iso.poly, iso.lo) * pr.evaluate(iso.poly, iso.hi) < 0
+        assert abs(float(iso) - sign * math.sqrt(2)) < 1e-12
+    assert roots[0].hi <= roots[1].lo
 
 
 def test_count_distinct_real_roots():
