@@ -44,11 +44,13 @@ import numpy as np
 from . import _polyroots as pr
 from .exactnum import sign_of
 from .forms import MonicQuartic, evaluate_plain
-from .pencil import (
+# critical_param and g_eval stay bound for bench/spans.py to wrap
+from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
     critical_param,
     g_eval,
+    lam0_test,
     pencil_coeffs,
 )
 
@@ -319,14 +321,12 @@ def quartic_root_nature(m: MonicQuartic) -> QuarticRootNature:
 
 
 def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
-    """Check the (lam0, g(lam0)) facts implied by the classified case."""
-    cubic = pencil_coeffs(m)
-    lam0 = critical_param(cubic)
-    tau = m.a3**2 / 4
-    if not lam0.is_real:
+    """Check the (lam0, g(lam0)) facts implied by the classified case,
+    against the integer sign tests of `pencil.lam0_test`."""
+    test = lam0_test(m)
+    if not test.lam0.is_real:
         return case_id == 3
-    slack = sign_of(lam0.value - tau)
-    value = sign_of(g_eval(cubic, lam0.value))
+    slack, value = test.slack, test.value
     facts = {
         1: slack < 0 and value > 0,
         2: slack > 0 and value > 0,

@@ -63,6 +63,8 @@ _EXIT_BY_CLASS = {
 }
 
 ORACLE_SAMPLES = 4096
+# the oracle's band: this absolute part, plus a float rounding bound of the
+# evaluation that grows with the coefficients (see _oracle_band)
 ORACLE_TOLERANCE = 1e-6
 # larger forms are rejected: derived exact values would pass the int-to-str limit
 MAX_FORM_BITS = 2000
@@ -73,9 +75,9 @@ class InputError(ValueError):
 
 
 class CoefficientError(InputError):
-    def __init__(self, position: int, text: str):
+    def __init__(self, position: int, reason: str):
         super().__init__(f"coefficient #{position} ({'e4 e3 e2 e1 e0'.split()[position - 1]}): "
-                         f"cannot parse {text!r} as a rational")
+                         f"{reason}")
         self.position = position
 
 
@@ -212,10 +214,11 @@ class Report:
             minimum = math.nan
         if math.isfinite(minimum):
             out["oracle"] = {"circle_min": minimum, "samples": ORACLE_SAMPLES}
+            band = _oracle_band(coeffs)
             if cls is Definiteness.INDEFINITE:
-                agreement["oracle"] = minimum < ORACLE_TOLERANCE
+                agreement["oracle"] = minimum < band
             else:
-                agreement["oracle"] = minimum > -ORACLE_TOLERANCE
+                agreement["oracle"] = minimum > -band
 
         return any(flag is False for flag in agreement.values())
 
@@ -227,6 +230,15 @@ class Report:
                 coeffs = tuple(-c for c in coeffs)
             return coeffs
         return self.problem.form.coefficients()
+
+
+def _oracle_band(coeffs) -> float:
+    """ORACLE_TOLERANCE widened by a float rounding bound of evaluating
+    the form on the unit circle: 16 unit roundoffs of sum |c_i|.  Without
+    it the semidefinite (x^2 + b xy + c y^2)^2 with b = 1608007/2 and
+    c = -379623983/118 (coefficients up to 1.04e13) has a float minimum of
+    -1.5e-5, and the oracle flags a correct verdict."""
+    return ORACLE_TOLERANCE + 16 * 2.0**-53 * sum(abs(float(c)) for c in coeffs)
 
 
 def _exact_text(entry: dict) -> str:
@@ -291,8 +303,8 @@ def _parse_coefficients(raw: list[str]) -> tuple[Fraction, ...]:
     for i, text in enumerate(raw, start=1):
         try:
             coeffs.append(parse_rational(text))
-        except ValueError:
-            raise CoefficientError(i, text) from None
+        except ValueError as exc:
+            raise CoefficientError(i, str(exc)) from None
     bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
     if bits > MAX_FORM_BITS:
         raise InputError(f"form too large: its numerators and denominators take {bits} bits, "

@@ -59,19 +59,25 @@ def sqrt_exact(value: Fraction) -> Fraction | None:
 
 
 MAX_EXPONENT = 1000
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly.
 
     A decimal exponent beyond +-MAX_EXPONENT is rejected before any digits
-    are built: "1e200000" alone would make a 200001-digit integer.
+    are built: "1e200000" alone would make a 200001-digit integer.  The
+    ValueError says which of the two rejected the text.
     """
     text = text.strip()
     _, marker, exponent = text.lower().partition("e")
     try:
-        if marker and abs(int(exponent)) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
+        too_large = bool(marker) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        too_large = False  # not a decimal exponent; Fraction() judges the text
+    if too_large:
+        raise ValueError(f"decimal exponent of {text!r} beyond +-{MAX_EXPONENT}")
+    try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
@@ -90,7 +96,9 @@ class QuadExt:
 
     Arithmetic (+, -, *) is closed and exact; two irrational operands must
     share the same radicand (equality needs none).  Division by a nonzero
-    rational is supported.
+    rational is supported.  Results skip the constructor's checks: operands
+    in normal form over one radicand (0 or a non-square) give parts that
+    are already normal, except that q = 0 must fold d to 0.
     Comparisons and `sign()` are exact, by case analysis on the signs of p
     and q and comparison of p**2 with q**2 * d; no radical is ever extracted
     numerically.
@@ -116,6 +124,16 @@ class QuadExt:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _normalised(cls, p: Fraction, q: Fraction = _ZERO, d: Fraction = _ZERO) -> QuadExt:
+        """A value from Fraction parts already in normal form (d is 0 or not
+        a rational square), without the checks of the constructor."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "p", p)
+        object.__setattr__(value, "q", q)
+        object.__setattr__(value, "d", d if q else _ZERO)
+        return value
+
     # -- classification ------------------------------------------------
 
     @property
@@ -133,7 +151,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             return other
         if isinstance(other, (Fraction, int)):
-            return QuadExt(as_fraction(other))
+            return QuadExt._normalised(as_fraction(other))
         return None
 
     def _join_radicand(self, other: QuadExt) -> Fraction:
@@ -152,32 +170,35 @@ class QuadExt:
         if o is None:
             return NotImplemented
         d = self._join_radicand(o)
-        return QuadExt(self.p + o.p, self.q + o.q, d)
+        return QuadExt._normalised(self.p + o.p, self.q + o.q, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.p, -self.q, self.d)
+        return QuadExt._normalised(-self.p, -self.q, self.d)
 
     def __sub__(self, other: QuadExt | Fraction | int) -> QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        d = self._join_radicand(o)
+        return QuadExt._normalised(self.p - o.p, self.q - o.q, d)
 
     def __rsub__(self, other: QuadExt | Fraction | int) -> QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other: QuadExt | Fraction | int) -> QuadExt:
+        if isinstance(other, (Fraction, int)):
+            return QuadExt._normalised(self.p * other, self.q * other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = self._join_radicand(o)
         # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 d + (p1 q2 + p2 q1) r
-        return QuadExt(
+        return QuadExt._normalised(
             self.p * o.p + self.q * o.q * d,
             self.p * o.q + o.p * self.q,
             d,
@@ -191,7 +212,7 @@ class QuadExt:
         if other == 0:
             raise ZeroDivisionError("division by zero")
         scale = Fraction(1, 1) / as_fraction(other)
-        return QuadExt(self.p * scale, self.q * scale, self.d)
+        return QuadExt._normalised(self.p * scale, self.q * scale, self.d)
 
     def __pow__(self, exponent: int) -> QuadExt:
         if not isinstance(exponent, int) or exponent < 0:

@@ -15,26 +15,35 @@ and the distinguished parameter lam0 = (4 b2 + 2 sqrt(3 b1 + 4 b2^2)) / 3
 is the larger stationary point of g.  lam0 lives in Q(sqrt(d)) with
 d = 3 b1 + 4 b2^2; when d < 0 it is not real, which already settles the
 definiteness question (see the positivity module).
+
+`lam0_test` is the decision kernel: it clears the coefficients to integers
+and settles the two sign tests on lam0 with integer products and two signs
+of the shape a + b sqrt(D).  The Q(sqrt(d)) route (`critical_param`,
+`g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
+serves the certificate and the cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadExt, as_fraction, sign_of
+from .exactnum import QuadExt, as_fraction, rational_sign, sign_of
 from .forms import MonicQuartic
 
 __all__ = [
     "PencilCubic",
     "Sym3Matrix",
     "CriticalParam",
+    "Lam0Test",
     "pencil_coeffs",
     "base_matrices",
     "pencil_matrix",
     "g_eval",
     "g_prime_eval",
     "critical_param",
+    "lam0_test",
     "discriminant_g",
     "boundary_identity_check",
 ]
@@ -206,6 +215,72 @@ def critical_param(p: PencilCubic) -> CriticalParam:
     # QuadExt collapses to a plain rational automatically when d is a square
     value = QuadExt(Fraction(4, 3) * p.b2, Fraction(2, 3), d)
     return CriticalParam(radicand=d, value=value)
+
+
+@dataclass(frozen=True)
+class Lam0Test:
+    """The two sign tests on lam0 and the exact values they read.
+
+    `slack` is the sign of lam0 - a3^2/4 and `value` that of g(lam0); with
+    `g_lam0` they are None when lam0 is not real (d < 0).
+    """
+
+    lam0: CriticalParam
+    g_lam0: QuadExt | None = None
+    slack: int | None = None
+    value: int | None = None
+
+
+def lam0_test(m: MonicQuartic) -> Lam0Test:
+    """The sign tests of lam0 - a3^2/4 and g(lam0) in integer arithmetic.
+
+    With e4 the lcm of the denominators of m and ei = e4 ai integers,
+
+        d = D / (4 e4^2),    D = 12 e0 e4 - 3 e1 e3 + e2^2,
+        lam0 = (2 e2 + sqrt(D)) / (3 e4),
+        lam0 - a3^2/4 = ((8 e2 e4 - 3 e3^2) + 4 e4 sqrt(D)) / (12 e4^2),
+        g(lam0) = (R + 4 d sqrt(d)) / 27 = (Rn + 2 D sqrt(D)) / (108 e4^3),
+
+    where R = 27 b0 + 36 b1 b2 + 32 b2^3 = Rn / (4 e4^3) with
+    Rn = 27 N0 + 18 N1 e2 + 16 e2^3, N1 = 4 e0 e4 - e2^2 - e1 e3 and
+    N0 = -e1^2 e4 + e1 e2 e3 - e0 e3^2 (so b1 = N1 / (4 e4^2) and
+    b0 = N0 / (4 e4^3)).  Since e4 > 0 both signs are signs of integers
+    a + b sqrt(D).  lam0 and g(lam0) are then built in Q(sqrt(d)) for the
+    record, equal part for part to `critical_param` and `g_eval`; one
+    isqrt(D) folds both to rationals when D is a perfect square.
+    """
+    e4 = math.lcm(m.a3.denominator, m.a2.denominator, m.a1.denominator, m.a0.denominator)
+    e3, e2, e1, e0 = (a.numerator * (e4 // a.denominator) for a in (m.a3, m.a2, m.a1, m.a0))
+    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    d = Fraction(disc, 4 * e4 * e4)
+    if disc < 0:
+        return Lam0Test(CriticalParam(d, None))
+    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
+    n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
+    rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
+    slack = _surd_sign(8 * e2 * e4 - 3 * e3 * e3, 4 * e4, disc)
+    value = _surd_sign(rn, 2 * disc, disc)
+    g_den = 108 * e4**3
+    root = math.isqrt(disc)
+    if root * root == disc:
+        lam0 = QuadExt._normalised(Fraction(2 * e2 + root, 3 * e4))
+        g_lam0 = QuadExt._normalised(Fraction(rn + 2 * disc * root, g_den))
+    else:
+        lam0 = QuadExt._normalised(Fraction(2 * e2, 3 * e4), Fraction(2, 3), d)
+        g_lam0 = QuadExt._normalised(Fraction(rn, g_den), Fraction(disc, 27 * e4 * e4), d)
+    return Lam0Test(CriticalParam(d, lam0), g_lam0, slack, value)
+
+
+def _surd_sign(a: int, b: int, n: int) -> int:
+    """Sign of a + b sqrt(n) for integers a, b and n >= 0."""
+    sa = rational_sign(a)
+    sb = rational_sign(b) if n else 0
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: |a| against |b| sqrt(n), compared through squares
+    return sa * rational_sign(a * a - b * b * n)
 
 
 def discriminant_g(p: PencilCubic) -> Fraction:

@@ -1,16 +1,20 @@
 """Definiteness decisions with verifiable matrix certificates.
 
-The decision path for a monic form is two exact sign tests in Q(sqrt(d)):
+The decision for a monic form is two exact sign tests on lam0:
 
     PSD  iff  lam0 >= a3^2/4  and  g(lam0) >= 0,
     PD   iff  lam0 >  a3^2/4  and  g(lam0) >  0,
 
-with a non-real lam0 (d < 0) immediately indefinite.  Whenever the verdict
-is PSD or PD the matrix M(lam0) is emitted as a certificate: it is positive
-(semi)definite exactly when the form is, and it reproduces the form through
-the Veronese representation, so a verifier needs nothing but Sylvester's
-criterion and a matrix-vector product.  The equivalent Sylvester-based test
-on M(lam0) is kept as `sylvester_pd`/`sylvester_psd` for cross-checking but
+with a non-real lam0 (d < 0) immediately indefinite.  `pencil.lam0_test`
+settles both with integer products and two signs of a + b sqrt(D); the
+verdict records lam0 and g(lam0) in Q(sqrt(d)) for the report.  Whenever
+the verdict is PSD or PD the matrix M(lam0) is emitted as a certificate,
+the one place the decision builds it in Q(sqrt(d)) arithmetic: it is
+positive (semi)definite exactly when the form is, and it reproduces the
+form through the Veronese representation, so a verifier needs nothing but
+Sylvester's criterion and a matrix-vector product.  The equivalent
+Sylvester-based test on M(lam0) is kept as `sylvester_pd`/`sylvester_psd`
+for cross-checking, arithmetic independent of the integer sign tests, but
 never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
@@ -28,7 +32,16 @@ from fractions import Fraction
 
 from .exactnum import QuadExt, as_fraction, sign_of
 from .forms import MonicQuartic, NormalizedProblem, Orientation, evaluate_plain
-from .pencil import CriticalParam, Sym3Matrix, critical_param, g_eval, pencil_coeffs, pencil_matrix
+# critical_param, g_eval and pencil_coeffs stay bound for bench/spans.py to wrap
+from .pencil import (  # noqa: F401
+    CriticalParam,
+    Sym3Matrix,
+    critical_param,
+    g_eval,
+    lam0_test,
+    pencil_coeffs,
+    pencil_matrix,
+)
 
 __all__ = [
     "Definiteness",
@@ -92,21 +105,17 @@ def sylvester_psd(mat: Sym3Matrix) -> bool:
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
-    cubic = pencil_coeffs(m)
-    lam0 = critical_param(cubic)
+    test = lam0_test(m)
+    lam0 = test.lam0
     if not lam0.is_real:
         return _indefinite_with_witnesses(m, lam0, None)
-    g_lam0 = g_eval(cubic, lam0.value)
-    tau = m.a3**2 / 4
-    slack = sign_of(lam0.value - tau)
-    value = sign_of(g_lam0)
-    if slack > 0 and value > 0:
+    if test.slack > 0 and test.value > 0:
         cls = Definiteness.POSITIVE_DEFINITE
-    elif slack >= 0 and value >= 0:
+    elif test.slack >= 0 and test.value >= 0:
         cls = Definiteness.POSITIVE_SEMIDEFINITE
     else:
-        return _indefinite_with_witnesses(m, lam0, g_lam0)
-    return Verdict(cls, certificate=pencil_matrix(m, lam0.value), lam0=lam0, g_lam0=g_lam0)
+        return _indefinite_with_witnesses(m, lam0, test.g_lam0)
+    return Verdict(cls, certificate=pencil_matrix(m, lam0.value), lam0=lam0, g_lam0=test.g_lam0)
 
 
 def _indefinite_with_witnesses(m: MonicQuartic, lam0: CriticalParam, g_lam0) -> Verdict:

@@ -14,6 +14,11 @@ import pytest
 from quartic_certify import MonicQuartic
 
 
+def quad_parts(value):
+    """The parts of a QuadExt with their types, for exact identity checks."""
+    return type(value.p), type(value.q), type(value.d), value.p, value.q, value.d
+
+
 def random_fraction(rng: random.Random, num: int = 1000, den: int = 1000) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 

@@ -61,6 +61,22 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert main(["1", "2", "x", "4", "5"]) == 64
         assert "coefficient #3" in capsys.readouterr().err
+        # a limit, not the syntax, rejects this one, and the message says so
+        assert main(["1", "0", "0", "0", "1e2000"]) == 64
+        err = capsys.readouterr().err
+        assert "coefficient #5 (e0): decimal exponent of '1e2000' beyond +-1000" in err
+
+    def test_large_psd_square_is_boundary(self):
+        # (x^2 + b xy + c y^2)^2 has a circle minimum near -1.5e-5 in
+        # floats; the oracle band scales with the coefficients, so the
+        # correct semidefinite verdict exits 1, not 70
+        b, c = F(1608007, 2), F(-379623983, 118)
+        coeffs = (1, 2 * b, b * b + 2 * c, 2 * b * c, c * c)
+        code, out = run_json([str(x) for x in coeffs])
+        assert out["verdict"] == "positive-semidefinite-not-definite"
+        assert out["oracle"]["circle_min"] < -1e-6
+        assert out["agreement"]["oracle"] is True
+        assert code == 1
 
     def test_oversize_form_rejected(self, capsys):
         # 250-digit numerators and denominators: far beyond 2000 bits
@@ -181,6 +197,8 @@ class TestBatch:
         rows = [json.loads(line) for line in text.splitlines()]
         assert "error" in rows[1]
         assert set(rows[2]) == {"line", "error"} and rows[2]["line"] == 3  # exponent cap
+        assert rows[2]["error"] == ("coefficient #5 (e0): decimal exponent of '1e2000' "
+                                    "beyond +-1000")
         assert rows[0]["verdict"] == "positive-definite"
         assert rows[3]["verdict"] == "positive-semidefinite-not-definite"
         assert rows[4] == {"summary": {"positive-definite": 1,

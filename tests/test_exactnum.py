@@ -15,6 +15,8 @@ from quartic_certify.exactnum import (
     to_decimal,
 )
 
+from conftest import quad_parts
+
 F = Fraction
 
 
@@ -118,6 +120,44 @@ class TestQuadExt:
             assert a - a == 0
 
 
+_quad_radicands = st.sampled_from([F(0), F(2), F(5, 3), F(12), F(9, 4)])
+
+
+@st.composite
+def _quad_values(draw, radicand):
+    # a rational (d = 0) or an element over the shared radicand
+    d = draw(st.sampled_from([F(0), radicand]))
+    p = draw(st.fractions(max_denominator=30, min_value=-40, max_value=40))
+    q = draw(st.fractions(max_denominator=30, min_value=-40, max_value=40))
+    return QuadExt(p, q, d)
+
+
+class TestArithmeticNormalForm:
+    """Arithmetic results skip the constructor's checks; each must still be
+    the value the public constructor builds from the same parts."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_results_match_public_constructor(self, data):
+        radicand = data.draw(_quad_radicands)
+        a = data.draw(_quad_values(radicand))
+        b = data.draw(_quad_values(radicand))
+        scalar = data.draw(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=20)))
+        results = [a + b, a - b, a * b, -a, a + scalar, scalar - a, a * scalar, scalar * a]
+        if scalar != 0:
+            results.append(a / scalar)
+        for r in results:
+            assert quad_parts(r) == quad_parts(QuadExt(r.p, r.q, r.d))
+
+    def test_products_collapsing_to_rationals(self):
+        root2 = QuadExt(F(0), F(1), F(2))
+        for r in (root2 * root2, root2 - root2, QuadExt(F(1), F(1), F(3)) * QuadExt(F(1), F(-1), F(3)),
+                  root2 * 0, (root2 + 1) * (root2 - 1)):
+            assert r.q == 0 and r.d == 0
+            assert quad_parts(r) == quad_parts(QuadExt(r.p, r.q, r.d))
+        assert quad_parts(root2 * root2) == quad_parts(QuadExt(F(2)))
+
+
 class TestSign:
     def test_known_irrational_positive(self):
         # (16*sqrt(3) - 9)/36 written as -1/4 + (4/9) sqrt(3)
@@ -180,8 +220,12 @@ class TestBoundary:
         # decimal exponents are capped at +-1000
         assert parse_rational("1e1000") == 10**1000
         assert parse_rational("-2.5E-1000") == F(-25, 10**1001)
-        for text in ("seven", "1/0", "1e1001", "1e-1001", "1e200000"):
-            with pytest.raises(ValueError):
+        for text in ("seven", "1/0"):
+            with pytest.raises(ValueError, match="not a rational number"):
+                parse_rational(text)
+        # the limit, not the syntax, rejects these, and the message says so
+        for text in ("1e1001", "1e-1001", "1e200000"):
+            with pytest.raises(ValueError, match=r"decimal exponent of .* beyond \+-1000"):
                 parse_rational(text)
 
     def test_to_decimal_digits(self):

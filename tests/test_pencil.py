@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quartic_certify import (
+    Orientation,
     MonicQuartic,
     PencilCubic,
     QuadExt,
@@ -9,16 +13,19 @@ from quartic_certify import (
     boundary_identity_check,
     critical_param,
     cubic_root_profile,
+    decide_monic,
+    decide_problem,
     discriminant_g,
     evaluate,
+    from_plain_coeffs,
     g_eval,
     pencil_coeffs,
     pencil_matrix,
     sign_of,
 )
-from quartic_certify.pencil import g_prime_eval
+from quartic_certify.pencil import g_prime_eval, lam0_test
 
-from conftest import random_fraction, random_monic
+from conftest import quad_parts, random_fraction, random_monic
 
 F = Fraction
 
@@ -150,3 +157,103 @@ class TestIdentities:
             cubic = pencil_coeffs(m)
             profile = cubic_root_profile(cubic)
             assert (sign_of(discriminant_g(cubic)) < 0) == profile.conjugate_pair
+
+
+def assert_kernel_matches_field_route(m: MonicQuartic):
+    """lam0_test against the Q(sqrt(d)) route: equal values with identical
+    parts, and the same two signs."""
+    test = lam0_test(m)
+    cubic = pencil_coeffs(m)
+    lam0 = critical_param(cubic)
+    assert test.lam0.radicand == lam0.radicand
+    if not lam0.is_real:
+        assert (test.lam0.value, test.g_lam0, test.slack, test.value) == (None,) * 4
+        return test
+    g_lam0 = g_eval(cubic, lam0.value)
+    assert test.lam0.value == lam0.value and quad_parts(test.lam0.value) == quad_parts(lam0.value)
+    assert test.g_lam0 == g_lam0 and quad_parts(test.g_lam0) == quad_parts(g_lam0)
+    assert test.slack == sign_of(lam0.value - m.a3**2 / 4)
+    assert test.value == sign_of(g_lam0)
+    return test
+
+
+def assert_verdict_records_kernel(m: MonicQuartic, verdict):
+    test = lam0_test(m)
+    assert verdict.lam0 == test.lam0
+    if test.lam0.is_real:
+        assert quad_parts(verdict.lam0.value) == quad_parts(test.lam0.value)
+        assert quad_parts(verdict.g_lam0) == quad_parts(test.g_lam0)
+    else:
+        assert verdict.g_lam0 is None
+
+
+_big = st.integers(-10**30, 10**30)
+_num = st.integers(-10**6, 10**6)
+_den = st.integers(1, 10**12)
+_fraction = st.builds(F, _num, _den)
+
+
+class TestLam0Kernel:
+    """The integer kernel against critical_param, g_eval and sign_of."""
+
+    def test_small_corpus(self, small_corpus):
+        seen = {"non-real": 0, "irrational": 0, "rational": 0}
+        for m in small_corpus:
+            test = assert_kernel_matches_field_route(m)
+            assert_verdict_records_kernel(m, decide_monic(m))
+            if not test.lam0.is_real:
+                seen["non-real"] += 1
+            elif test.lam0.value.is_rational:
+                seen["rational"] += 1
+            else:
+                seen["irrational"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    @given(_fraction, _fraction, _fraction, _fraction)
+    @settings(max_examples=150, deadline=None)
+    def test_random_denominators_up_to_1e12(self, a3, a2, a1, a0):
+        assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+
+    @given(_big, _big, _big, _big)
+    @settings(max_examples=150, deadline=None)
+    def test_coefficients_of_size_1e30(self, a3, a2, a1, a0):
+        assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+
+    @given(_fraction, _fraction, _fraction, st.builds(F, st.integers(1, 10**6), _den))
+    @settings(max_examples=100, deadline=None)
+    def test_negative_radicand(self, a3, a2, a1, excess):
+        # d = (12 a0 - 3 a1 a3 + a2^2) / 4 < 0
+        a0 = (3 * a1 * a3 - a2 * a2) / 12 - excess
+        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert test.lam0.radicand < 0
+
+    @given(_fraction, _fraction, _fraction)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_radicand(self, a3, a2, a1):
+        a0 = (3 * a1 * a3 - a2 * a2) / 12
+        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert test.lam0.radicand == 0 and test.lam0.value.is_rational
+
+    @given(_fraction, _fraction)
+    @settings(max_examples=100, deadline=None)
+    def test_psd_squares_have_rational_lam0(self, b, c):
+        # (x^2 + b xy + c y^2)^2: d = (b^2 - 4c)^2 / 4 is a square
+        m = MonicQuartic(2 * b, b * b + 2 * c, 2 * b * c, c * c)
+        test = assert_kernel_matches_field_route(m)
+        assert test.lam0.value.is_rational and test.g_lam0.is_rational
+        assert test.slack >= 0 and test.value >= 0
+
+    @given(_fraction, _fraction, _fraction, _fraction)
+    @settings(max_examples=100, deadline=None)
+    def test_square_radicand(self, a3, a2, a1, s):
+        a0 = (4 * s * s + 3 * a1 * a3 - a2 * a2) / 12  # d = s^2
+        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert test.lam0.value.is_rational
+
+    @given(st.builds(F, st.integers(-10**6, -1), _den), _fraction, _fraction, _fraction, _fraction)
+    @settings(max_examples=100, deadline=None)
+    def test_negative_side_verdict_records_kernel(self, e4, e3, e2, e1, e0):
+        problem = from_plain_coeffs(e4, e3, e2, e1, e0)
+        assert problem.orientation is Orientation.NEGATIVE_SIDE
+        assert_kernel_matches_field_route(problem.form)
+        assert_verdict_records_kernel(problem.form, decide_problem(problem))
