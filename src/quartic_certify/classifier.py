@@ -15,9 +15,22 @@ realise, and hence the full projective root picture of the quartic:
     case 8  real simple + real triple         triple root < tau
     case 9  real quadruple root               triple root = tau
 
-All case decisions are exact: multiple roots of g are always rational and
-compared directly; simple roots are placed relative to tau by Sturm counts
-of g at tau, never through floats.  The module also
+All case decisions are exact and read the integer invariants of
+`pencil.lam0_test`: e4 > 0 and e3..e0 clear m to integers, D and Rn give
+the stationary points lam0,1 = (2 e2 +- sqrt(D)) / (3 e4) of g and
+disc(g) = (4 D^3 - Rn^2) / (6912 e4^6), and with A = 8 e2 e4 - 3 e3^2,
+sign(lam0,1 - tau) = sign(A +- 4 e4 sqrt(D)):
+
+    condition                                   sign read          < 0   = 0   > 0
+    D < 0, or 4 D^3 < Rn^2                      none: case 3
+    D = 0 (Rn = 0: triple root 2 e2 / (3 e4))   A                   8     9     -
+    4 D^3 > Rn^2                                A + 4 e4 sqrt(D)    1     -     2
+    4 D^3 = Rn^2 > 0, Rn < 0 (double at lam0)   A + 4 e4 sqrt(D)    4     6     5
+    4 D^3 = Rn^2 > 0, Rn > 0 (double at lam1)   A - 4 e4 sqrt(D)    4     7     -
+
+A sign marked "-" would need g(tau) > 0, which g(tau) =
+-(8 a1 - 4 a2 a3 + a3^3)^2 / 256 forbids; it raises InconsistentCaseError.
+No root of g is computed and no float is used.  The module also
 provides the independent quartic root-nature oracle (square-free
 decomposition plus Sturm counts on f(x, 1)), a float minimum-on-the-circle
 estimate that is advisory only, and the witness search that backs
@@ -42,12 +55,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _polyroots as pr
-from .exactnum import sign_of
+from .exactnum import rational_sign, sign_of
 from .forms import MonicQuartic, evaluate_plain
-# critical_param and g_eval stay bound for bench/spans.py to wrap
+# pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
+    _invariants,
+    _surd_sign,
     critical_param,
     g_eval,
     lam0_test,
@@ -184,71 +199,37 @@ def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
     return profile
 
 
+# the table of the module docstring: root pattern of g -> sign of its
+# comparison with tau -> case; a missing sign is one that g(tau) <= 0 forbids
+_CASE_BY_SIGN = {
+    "triple": {-1: 8, 0: 9},
+    "three simple": {-1: 1, 1: 2},
+    "double at lam0": {-1: 4, 0: 6, 1: 5},
+    "double at lam1": {-1: 4, 0: 7},
+}
+
+
 def classify_case(m: MonicQuartic) -> IntersectionCase:
-    cubic = pencil_coeffs(m)
-    tau = m.a3**2 / 4
-    case_id = _case_from_counts(cubic, tau)
+    """The intersection case, read off the integer invariants of m by the
+    table in the module docstring: at most one surd sign per form.
+    `quartic_root_nature` checks it independently, from the roots of the
+    quartic itself."""
+    e4, _, disc, a, rn = _invariants(m)
+    gap = 4 * disc**3 - rn * rn  # the sign of disc(g); rn = 0 when disc < 0
+    if gap < 0:  # one real root and a conjugate pair
+        return IntersectionCase(3, CASE_DESCRIPTIONS[3])
+    if disc == 0:  # then rn = 0: a triple root at 2 e2 / (3 e4)
+        row, sign = "triple", rational_sign(a)
+    elif gap > 0:  # the middle root lies below lam0, the largest above it
+        row, sign = "three simple", _surd_sign(a, 4 * e4, disc)
+    elif rn < 0:  # g(lam0) = 0; the simple root lies below lam1
+        row, sign = "double at lam0", _surd_sign(a, 4 * e4, disc)
+    else:  # g(lam1) = 0; the simple root lies above lam0
+        row, sign = "double at lam1", _surd_sign(a, -4 * e4, disc)
+    case_id = _CASE_BY_SIGN[row].get(sign)
+    if case_id is None:
+        raise InconsistentCaseError(f"{row} of g with sign(root - tau) = {sign}")
     return IntersectionCase(case_id, CASE_DESCRIPTIONS[case_id])
-
-
-def _case_from_counts(cubic: PencilCubic, tau: Fraction) -> int:
-    """Case decision from multiplicity structure plus exact Sturm counts of
-    the roots of g against tau; no roots are ever extracted or isolated, so
-    it runs in O(1) exact operations.  `quartic_root_nature` checks it
-    independently, from the roots of the quartic itself.
-    """
-    g = pr.make_poly(cubic.as_poly())
-    common = pr.poly_gcd(g, pr.derivative(g))
-
-    if pr.degree(common) == 2:
-        # triple root r: the gcd is (lam - r)^2
-        r = -common[1] / 2
-        cmp = sign_of(r - tau)
-        if cmp < 0:
-            return 8
-        if cmp == 0:
-            return 9
-        raise InconsistentCaseError("triple root above tau")
-
-    if pr.degree(common) == 1:
-        double = -common[0]  # gcd is monic lam - double
-        simple = 4 * cubic.b2 - 2 * double  # roots of g sum to 4 b2
-        dc = sign_of(double - tau)
-        sc = sign_of(simple - tau)
-        if dc == 0:
-            return 6 if sc < 0 else 7
-        if dc < 0 and sc <= 0:
-            return 4
-        if dc > 0 and sc <= 0:
-            return 5
-        raise InconsistentCaseError("double/simple pattern matches no row")
-
-    # squarefree g: three simple roots, all real or one real plus a pair
-    chain = pr.sturm_chain(g)
-    n_real = pr.variations_at_inf(chain, False) - pr.variations_at_inf(chain, True)
-    g_tau = pr.evaluate(g, tau)
-
-    if n_real == 1:
-        if g_tau != 0:
-            n_gt = pr.variations_at(chain, tau) - pr.variations_at_inf(chain, True)
-            if n_gt:
-                raise InconsistentCaseError("conjugate pair with real root above tau")
-        return 3
-
-    if g_tau == 0:
-        n_eq = 1
-        deflated, rem = pr.poly_divmod(g, pr.make_poly([-tau, Fraction(1)]))
-        assert not rem
-        dchain = pr.sturm_chain(deflated)
-        n_gt = pr.variations_at(dchain, tau) - pr.variations_at_inf(dchain, True)
-    else:
-        n_eq = 0
-        n_gt = pr.variations_at(chain, tau) - pr.variations_at_inf(chain, True)
-    if n_gt == 0:
-        return 1
-    if n_gt == 2 or (n_gt == 1 and n_eq == 1):
-        return 2
-    raise InconsistentCaseError("simple-roots pattern matches no row")
 
 
 @dataclass(frozen=True)

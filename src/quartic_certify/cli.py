@@ -12,7 +12,8 @@ with
     64  malformed or oversize coefficient input: a decimal exponent beyond
         +-1000, or more than 2000 bits in the five numerators and
         denominators together
-    70  an internal cross-check disagreed (never expected in a release)
+    70  an internal cross-check disagreed, or a batch line raised an
+        internal error (never expected in a release)
 
 Exact values come first in the JSON report; decimal fields are renderings
 of the exact values at --precision significant digits.
@@ -21,9 +22,11 @@ of the exact values at --precision significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -327,37 +330,47 @@ def _run_one(coeffs: tuple[Fraction, ...], args) -> tuple[dict, int]:
 
 
 def _run_batch(args, stdout) -> int:
+    """Process the forms of args.batch ("-" for stdin), one per line, as
+    the file is read.  A line that fails, for bad input (exit 64) or an
+    internal error (exit 70), gives an error line and the batch goes on."""
     counts: dict[str, int] = {}
     worst = 0
     parse_failed = False
     try:
-        with open(args.batch, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        handle = (contextlib.nullcontext(sys.stdin) if args.batch == "-"
+                  else open(args.batch, "r", encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {args.batch}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
-        if len(fields) != 5:
-            print(json.dumps({"line": lineno, "error": f"expected 5 coefficients, got {len(fields)}"}),
-                  file=stdout)
-            parse_failed = True
-            continue
-        try:
-            coeffs = _parse_coefficients(fields)
-        except InputError as exc:
-            print(json.dumps({"line": lineno, "error": str(exc)}), file=stdout)
-            parse_failed = True
-            continue
-        out, code = _run_one(coeffs, args)
-        out["line"] = lineno
-        print(json.dumps(out), file=stdout)
-        counts[out["verdict"]] = counts.get(out["verdict"], 0) + 1
-        if code == EXIT_DISAGREEMENT:
-            worst = EXIT_DISAGREEMENT
+    with handle as lines:
+        for lineno, line in enumerate(lines, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            fields = body.split()
+            if len(fields) != 5:
+                error = f"expected 5 coefficients, got {len(fields)}"
+                print(json.dumps({"line": lineno, "error": error}), file=stdout)
+                parse_failed = True
+                continue
+            try:
+                out, code = _run_one(_parse_coefficients(fields), args)
+            except InputError as exc:
+                print(json.dumps({"line": lineno, "error": str(exc)}), file=stdout)
+                parse_failed = True
+                continue
+            except Exception as exc:  # a defect: report it and go on
+                print(f"internal error on line {lineno}:", file=sys.stderr)
+                traceback.print_exc(file=sys.stderr)
+                error = f"internal error: {type(exc).__name__}: {exc}"
+                print(json.dumps({"line": lineno, "error": error}), file=stdout)
+                worst = EXIT_DISAGREEMENT
+                continue
+            out["line"] = lineno
+            print(json.dumps(out), file=stdout)
+            counts[out["verdict"]] = counts.get(out["verdict"], 0) + 1
+            if code == EXIT_DISAGREEMENT:
+                worst = EXIT_DISAGREEMENT
     print(json.dumps({"summary": counts}), file=stdout)
     if worst == EXIT_DISAGREEMENT:
         return EXIT_DISAGREEMENT
@@ -385,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help='five coefficients e4 e3 e2 e1 e0, each "p/q" or a decimal')
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--batch", metavar="FILE",
-                        help="process FILE with one form per line (JSON-lines output)")
+                        help='process FILE ("-" for stdin) with one form per line '
+                        "(JSON-lines output)")
     parser.add_argument("--no-crosscheck", action="store_true",
                         help="skip the classical criterion and the numeric oracle")
     parser.add_argument("--precision", type=int, default=12, metavar="N",

@@ -18,7 +18,8 @@ definiteness question (see the positivity module).
 
 `lam0_test` is the decision kernel: it clears the coefficients to integers
 and settles the two sign tests on lam0 with integer products and two signs
-of the shape a + b sqrt(D).  The Q(sqrt(d)) route (`critical_param`,
+of the shape a + b sqrt(D); `classifier.classify_case` reads the nine-case
+classification off the same integers (`_invariants`).  The Q(sqrt(d)) route (`critical_param`,
 `g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
 serves the certificate and the cross-checks.
 """
@@ -249,16 +250,11 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     record, equal part for part to `critical_param` and `g_eval`; one
     isqrt(D) folds both to rationals when D is a perfect square.
     """
-    e4 = math.lcm(m.a3.denominator, m.a2.denominator, m.a1.denominator, m.a0.denominator)
-    e3, e2, e1, e0 = (a.numerator * (e4 // a.denominator) for a in (m.a3, m.a2, m.a1, m.a0))
-    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    e4, e2, disc, a, rn = _invariants(m)
     d = Fraction(disc, 4 * e4 * e4)
     if disc < 0:
         return Lam0Test(CriticalParam(d, None))
-    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
-    n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
-    rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
-    slack = _surd_sign(8 * e2 * e4 - 3 * e3 * e3, 4 * e4, disc)
+    slack = _surd_sign(a, 4 * e4, disc)
     value = _surd_sign(rn, 2 * disc, disc)
     g_den = 108 * e4**3
     root = math.isqrt(disc)
@@ -269,6 +265,29 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
         lam0 = QuadExt._normalised(Fraction(2 * e2, 3 * e4), Fraction(2, 3), d)
         g_lam0 = QuadExt._normalised(Fraction(rn, g_den), Fraction(disc, 27 * e4 * e4), d)
     return Lam0Test(CriticalParam(d, lam0), g_lam0, slack, value)
+
+
+def _invariants(m: MonicQuartic) -> tuple[int, int, int, int, int]:
+    """(e4, e2, D, A, Rn): the integer pencil invariants of m.
+
+    e4 > 0 is the lcm of the denominators of m and ei = e4 ai; D, Rn (from
+    N1 and N0) are as in `lam0_test`, and A = 8 e2 e4 - 3 e3^2, so that
+    lam0 - a3^2/4 = (A + 4 e4 sqrt(D)) / (12 e4^2).  When D < 0 both
+    callers stop at D, so A and Rn are left as 0 there.
+    """
+    a3, a2, a1, a0 = m.a3, m.a2, m.a1, m.a0
+    e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
+    e3 = a3.numerator * (e4 // a3.denominator)
+    e2 = a2.numerator * (e4 // a2.denominator)
+    e1 = a1.numerator * (e4 // a1.denominator)
+    e0 = a0.numerator * (e4 // a0.denominator)
+    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    if disc < 0:
+        return e4, e2, disc, 0, 0
+    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
+    n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
+    rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
+    return e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn
 
 
 def _surd_sign(a: int, b: int, n: int) -> int:

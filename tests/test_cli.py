@@ -232,6 +232,50 @@ class TestBatch:
             monkeypatch.setattr(cli, name, forbidden)
         assert run(["--batch", str(path)]) == expected
 
+    def test_internal_error_is_isolated_to_its_line(self, monkeypatch, tmp_path, capsys):
+        import quartic_certify.cli as cli
+        from quartic_certify.classifier import InconsistentCaseError
+
+        real = cli.classify_case
+
+        def fails_on_the_second_form(form):
+            if form.a0 == 4:
+                raise InconsistentCaseError("planted defect")
+            return real(form)
+
+        monkeypatch.setattr(cli, "classify_case", fails_on_the_second_form)
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 1 1\n1 0 -5 0 4\n1 4 6 4 1\n")
+        code, text = run(["--batch", str(path)])
+        assert code == 70
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert len(rows) == 4
+        assert rows[0]["line"] == 1 and rows[0]["verdict"] == "positive-definite"
+        assert rows[1] == {"line": 2,
+                           "error": "internal error: InconsistentCaseError: planted defect"}
+        assert rows[2]["line"] == 3
+        assert rows[2]["verdict"] == "positive-semidefinite-not-definite"
+        assert rows[3] == {"summary": {"positive-definite": 1,
+                                       "positive-semidefinite-not-definite": 1}}
+        err = capsys.readouterr().err
+        assert err.startswith("internal error on line 2:\nTraceback")
+        assert "planted defect" in err
+
+    def test_stdin(self, monkeypatch, tmp_path):
+        forms = "1 0 0 1 1\n\n1 0 -5 0 4\n1 4 6 4 1\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(forms))
+        code, text = run(["--batch", "-"])
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [(r["line"], r["verdict"]) for r in rows[:3]] == [
+            (1, "positive-definite"), (3, "indefinite"),
+            (4, "positive-semidefinite-not-definite")]
+        assert rows[3] == {"summary": {"positive-definite": 1, "indefinite": 1,
+                                       "positive-semidefinite-not-definite": 1}}
+        path = tmp_path / "forms.txt"
+        path.write_text(forms)
+        assert run(["--batch", str(path)]) == (code, text)
+
     def test_batch_rejects_positional_coefficients(self, tmp_path):
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 1 1\n")
