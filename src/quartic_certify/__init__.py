@@ -1,8 +1,9 @@
 """Exact definiteness certificates for binary quartic forms.
 
 The decision kernel is entirely exact (arbitrary-precision rationals and
-arithmetic in real quadratic extensions); floats appear only in advisory
-numeric oracles and in decimal renderings of exact values.
+arithmetic in real quadratic extensions); floats appear only in the
+advisory circle minimum, in proposing witnesses that exact arithmetic then
+checks, and in decimal renderings of exact values.
 
 Typical use:
 
@@ -27,6 +28,7 @@ from .classifier import (
     classify_case,
     cubic_root_profile,
     degenerate_conic_type,
+    discriminant_case,
     quartic_root_nature,
     table3_facts_hold,
     witness_search,

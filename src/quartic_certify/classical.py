@@ -16,6 +16,7 @@ against the root-configuration oracle instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,29 +34,45 @@ class ClassicalQuantities:
     delta: Fraction
     aux: Fraction  # 12 H^2 - c0^2 I
 
+    def is_pd(self) -> bool:
+        """The criterion of the module docstring, for a form with c0 > 0."""
+        if self.delta == 0 and self.G == 0 and self.aux == 0 and self.H > 0:
+            return True
+        if self.delta > 0 and self.H >= 0:
+            return True
+        if self.delta > 0 and self.H < 0 and self.aux < 0:
+            return True
+        return False
+
 
 def classical_quantities(v: GeneralQuartic) -> ClassicalQuantities:
-    c0, c1, c2, c3, c4 = v.c0, v.c1, v.c2, v.c3, v.c4
-    G = c0**2 * c3 - 3 * c0 * c1 * c2 + 2 * c1**3
-    H = c0 * c2 - c1**2
-    I = c0 * c4 - 4 * c1 * c3 + 3 * c2**2
+    """G, H, I, J, Delta and aux of v, computed on the integers k_i = L c_i
+    with L the lcm of the denominators: each quantity is homogeneous in the
+    c_i, of degree n say, so it is its integer value over L^n."""
+    cs = (v.c0, v.c1, v.c2, v.c3, v.c4)
+    den = math.lcm(*(c.denominator for c in cs))
+    c0, c1, c2, c3, c4 = (c.numerator * (den // c.denominator) for c in cs)
+    G = (c0 * c3 - 3 * c1 * c2) * c0 + 2 * c1**3
+    H = c0 * c2 - c1 * c1
+    I = c0 * c4 - 4 * c1 * c3 + 3 * c2 * c2
     J = (
-        c0 * (c2 * c4 - c3**2)
+        c0 * (c2 * c4 - c3 * c3)
         - c1 * (c1 * c4 - c2 * c3)
-        + c2 * (c1 * c3 - c2**2)
+        + c2 * (c1 * c3 - c2 * c2)
     )
-    delta = I**3 - 27 * J**2
-    return ClassicalQuantities(G, H, I, J, delta, 12 * H**2 - c0**2 * I)
+    den2 = den * den
+    den3 = den2 * den
+    return ClassicalQuantities(
+        Fraction(G, den3),
+        Fraction(H, den2),
+        Fraction(I, den2),
+        Fraction(J, den3),
+        Fraction(I**3 - 27 * J * J, den3 * den3),
+        Fraction(12 * H * H - c0 * c0 * I, den2 * den2),
+    )
 
 
 def classical_is_pd(v: GeneralQuartic) -> bool:
     if v.c0 <= 0:
         raise ValueError(f"criterion requires a positive leading coefficient, got {v.c0}")
-    q = classical_quantities(v)
-    if q.delta == 0 and q.G == 0 and q.aux == 0 and q.H > 0:
-        return True
-    if q.delta > 0 and q.H >= 0:
-        return True
-    if q.delta > 0 and q.H < 0 and q.aux < 0:
-        return True
-    return False
+    return classical_quantities(v).is_pd()

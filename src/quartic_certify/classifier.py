@@ -30,11 +30,16 @@ sign(lam0,1 - tau) = sign(A +- 4 e4 sqrt(D)):
 
 A sign marked "-" would need g(tau) > 0, which g(tau) =
 -(8 a1 - 4 a2 a3 + a3^3)^2 / 256 forbids; it raises InconsistentCaseError.
-No root of g is computed and no float is used.  The module also
-provides the independent quartic root-nature oracle (square-free
-decomposition plus Sturm counts on f(x, 1)), a float minimum-on-the-circle
-estimate that is advisory only, and the witness search that backs
-indefinite verdicts.
+No root of g is computed and no float is used.
+
+Two oracles check the case without the pencil.  `discriminant_case`
+reads it off the signs of the quartic's own discriminant sequence, in
+integers (it backs the command line's `oracle` flag), and
+`quartic_root_nature` from the real roots of f(x, 1), by square-free
+decomposition and Sturm counts (used by the test suite).  The module also
+provides a float minimum-on-the-circle estimate, which is advisory only
+and the one user of numpy (imported when it is called), and the witness
+search that backs indefinite verdicts.
 
 Witnesses follow "floats propose, exact arithmetic decides".  The critical
 points of f(t, 1) come from a closed-form float cubic solve, lowest float
@@ -51,8 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import _polyroots as pr
 from .exactnum import rational_sign, sign_of
@@ -79,6 +82,7 @@ __all__ = [
     "PD_CASES",
     "cubic_root_profile",
     "classify_case",
+    "discriminant_case",
     "quartic_root_nature",
     "table3_facts_hold",
     "degenerate_conic_type",
@@ -232,6 +236,57 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
     return IntersectionCase(case_id, CASE_DESCRIPTIONS[case_id])
 
 
+def discriminant_case(m: MonicQuartic) -> int:
+    """The intersection case of m from the discriminant sequence of the
+    quartic itself (L. Yang, X. Hou and Z. Zeng, A complete discrimination
+    system for polynomials, Sci. China E 39, 1996), in integers and
+    without the pencil.
+
+    With e4 > 0 the lcm of the denominators of m and ei = e4 ai, the
+    substitution x = (t - e3) / (4 e4) takes 256 e4^3 f(x, 1) to
+    t^4 + P t^2 + Q t + R with
+
+        P = 16 e2 e4 - 6 e3^2,
+        Q = 8 (8 e1 e4^2 - 4 e2 e3 e4 + e3^3),
+        R = 256 e0 e4^3 - 64 e1 e3 e4^2 + 16 e2 e3^2 e4 - 3 e3^4,
+
+    and D3 = -2 P^3 + 8 P R - 9 Q^2 and the discriminant
+    D4 = 16 P^4 R - 4 P^3 Q^2 - 128 P^2 R^2 + 144 P Q^2 R - 27 Q^4 + 256 R^3
+    place its roots:
+
+        D4 > 0               case 1 if D3 > 0 and P < 0, else case 2
+        D4 < 0               case 3
+        D4 = 0, D3 > 0 / < 0 case 4 / case 5
+        D4 = D3 = 0, P < 0   case 6 if Q = 0, else case 8
+        D4 = D3 = 0, P > 0   case 7
+        D4 = D3 = P = 0      case 9
+
+    Q splits 6 from 8: (t^2 - u)^2 has Q = 0, (t - a)^3 (t + 3a) has Q = 8 a^3.
+    """
+    a3, a2, a1, a0 = m.a3, m.a2, m.a1, m.a0
+    e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
+    e3 = a3.numerator * (e4 // a3.denominator)
+    e2 = a2.numerator * (e4 // a2.denominator)
+    e1 = a1.numerator * (e4 // a1.denominator)
+    e0 = a0.numerator * (e4 // a0.denominator)
+    e3e3 = e3 * e3
+    p = 16 * e2 * e4 - 6 * e3e3
+    q = 8 * ((8 * e1 * e4 - 4 * e2 * e3) * e4 + e3e3 * e3)
+    r = ((256 * e0 * e4 - 64 * e1 * e3) * e4 + 16 * e2 * e3e3) * e4 - 3 * e3e3 * e3e3
+    pp, qq = p * p, q * q
+    d3 = (8 * r - 2 * pp) * p - 9 * qq
+    d4 = (((16 * pp - 128 * r) * p + 144 * qq) * p + 256 * r * r) * r - (4 * pp * p + 27 * qq) * qq
+    if d4 > 0:
+        return 1 if d3 > 0 and p < 0 else 2
+    if d4 < 0:
+        return 3
+    if d3 != 0:
+        return 4 if d3 > 0 else 5
+    if p < 0:
+        return 6 if q == 0 else 8
+    return 7 if p > 0 else 9
+
+
 @dataclass(frozen=True)
 class QuarticRootNature:
     """Projective root multiplicity profile of a monic quartic."""
@@ -337,12 +392,14 @@ def degenerate_conic_type(mat: Sym3Matrix) -> str:
 
 # -- numeric circle oracle (advisory only) ----------------------------------
 
-_BASIS_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
+_BASIS_CACHE: dict[int, tuple] = {}
 
 
-def _circle_basis(n: int) -> tuple[np.ndarray, ...]:
+def _circle_basis(n: int) -> tuple:
     basis = _BASIS_CACHE.get(n)
     if basis is None:
+        import numpy as np
+
         theta = np.linspace(0.0, math.pi, n, endpoint=False)
         c, s = np.cos(theta), np.sin(theta)
         basis = (theta, c**4, c**3 * s, c**2 * s**2, c * s**3, s**4)
@@ -357,6 +414,8 @@ def circle_min_estimate_plain(coeffs, n: int) -> tuple[float, float]:
     sample spacing can be missed, which is why it never decides anything.
     Returns (min value, argmin angle).
     """
+    import numpy as np
+
     if n < 8:
         raise ValueError("need at least 8 samples")
     e4, e3, e2, e1, e0 = (float(c) for c in coeffs)

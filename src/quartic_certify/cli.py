@@ -3,8 +3,9 @@
 Coefficients are exact: "p/q" fractions or finite decimals, never floats.
 The tool prints a human readable summary (or a JSON report with --json),
 cross-checks the verdict against the classical criterion, a direct
-Sylvester test on the certificate, and a numeric circle minimum, and exits
-with
+Sylvester test on the certificate, and the case read off the quartic's
+discriminant sequence, all in exact arithmetic (no float sets an exit
+code), and exits with
 
     0   positive or negative definite
     1   semidefinite boundary (including the identically zero form)
@@ -23,15 +24,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
-import math
 import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import classical_is_pd, classical_quantities
-from .classifier import classify_case, circle_min_estimate_plain, table3_facts_hold
+# classical_is_pd and circle_min_estimate_plain stay bound for bench/spans.py to wrap
+from .classical import classical_is_pd, classical_quantities  # noqa: F401
+from .classifier import (  # noqa: F401
+    PD_CASES,
+    PSD_CASES,
+    circle_min_estimate_plain,
+    classify_case,
+    discriminant_case,
+    table3_facts_hold,
+)
 from .exactnum import QuadExt, parse_rational, to_decimal
 from .forms import (
     NormalizedProblem,
@@ -65,10 +74,13 @@ _EXIT_BY_CLASS = {
     Definiteness.INDEFINITE: EXIT_INDEFINITE,
 }
 
-ORACLE_SAMPLES = 4096
-# the oracle's band: this absolute part, plus a float rounding bound of the
-# evaluation that grows with the coefficients (see _oracle_band)
-ORACLE_TOLERANCE = 1e-6
+# the definite and the semidefinite verdict of a problem decided on its side
+_SIDE_CLASSES = {
+    Orientation.POSITIVE_SIDE: (Definiteness.POSITIVE_DEFINITE,
+                                Definiteness.POSITIVE_SEMIDEFINITE),
+    Orientation.NEGATIVE_SIDE: (Definiteness.NEGATIVE_DEFINITE,
+                                Definiteness.NEGATIVE_SEMIDEFINITE),
+}
 # larger forms are rejected: derived exact values would pass the int-to-str limit
 MAX_FORM_BITS = 2000
 
@@ -174,9 +186,8 @@ class Report:
                 Definiteness.POSITIVE_DEFINITE,
                 Definiteness.NEGATIVE_DEFINITE,
             )
-            weighted = to_weighted(form)
-            quantities = classical_quantities(weighted)
-            pd = classical_is_pd(weighted)
+            quantities = classical_quantities(to_weighted(form))
+            pd = quantities.is_pd()
             agreement["classical"] = pd == positive_side_pd
             out["classical"] = {
                 "G": str(quantities.G),
@@ -208,40 +219,23 @@ class Report:
             if self.include_case and out["case"] is not None:
                 agreement["case_facts"] = table3_facts_hold(form, out["case"]["id"])
 
-        # the oracle runs on the normalised (positive-side) problem; a form
-        # that does not fit in floats skips it, leaving "oracle" null
-        coeffs = self._normalized_coefficients()
-        try:
-            minimum, _ = circle_min_estimate_plain(coeffs, ORACLE_SAMPLES)
-        except OverflowError:
-            minimum = math.nan
-        if math.isfinite(minimum):
-            out["oracle"] = {"circle_min": minimum, "samples": ORACLE_SAMPLES}
-            band = _oracle_band(coeffs)
-            if cls is Definiteness.INDEFINITE:
-                agreement["oracle"] = minimum < band
-            else:
-                agreement["oracle"] = minimum > -band
+        # the discriminant oracle reads the decided monic form; a
+        # degenerate-leading form is read swapped, as f(y, x), which is as
+        # definite as f and has leading coefficient e0
+        problem = self.problem
+        if problem.degenerate_leading and self.coefficients[4] != 0:
+            problem = from_plain_coeffs(*reversed(self.coefficients))
+        if problem.form is not None:
+            case_id = discriminant_case(problem.form)
+            out["oracle"] = {"discriminant_case": case_id}
+            definite, semidefinite = _SIDE_CLASSES[problem.orientation]
+            agreement["oracle"] = (
+                (cls is definite) == (case_id in PD_CASES)
+                and (cls in (definite, semidefinite)) == (case_id in PSD_CASES)
+                and (out["case"] is None or out["case"]["id"] == case_id)
+            )
 
         return any(flag is False for flag in agreement.values())
-
-    def _normalized_coefficients(self) -> tuple[Fraction, ...]:
-        if self.problem.degenerate_leading:
-            coeffs = (Fraction(0),) + self.problem.degenerate_coeffs
-            # degenerate forms are decided unflipped; flip a negative verdict
-            if self.verdict.classification is Definiteness.NEGATIVE_SEMIDEFINITE:
-                coeffs = tuple(-c for c in coeffs)
-            return coeffs
-        return self.problem.form.coefficients()
-
-
-def _oracle_band(coeffs) -> float:
-    """ORACLE_TOLERANCE widened by a float rounding bound of evaluating
-    the form on the unit circle: 16 unit roundoffs of sum |c_i|.  Without
-    it the semidefinite (x^2 + b xy + c y^2)^2 with b = 1608007/2 and
-    c = -379623983/118 (coefficients up to 1.04e13) has a float minimum of
-    -1.5e-5, and the oracle flags a correct verdict."""
-    return ORACLE_TOLERANCE + 16 * 2.0**-53 * sum(abs(float(c)) for c in coeffs)
 
 
 def _exact_text(entry: dict) -> str:
@@ -294,7 +288,7 @@ def _render_text(out: dict) -> str:
             f"Delta={c['Delta']} aux={c['aux']} pd={c['pd']}"
         )
     if out["oracle"] is not None:
-        lines.append(f"oracle circle min: {out['oracle']['circle_min']:.6g}")
+        lines.append(f"oracle discriminant case: {out['oracle']['discriminant_case']}")
     flags = {k: v for k, v in out["agreement"].items() if v is not None}
     if flags:
         lines.append("agreement: " + ", ".join(f"{k}={v}" for k, v in flags.items()))
@@ -329,6 +323,20 @@ def _run_one(coeffs: tuple[Fraction, ...], args) -> tuple[dict, int]:
     return report.build()
 
 
+@contextlib.contextmanager
+def _stdin_lines():
+    """Standard input as text lines, decoded as a batch file is."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text stream with no bytes beneath it
+        yield sys.stdin
+        return
+    lines = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        yield lines
+    finally:
+        lines.detach()  # leaves stdin open
+
+
 def _run_batch(args, stdout) -> int:
     """Process the forms of args.batch ("-" for stdin), one per line, as
     the file is read.  A line that fails, for bad input (exit 64) or an
@@ -337,13 +345,23 @@ def _run_batch(args, stdout) -> int:
     worst = 0
     parse_failed = False
     try:
-        handle = (contextlib.nullcontext(sys.stdin) if args.batch == "-"
-                  else open(args.batch, "r", encoding="utf-8"))
+        # UTF-8, with a byte that is not UTF-8 kept as a lone surrogate, so
+        # that only its own line fails
+        handle = (_stdin_lines() if args.batch == "-"
+                  else open(args.batch, encoding="utf-8", errors="surrogateescape"))
     except OSError as exc:
         print(f"error: cannot read {args.batch}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     with handle as lines:
         for lineno, line in enumerate(lines, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate: an undecodable byte
+                    print(json.dumps({"line": lineno, "error": "not valid UTF-8"}),
+                          file=stdout)
+                    parse_failed = True
+                    continue
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
@@ -401,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help='process FILE ("-" for stdin) with one form per line '
                         "(JSON-lines output)")
     parser.add_argument("--no-crosscheck", action="store_true",
-                        help="skip the classical criterion and the numeric oracle")
+                        help="skip the cross-checks: the classical criterion, the Sylvester "
+                        "test, the case facts and the discriminant oracle")
     parser.add_argument("--precision", type=int, default=12, metavar="N",
                         help="significant digits for decimal renderings (default 12)")
     parser.add_argument("--case", action=argparse.BooleanOptionalAction, default=True,

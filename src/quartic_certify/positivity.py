@@ -200,18 +200,21 @@ def _quadratic_sign_witnesses(e2, e1, e0) -> tuple[Point, Point]:
         if e2 > 0:
             return (far, one), (vertex, one)
         return (vertex, one), (far, one)
-    # e2 = 0, e1 != 0: linear in t
+    if e1 == 0:  # q = e0 y^2 has one sign
+        raise ValueError("quadratic form is not indefinite")
+    # e2 = 0: linear in t, and |e1 t| = |e0| + 1 outweighs e0
     t = (abs(e0) + 1) / e1
-    assert value(t) > 0 and value(-t) < 0
     return (t, one), (-t, one)
 
 
 def decide_problem(problem: NormalizedProblem) -> Verdict:
     """Route a normalised problem to the right decision procedure."""
     if problem.degenerate_leading:
-        assert problem.degenerate_coeffs is not None
+        if problem.degenerate_coeffs is None:
+            raise ValueError("degenerate-leading problem without its coefficients")
         return decide_degenerate_leading(*problem.degenerate_coeffs)
-    assert problem.form is not None
+    if problem.form is None:
+        raise ValueError("problem has neither a form nor degenerate coefficients")
     if problem.orientation is Orientation.NEGATIVE_SIDE:
         return decide_negative_side(problem.form)
     return decide_monic(problem.form)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic_certify import (
     Definiteness,
@@ -70,3 +72,45 @@ def test_delta_negative_detects_single_conjugate_pair(small_corpus):
             nature.conjugate_simple_pairs == 1 and nature.real_simple == 2
         )
         assert (sign_of(delta) < 0) == one_pair
+
+
+def _fraction_quantities(v):
+    """The quantities by the textbook formulas in Fractions: the reference
+    the integer computation of `classical_quantities` must reproduce."""
+    c0, c1, c2, c3, c4 = v.c0, v.c1, v.c2, v.c3, v.c4
+    G = c0**2 * c3 - 3 * c0 * c1 * c2 + 2 * c1**3
+    H = c0 * c2 - c1**2
+    I = c0 * c4 - 4 * c1 * c3 + 3 * c2**2
+    J = (
+        c0 * (c2 * c4 - c3**2)
+        - c1 * (c1 * c4 - c2 * c3)
+        + c2 * (c1 * c3 - c2**2)
+    )
+    return G, H, I, J, I**3 - 27 * J**2, 12 * H**2 - c0**2 * I
+
+
+_coefficient = st.one_of(
+    st.integers(-50, 50),
+    st.builds(F, st.integers(-1000, 1000), st.integers(1, 1000)),
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+)
+
+
+@given(st.tuples(_coefficient, _coefficient, _coefficient, _coefficient, _coefficient))
+@settings(max_examples=300, deadline=None)
+def test_integer_quantities_equal_the_fraction_formulas(coeffs):
+    # non-monic forms, plain ints, and 10^30-size numerators over 10^12
+    v = GeneralQuartic(*coeffs)
+    q = classical_quantities(v)
+    got = (q.G, q.H, q.I, q.J, q.delta, q.aux)
+    expected = _fraction_quantities(v)
+    assert got == expected
+    assert all(type(x) is Fraction for x in got)
+    assert [str(x) for x in got] == [str(x) for x in expected]  # printed as before
+    if v.c0 > 0:
+        G, H, I, J, delta, aux = expected
+        assert classical_is_pd(v) == (
+            (delta == 0 and G == 0 and aux == 0 and H > 0)
+            or (delta > 0 and H >= 0)
+            or (delta > 0 and H < 0 and aux < 0)
+        )

@@ -19,6 +19,7 @@ from quartic_certify import (
     cubic_root_profile,
     decide_monic,
     degenerate_conic_type,
+    discriminant_case,
     evaluate,
     pencil_coeffs,
     pencil_matrix,
@@ -240,6 +241,49 @@ class TestIntegerCaseRoute:
             assert classify_case(form).case_id == case_id
         for m in small_corpus:
             classify_case(m)
+
+
+class TestDiscriminantCase:
+    """`discriminant_case` reads the case off the discriminant sequence of
+    the quartic itself; the root-nature oracle and the pencil's
+    `classify_case` check it, on the strata of `TestIntegerCaseRoute`."""
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_constructed_configurations(self, case_id, data):
+        m = data.draw(_configured_form(case_id))
+        assert discriminant_case(m) == case_id
+        assert quartic_root_nature(m).implied_case() == case_id
+        assert classify_case(m).case_id == case_id
+
+    @given(st.tuples(_rational, _rational, _rational, _rational))
+    @settings(max_examples=150, deadline=None)
+    def test_random_forms(self, coeffs):
+        m = MonicQuartic(*coeffs)
+        case_id = discriminant_case(m)
+        assert case_id == quartic_root_nature(m).implied_case()
+        assert case_id == classify_case(m).case_id
+
+    def test_corpus(self, small_corpus):
+        for case_id, form in NINE_CASES:
+            assert discriminant_case(form) == case_id
+        for m in small_corpus:
+            assert discriminant_case(m) == classify_case(m).case_id
+
+    def test_independent_of_the_pencil(self, monkeypatch, small_corpus):
+        def forbidden(*args):
+            raise AssertionError("the discriminant oracle used the pencil")
+
+        for name in ("_invariants", "_surd_sign", "lam0_test", "pencil_coeffs",
+                     "critical_param", "g_eval", "classify_case"):
+            monkeypatch.setattr(classifier, name, forbidden)
+        for name in ("make_poly", "poly_gcd", "sturm_chain"):
+            monkeypatch.setattr(pr, name, forbidden)
+        for case_id, form in NINE_CASES:
+            assert discriminant_case(form) == case_id
+        for m in small_corpus:
+            discriminant_case(m)
 
 
 class TestQuarticRootNature:

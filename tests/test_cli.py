@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from quartic_certify import evaluate_plain, parse_rational
+import pytest
+
+from quartic_certify import ClassicalQuantities, evaluate_plain, parse_rational
 from quartic_certify.cli import main
 
 F = Fraction
@@ -68,13 +74,13 @@ class TestExitCodes:
 
     def test_large_psd_square_is_boundary(self):
         # (x^2 + b xy + c y^2)^2 has a circle minimum near -1.5e-5 in
-        # floats; the oracle band scales with the coefficients, so the
+        # floats; the exact oracle sees its two real double roots, so the
         # correct semidefinite verdict exits 1, not 70
         b, c = F(1608007, 2), F(-379623983, 118)
         coeffs = (1, 2 * b, b * b + 2 * c, 2 * b * c, c * c)
         code, out = run_json([str(x) for x in coeffs])
         assert out["verdict"] == "positive-semidefinite-not-definite"
-        assert out["oracle"]["circle_min"] < -1e-6
+        assert out["oracle"] == {"discriminant_case": 6}
         assert out["agreement"]["oracle"] is True
         assert code == 1
 
@@ -141,11 +147,29 @@ class TestJsonReport:
         assert out["verdict"] == "negative-semidefinite-not-definite"
         assert out["agreement"]["oracle"] is True
 
+    @pytest.mark.parametrize("coeffs,case_id", [
+        (["0", "0", "-1", "0", "-1"], 5),  # read as -x^2 (x^2 + y^2)
+        (["0", "0", "1", "2", "1"], 6),    # read as x^2 (x + y)^2
+        (["0", "1", "0", "0", "3"], 3),    # read as 3 x^4 + x y^3
+        (["0", "1", "0", "1", "0"], None),  # x y (x^2 + y^2): e4 = e0 = 0
+        (["0", "0", "0", "0", "0"], None),
+    ])
+    def test_degenerate_leading_reads_the_swapped_form(self, coeffs, case_id):
+        code, out = run_json(coeffs)
+        assert code != 70
+        if case_id is None:
+            assert out["oracle"] is None and out["agreement"]["oracle"] is None
+        else:
+            assert out["oracle"] == {"discriminant_case": case_id}
+            assert out["agreement"]["oracle"] is True
+
     def test_oracle_skipped_beyond_float_range(self):
+        # no float is involved: the exact oracle runs beyond the float range
         code, out = run_json(["1", "0", "0", "0", "1e400"])
         assert code == 0
         assert out["verdict"] == "positive-definite"
-        assert out["oracle"] is None and out["agreement"]["oracle"] is None
+        assert out["oracle"] == {"discriminant_case": 2}
+        assert out["agreement"]["oracle"] is True
         assert all(v is not False for v in out["agreement"].values())
 
     def test_no_crosscheck_skips_oracles(self):
@@ -163,6 +187,28 @@ class TestJsonReport:
 
 
 class TestBatch:
+    NOT_UTF8 = b"1 0 0 1 1\n\xff\xfe 0 0 1 1\n1 4 6 4 1\n"
+
+    def _check_not_utf8(self, code, text):
+        assert code == 64
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert rows[0]["line"] == 1 and rows[0]["verdict"] == "positive-definite"
+        assert rows[1] == {"line": 2, "error": "not valid UTF-8"}
+        assert rows[2]["line"] == 3
+        assert rows[3] == {"summary": {"positive-definite": 1,
+                                       "positive-semidefinite-not-definite": 1}}
+
+    def test_line_not_utf8_continues(self, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_bytes(self.NOT_UTF8)
+        self._check_not_utf8(*run(["--batch", str(path)]))
+
+    def test_stdin_line_not_utf8_continues(self, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        self._check_not_utf8(*run(["--batch", "-"]))
+        assert not stdin.closed  # the batch leaves stdin open
+
     def test_golden_file(self, tmp_path):
         path = tmp_path / "forms.txt"
         path.write_text(GOLDEN_LINES)
@@ -212,9 +258,9 @@ class TestBatch:
         rows = [json.loads(line) for line in text.splitlines()]
         assert [r["verdict"] for r in rows[:3]] == [
             "positive-definite", "indefinite", "positive-definite"]
-        for row in rows[:2]:
-            assert row["oracle"] is None and row["agreement"]["oracle"] is None
-        assert rows[2]["agreement"]["oracle"] is True
+        assert [r["oracle"] for r in rows[:3]] == [
+            {"discriminant_case": 2}, {"discriminant_case": 3}, {"discriminant_case": 2}]
+        assert all(r["agreement"]["oracle"] is True for r in rows[:3])
 
     def test_report_reads_the_verdict_record(self, monkeypatch, tmp_path):
         # the report and the cross-checks reuse lam0, g(lam0) and the
@@ -284,21 +330,50 @@ class TestBatch:
 
 class TestDisagreementPath:
     def test_forced_crosscheck_failure_exits_70(self, monkeypatch):
-        import quartic_certify.cli as cli
-
-        monkeypatch.setattr(cli, "classical_is_pd", lambda v: True)
+        monkeypatch.setattr(ClassicalQuantities, "is_pd", lambda self: True)
         code, out = run_json(["1", "0", "-5", "0", "4"])  # indefinite form
         assert code == 70
         assert out["agreement"]["classical"] is False
 
     def test_batch_propagates_disagreement(self, monkeypatch, tmp_path):
-        import quartic_certify.cli as cli
-
-        monkeypatch.setattr(cli, "classical_is_pd", lambda v: True)
+        monkeypatch.setattr(ClassicalQuantities, "is_pd", lambda self: True)
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 1 1\n1 0 -5 0 4\n")
         code, _ = run(["--batch", str(path)])
         assert code == 70
+
+    @pytest.mark.parametrize("flags,flag", [([], False), (["--no-case"], True)])
+    def test_oracle_disagreement_exits_70(self, monkeypatch, flags, flag):
+        import quartic_certify.cli as cli
+
+        # a definite form (case 2) with a wrong case that is definite too:
+        # only the comparison with the reported case can catch it
+        monkeypatch.setattr(cli, "discriminant_case", lambda m: 7)
+        code, out = run_json([*flags, "1", "0", "0", "1", "1"])
+        assert out["agreement"]["oracle"] is flag
+        assert code == (0 if flag else 70)
+        # a wrong verdict class is caught with or without the case
+        monkeypatch.setattr(cli, "discriminant_case", lambda m: 3)
+        code, out = run_json([*flags, "1", "0", "0", "1", "1"])
+        assert out["agreement"]["oracle"] is False and code == 70
+
+
+class TestWithoutNumpy:
+    def test_default_batch_imports_no_numpy(self, tmp_path):
+        # only the advisory circle minimum needs numpy; the exact cross-checks
+        # of a default --batch must run without it
+        path = tmp_path / "forms.txt"
+        path.write_text(GOLDEN_LINES)
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import io, sys\n"
+                  "from quartic_certify.cli import main\n"
+                  "code = main(['--batch', sys.argv[1]], stdout=io.StringIO())\n"
+                  "assert code == 0, code\n"
+                  "assert 'numpy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTextOutput:
@@ -308,6 +383,7 @@ class TestTextOutput:
         assert "verdict: positive-definite" in text
         assert "case: 2" in text
         assert "lambda0:" in text
+        assert "oracle discriminant case: 2" in text
 
     def test_exit_code_is_function_of_verdict(self):
         # same verdict class, same exit code, crosscheck on or off

@@ -15,6 +15,8 @@ from quartic_certify import (
     decide_problem,
     evaluate,
     evaluate_plain,
+    NormalizedProblem,
+    Orientation,
     from_plain_coeffs,
     g_eval,
     pencil_coeffs,
@@ -23,6 +25,8 @@ from quartic_certify import (
     sylvester_pd,
     sylvester_psd,
 )
+
+from quartic_certify import positivity
 
 from conftest import mixed_corpus, random_fraction, random_monic
 
@@ -234,3 +238,14 @@ def test_verdict_routing():
     assert decide_problem(from_plain_coeffs(0, 0, 0, 0, 0)).classification is D.ZERO
     assert decide_problem(from_plain_coeffs(3, 0, 0, 3, 3)).classification is D.POSITIVE_DEFINITE
     assert decide_problem(from_plain_coeffs(-2, 0, -4, 0, -2)).classification is D.NEGATIVE_DEFINITE
+
+
+def test_inconsistent_problem_raises():
+    # explicit checks, not asserts, so they also hold under python -O
+    with pytest.raises(ValueError):
+        decide_problem(NormalizedProblem(None, None, F(0), degenerate_leading=True))
+    with pytest.raises(ValueError):
+        decide_problem(NormalizedProblem(None, Orientation.POSITIVE_SIDE, F(1),
+                                         degenerate_leading=False))
+    with pytest.raises(ValueError):
+        positivity._quadratic_sign_witnesses(F(0), F(0), F(1))  # y^2: one sign
