@@ -385,7 +385,7 @@ def degenerate_conic_type(mat: Sym3Matrix) -> str:
         raise ValueError("matrix is not degenerate")
     if rank <= 1:
         return "repeated-line"
-    if all(sign_of(minor) >= 0 for minor in mat.principal_minors()):
+    if all(sign >= 0 for sign in mat.principal_minor_signs):
         return "conjugate-line-pair"
     return "real-line-pair"
 

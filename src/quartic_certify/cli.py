@@ -98,13 +98,10 @@ class CoefficientError(InputError):
 
 def _scalar_json(value: QuadExt | Fraction, digits: int) -> dict:
     if isinstance(value, Fraction):
-        value = QuadExt(value)
-    return {
-        "p": str(value.p),
-        "q": str(value.q),
-        "d": str(value.d),
-        "decimal": to_decimal(value, digits),
-    }
+        p, q, d = str(value), "0", "0"
+    else:
+        p, q, d = str(value.p), str(value.q), str(value.d)
+    return {"p": p, "q": q, "d": d, "decimal": to_decimal(value, digits)}
 
 
 @dataclass
@@ -148,11 +145,14 @@ class Report:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
 
-        if self.verdict.certificate is not None:
-            out["certificate"] = [
-                [_scalar_json(entry, self.digits) for entry in row]
-                for row in self.verdict.certificate.rows()
-            ]
+        mat = self.verdict.certificate
+        if mat is not None:
+            # six distinct entries, each rendered once, laid out as the rows
+            m11, m12, m13, m22, m23, m33 = (
+                _scalar_json(entry, self.digits)
+                for entry in (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33)
+            )
+            out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
             out["witnesses"] = self._witnesses_json()

@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exactnum import QuadExt, as_fraction, rational_sign, sign_of
+from .exactnum import MismatchedRadicandError, QuadExt, as_fraction, rational_sign, sign_of
 from .forms import MonicQuartic
 
 __all__ = [
@@ -75,7 +76,12 @@ class PencilCubic:
 
 @dataclass(frozen=True)
 class Sym3Matrix:
-    """Symmetric 3x3 matrix over exact scalars; upper triangle stored."""
+    """Symmetric 3x3 matrix over exact scalars; upper triangle stored.
+
+    `principal_minor_signs` gives the signs of the seven principal minors,
+    computed once per matrix in integer arithmetic over Z[sqrt(N)];
+    `principal_minors` and `det` build the same minors in Q(sqrt(d)).
+    """
 
     m11: Scalar
     m12: Scalar
@@ -98,13 +104,6 @@ class Sym3Matrix:
             + self.m13 * (self.m12 * self.m23 - self.m22 * self.m13)
         )
 
-    def leading_principal_minors(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (
-            self.m11,
-            self.m11 * self.m22 - self.m12 * self.m12,
-            self.det(),
-        )
-
     def principal_minors(self) -> tuple[Scalar, ...]:
         """All seven principal minors: 1x1, 2x2, then the determinant."""
         return (
@@ -116,6 +115,52 @@ class Sym3Matrix:
             self.m22 * self.m33 - self.m23 * self.m23,
             self.det(),
         )
+
+    @cached_property
+    def principal_minor_signs(self) -> tuple[int, ...]:
+        """Signs of the seven `principal_minors`, in their order, in integers.
+
+        The irrational entries share one radicand d = n/m, and
+        sqrt(d) = sqrt(N)/m with N = n m.  One lcm L of the denominators of
+        the twelve rationals p and q/m turns each entry p + q sqrt(d) into
+        L (p + q sqrt(d)) = a + b sqrt(N) with integers a and b; the minors
+        of that matrix are L, L^2 and L^3 times those of this one, so they
+        have the same signs, each taken by `_surd_sign`.
+        """
+        radicand = Fraction(0)
+        parts = []
+        for entry in (self.m11, self.m12, self.m13, self.m22, self.m23, self.m33):
+            if isinstance(entry, QuadExt):
+                if entry.q:
+                    if radicand and entry.d != radicand:
+                        raise MismatchedRadicandError(
+                            f"cannot combine sqrt({radicand}) with sqrt({entry.d})")
+                    radicand = entry.d
+                parts.append((entry.p, entry.q))
+            else:
+                parts.append((entry, 0))
+        m = radicand.denominator
+        n = radicand.numerator * m
+        big = math.lcm(*(p.denominator for p, _ in parts),
+                       *(q.denominator * m for _, q in parts if q))
+        m11, m12, m13, m22, m23, m33 = (
+            (p.numerator * (big // p.denominator),
+             q.numerator * (big // (q.denominator * m)) if q else 0)
+            for p, q in parts
+        )
+
+        def minor(x, y, z, w):  # x y - z w, with (a, b) = a + b sqrt(N)
+            return (x[0] * y[0] + x[1] * y[1] * n - z[0] * w[0] - z[1] * w[1] * n,
+                    x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0])
+
+        c11 = minor(m22, m33, m23, m23)
+        c12 = minor(m12, m33, m23, m13)
+        c13 = minor(m12, m23, m22, m13)
+        first = minor(m11, c11, m12, c12)
+        det = (first[0] + m13[0] * c13[0] + m13[1] * c13[1] * n,
+               first[1] + m13[0] * c13[1] + m13[1] * c13[0])
+        return tuple(_surd_sign(a, b, n) for a, b in (
+            m11, m22, m33, minor(m11, m22, m12, m12), minor(m11, m33, m13, m13), c11, det))
 
     def two_by_two_minors(self) -> tuple[Scalar, ...]:
         """All nine 2x2 minors; rank <= 1 iff every one vanishes."""
@@ -129,7 +174,7 @@ class Sym3Matrix:
         return tuple(out)
 
     def rank(self) -> int:
-        if sign_of(self.det()) != 0:
+        if self.principal_minor_signs[6] != 0:
             return 3
         if any(sign_of(m) != 0 for m in self.two_by_two_minors()):
             return 2

@@ -13,9 +13,11 @@ the one place the decision builds it in Q(sqrt(d)) arithmetic: it is
 positive (semi)definite exactly when the form is, and it reproduces the
 form through the Veronese representation, so a verifier needs nothing but
 Sylvester's criterion and a matrix-vector product.  The equivalent
-Sylvester-based test on M(lam0) is kept as `sylvester_pd`/`sylvester_psd`
-for cross-checking, arithmetic independent of the integer sign tests, but
-never decides the user-facing verdict.
+Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd` for
+cross-checking: it runs on the emitted certificate itself, clearing its
+entries to integers over Z[sqrt(N)] with one denominator
+(`Sym3Matrix.principal_minor_signs`), arithmetic independent of the
+integer sign tests, and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
@@ -30,7 +32,8 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactnum import QuadExt, as_fraction, sign_of
+# sign_of stays bound for bench/spans.py to wrap
+from .exactnum import QuadExt, as_fraction, sign_of  # noqa: F401
 from .forms import MonicQuartic, NormalizedProblem, Orientation, evaluate_plain
 # critical_param, g_eval and pencil_coeffs stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -92,7 +95,8 @@ class Verdict:
 
 def sylvester_pd(mat: Sym3Matrix) -> bool:
     """Positive definite iff all three leading principal minors are > 0."""
-    return all(sign_of(minor) > 0 for minor in mat.leading_principal_minors())
+    signs = mat.principal_minor_signs
+    return signs[0] > 0 and signs[3] > 0 and signs[6] > 0
 
 
 def sylvester_psd(mat: Sym3Matrix) -> bool:
@@ -101,7 +105,7 @@ def sylvester_psd(mat: Sym3Matrix) -> bool:
     Leading minors alone do not suffice for semidefiniteness, e.g.
     diag(1, 0, -1) has leading minors 1, 0, 0.
     """
-    return all(sign_of(minor) >= 0 for minor in mat.principal_minors())
+    return all(sign >= 0 for sign in mat.principal_minor_signs)
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import (
@@ -31,7 +31,7 @@ from quartic_certify import (
 from quartic_certify import _polyroots as pr
 from quartic_certify import classifier
 
-from conftest import random_monic
+from conftest import configured_form, random_monic, root_rational
 
 F = Fraction
 
@@ -122,89 +122,6 @@ class TestNineCases:
             assert semidefinite == (case_id in PSD_CASES)
 
 
-# Hypothesis strata: monic quartics f(x, 1) built from chosen roots, so the
-# case is known by construction.  Roots are small rationals or ones with
-# 10^30-size numerators over denominators up to 10^12.
-_rational = st.one_of(
-    st.builds(F, st.integers(-40, 40), st.integers(1, 12)),
-    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
-)
-_nonzero = _rational.filter(bool)
-
-
-def _times(*factors):
-    """Product of polynomials given low-to-high."""
-    out = [F(1)]
-    for factor in factors:
-        acc = [F(0)] * (len(out) + len(factor) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(factor):
-                acc[i + j] += a * b
-        out = acc
-    return out
-
-
-def _linear(r):
-    return [-r, F(1)]
-
-
-def _quadratic(a, b, square):
-    """Monic with roots a +- b sqrt(square)."""
-    return [a * a - b * b * square, -2 * a, F(1)]
-
-
-@st.composite
-def _real_simple_pair(draw):
-    """(factor, root keys): two distinct rational roots or a +- b sqrt(2)."""
-    a, b = draw(_rational), draw(_nonzero)
-    if draw(st.booleans()):
-        return _times(_linear(a), _linear(a + b)), {a, a + b}
-    return _quadratic(a, b, 2), {("sqrt2", a, abs(b))}
-
-
-@st.composite
-def _conjugate_pair(draw):
-    """(factor, key): a +- b i, b != 0."""
-    a, b = draw(_rational), draw(_nonzero)
-    return _quadratic(a, b, -1), (a, abs(b))
-
-
-@st.composite
-def _configured_form(draw, case_id):
-    if case_id == 1:
-        (p, keys), (q, more) = draw(_real_simple_pair()), draw(_real_simple_pair())
-        assume(not keys & more)
-        poly = _times(p, q)
-    elif case_id == 2:
-        (p, key), (q, other) = draw(_conjugate_pair()), draw(_conjugate_pair())
-        assume(key != other)
-        poly = _times(p, q)
-    elif case_id == 3:
-        poly = _times(draw(_real_simple_pair())[0], draw(_conjugate_pair())[0])
-    elif case_id == 4:
-        (p, keys), r = draw(_real_simple_pair()), draw(_rational)
-        assume(r not in keys)
-        poly = _times(p, _linear(r), _linear(r))
-    elif case_id == 5:
-        r = draw(_rational)
-        poly = _times(draw(_conjugate_pair())[0], _linear(r), _linear(r))
-    elif case_id == 6:
-        r, s = draw(_rational), draw(_rational)
-        assume(r != s)
-        poly = _times(_linear(r), _linear(r), _linear(s), _linear(s))
-    elif case_id == 7:
-        p = draw(_conjugate_pair())[0]
-        poly = _times(p, p)
-    elif case_id == 8:
-        r, s = draw(_rational), draw(_rational)
-        assume(r != s)
-        poly = _times(_linear(r), _linear(s), _linear(s), _linear(s))
-    else:
-        poly = _times(*[_linear(draw(_rational))] * 4)
-    c0, c1, c2, c3, _ = poly
-    return MonicQuartic(c3, c2, c1, c0)
-
-
 class TestIntegerCaseRoute:
     """`classify_case` reads the case off integer invariants; the root-nature
     oracle and the (lam0, g(lam0)) facts check it independently.  Cases 6, 7
@@ -214,12 +131,12 @@ class TestIntegerCaseRoute:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_constructed_configurations(self, case_id, data):
-        m = data.draw(_configured_form(case_id))
+        m = data.draw(configured_form(case_id))
         assert quartic_root_nature(m).implied_case() == case_id
         assert classify_case(m).case_id == case_id
         assert table3_facts_hold(m, case_id)
 
-    @given(st.tuples(_rational, _rational, _rational, _rational))
+    @given(st.tuples(root_rational, root_rational, root_rational, root_rational))
     @settings(max_examples=150, deadline=None)
     def test_random_forms(self, coeffs):
         m = MonicQuartic(*coeffs)
@@ -252,12 +169,12 @@ class TestDiscriminantCase:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_constructed_configurations(self, case_id, data):
-        m = data.draw(_configured_form(case_id))
+        m = data.draw(configured_form(case_id))
         assert discriminant_case(m) == case_id
         assert quartic_root_nature(m).implied_case() == case_id
         assert classify_case(m).case_id == case_id
 
-    @given(st.tuples(_rational, _rational, _rational, _rational))
+    @given(st.tuples(root_rational, root_rational, root_rational, root_rational))
     @settings(max_examples=150, deadline=None)
     def test_random_forms(self, coeffs):
         m = MonicQuartic(*coeffs)

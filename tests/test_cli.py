@@ -278,6 +278,29 @@ class TestBatch:
             monkeypatch.setattr(cli, name, forbidden)
         assert run(["--batch", str(path)]) == expected
 
+    def test_sylvester_reads_the_integer_minor_signs(self, monkeypatch, tmp_path):
+        # the sylvester flag and the certificate come from
+        # principal_minor_signs, with no QuadExt minor built
+        from quartic_certify import Sym3Matrix
+
+        path = tmp_path / "forms.txt"
+        path.write_text(GOLDEN_LINES + "1 0 -5 0 4\n1 0 3 0 -4\n0 0 -1 0 -1\n"
+                        "3/7 1/3 2 5/11 9\n-1 0 0 -1 -1\n")
+        expected = [run([*flags, "--batch", str(path)])
+                    for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])]
+
+        def forbidden(self):
+            raise AssertionError("a QuadExt minor was built")
+
+        monkeypatch.setattr(Sym3Matrix, "principal_minors", forbidden)
+        monkeypatch.setattr(Sym3Matrix, "det", forbidden)
+        assert [run([*flags, "--batch", str(path)])
+                for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])
+                ] == expected
+        flags = [json.loads(line)["agreement"]["sylvester"]
+                 for line in expected[0][1].splitlines()[:-1]]
+        assert flags == [True] * 8 + [None] + [True] * 2  # line 9 has no pencil
+
     def test_internal_error_is_isolated_to_its_line(self, monkeypatch, tmp_path, capsys):
         import quartic_certify.cli as cli
         from quartic_certify.classifier import InconsistentCaseError

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import (
@@ -22,10 +23,15 @@ from quartic_certify import (
     pencil_coeffs,
     pencil_matrix,
     sign_of,
+    Sym3Matrix,
+    sylvester_pd,
+    sylvester_psd,
 )
+from quartic_certify import pencil
+from quartic_certify.exactnum import MismatchedRadicandError
 from quartic_certify.pencil import g_prime_eval, lam0_test
 
-from conftest import quad_parts, random_fraction, random_monic
+from conftest import configured_form, quad_parts, random_fraction, random_monic
 
 F = Fraction
 
@@ -257,3 +263,110 @@ class TestLam0Kernel:
         assert problem.orientation is Orientation.NEGATIVE_SIDE
         assert_kernel_matches_field_route(problem.form)
         assert_verdict_records_kernel(problem.form, decide_problem(problem))
+
+
+def assert_signs_match_field_minors(mat: Sym3Matrix) -> tuple[int, ...]:
+    """principal_minor_signs of a fresh copy against the Q(sqrt(d)) minors."""
+    fresh = Sym3Matrix(mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33)
+    signs = fresh.principal_minor_signs
+    assert signs == tuple(sign_of(x) for x in mat.principal_minors())
+    return signs
+
+
+def _quad(d):
+    """Entries p + q sqrt(d) with small rational parts, q often 0."""
+    part = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    return st.builds(lambda p, q: QuadExt(p, q, d), part, st.one_of(st.just(F(0)), part))
+
+
+def _outer(u, v):
+    """The symmetric matrix u v^T + v u^T over entries of Q(sqrt(d))."""
+    return Sym3Matrix(2 * u[0] * v[0], u[0] * v[1] + v[0] * u[1], u[0] * v[2] + v[0] * u[2],
+                      2 * u[1] * v[1], u[1] * v[2] + v[1] * u[2], 2 * u[2] * v[2])
+
+
+class TestPrincipalMinorSigns:
+    """The integer signs over Z[sqrt(N)] against sign_of on the QuadExt minors."""
+
+    def test_small_corpus(self, small_corpus):
+        seen = {"irrational": 0, "rational": 0, "zero": 0}
+        for m in small_corpus:
+            test = lam0_test(m)
+            if not test.lam0.is_real:
+                continue
+            certificate = decide_monic(m).certificate
+            if certificate is not None:
+                assert_signs_match_field_minors(certificate)
+            signs = assert_signs_match_field_minors(pencil_matrix(m, test.lam0.value))
+            seen["rational" if test.lam0.value.is_rational else "irrational"] += 1
+            seen["zero"] += 0 in signs
+        assert min(seen.values()) >= 20, seen
+
+    @given(_fraction, _fraction, _fraction, _fraction)
+    @settings(max_examples=150, deadline=None)
+    def test_pencil_matrix_of_indefinite_forms(self, a3, a2, a1, a0):
+        m = MonicQuartic(a3, a2, a1, a0)
+        lam0 = critical_param(pencil_coeffs(m))
+        assume(lam0.is_real and decide_monic(m).certificate is None)
+        signs = assert_signs_match_field_minors(pencil_matrix(m, lam0.value))
+        assert any(s < 0 for s in signs)  # M(lam0) of an indefinite form is not PSD
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_chosen_root_forms(self, case_id, data):
+        # numerators up to 10^30 over denominators up to 10^12
+        m = data.draw(configured_form(case_id))
+        lam0 = lam0_test(m).lam0
+        if lam0.is_real:
+            assert_signs_match_field_minors(pencil_matrix(m, lam0.value))
+
+    @given(_fraction, _fraction, _fraction, _fraction)
+    @settings(max_examples=100, deadline=None)
+    def test_square_radicand(self, a3, a2, a1, s):
+        a0 = (4 * s * s + 3 * a1 * a3 - a2 * a2) / 12  # d = s^2: every entry rational
+        m = MonicQuartic(a3, a2, a1, a0)
+        mat = pencil_matrix(m, critical_param(pencil_coeffs(m)).value)
+        assert not isinstance(mat.m22, QuadExt) or mat.m22.is_rational
+        assert_signs_match_field_minors(mat)
+
+    @pytest.mark.parametrize("d", [F(5, 3), F(12)])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hand_built_over_a_fractional_or_unreduced_radicand(self, d, data):
+        # d = 5/3 clears to N = 15 over m = 3; d = 12 keeps N = 12
+        entries = st.tuples(*[_quad(d)] * 3)
+        u, v = data.draw(entries), data.draw(entries)
+        mat = Sym3Matrix(*data.draw(st.tuples(*[_quad(d)] * 6)))
+        assert_signs_match_field_minors(mat)
+        assert_signs_match_field_minors(mat.negated())
+        rank2 = assert_signs_match_field_minors(_outer(u, v))  # det = 0
+        assert rank2[6] == 0
+        gram = Sym3Matrix(u[0] * u[0], u[0] * u[1], u[0] * u[2],
+                          u[1] * u[1], u[1] * u[2], u[2] * u[2])  # u u^T: rank <= 1
+        assert assert_signs_match_field_minors(gram)[3:] == (0, 0, 0, 0)
+        assert_signs_match_field_minors(gram.negated())
+
+    def test_special_matrices(self):
+        diag = Sym3Matrix(F(1), F(0), F(0), F(0), F(0), F(-1))
+        assert assert_signs_match_field_minors(diag) == (1, 0, -1, 0, -1, 0, 0)
+        zero = Sym3Matrix(*(F(0),) * 6)
+        assert assert_signs_match_field_minors(zero) == (0,) * 7
+        root3 = QuadExt(F(0), F(1), F(3))
+        gram = Sym3Matrix(F(1), root3, F(2), F(3), 2 * root3, F(4))  # of (1, sqrt 3, 2)
+        assert assert_signs_match_field_minors(gram) == (1, 1, 1, 0, 0, 0, 0)
+        assert assert_signs_match_field_minors(gram.negated()) == (-1, -1, -1, 0, 0, 0, 0)
+
+    def test_mismatched_radicands_raise(self):
+        root2, root3 = QuadExt(F(1), F(1), F(2)), QuadExt(F(1), F(1), F(3))
+        mat = Sym3Matrix(F(1), root2, F(0), root3, F(0), F(1))
+        with pytest.raises(MismatchedRadicandError):
+            mat.principal_minors()
+        with pytest.raises(MismatchedRadicandError):
+            mat.principal_minor_signs
+
+    def test_computed_once_per_matrix(self, monkeypatch):
+        mat = pencil_matrix(EX1, critical_param(pencil_coeffs(EX1)).value)
+        assert sylvester_pd(mat) and sylvester_psd(mat)
+        monkeypatch.setattr(pencil, "_surd_sign", None)  # a second computation would fail
+        assert sylvester_pd(mat) and sylvester_psd(mat)
