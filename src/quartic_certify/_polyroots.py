@@ -107,7 +107,8 @@ def squarefree_part(p: Poly) -> Poly:
     if degree(g) == 0:
         return monic(p)
     q, r = poly_divmod(p, g)
-    assert not r
+    if r:
+        raise ArithmeticError(f"gcd(p, p') leaves the remainder {r}")
     return monic(q)
 
 

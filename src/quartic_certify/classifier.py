@@ -59,16 +59,16 @@ from fractions import Fraction
 
 from . import _polyroots as pr
 from .exactnum import rational_sign, sign_of
-from .forms import MonicQuartic, evaluate_plain
+from .forms import MonicQuartic
 # pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
     _invariants,
+    _lam0_signs,
     _surd_sign,
     critical_param,
     g_eval,
-    lam0_test,
     pencil_coeffs,
 )
 
@@ -184,22 +184,27 @@ def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
         rest = factor
         for r in rats:
             rest, rem = pr.poly_divmod(rest, pr.make_poly([-r, Fraction(1)]))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"rational root {r} leaves the remainder {rem}")
         if pr.degree(rest) == 0:
             continue
-        assert mult == 1, "irrational multiple root of a rational cubic"
+        if mult != 1:
+            raise InconsistentCaseError("irrational multiple root of a rational cubic")
         _, isolated = pr.isolate_real_roots(rest)  # rest has no rational root
         irrational.extend(isolated)
         hidden = pr.degree(rest) - len(isolated)
         if hidden:
             # the conjugate pair's carrier: a quadratic, or the irreducible
             # cubic that also holds one isolated real root
-            assert hidden == 2 and conjugate is None
+            if hidden != 2 or conjugate is not None:
+                raise InconsistentCaseError(f"{hidden} non-real roots in a factor of g")
             conjugate = rest
 
     rational.sort(key=lambda pair: pair[0])
     profile = CubicRootProfile(tuple(rational), tuple(irrational), conjugate)
-    assert profile.total_multiplicity() == 3
+    if profile.total_multiplicity() != 3:
+        raise InconsistentCaseError(f"root profile of g of multiplicity "
+                                    f"{profile.total_multiplicity()}, not 3")
     return profile
 
 
@@ -242,7 +247,8 @@ def discriminant_case(m: MonicQuartic) -> int:
     system for polynomials, Sci. China E 39, 1996), in integers and
     without the pencil.
 
-    With e4 > 0 the lcm of the denominators of m and ei = e4 ai, the
+    It reads the form's integer record `m.cleared` = (e4, e3, e2, e1, e0),
+    e4 > 0 the lcm of the denominators of m and ei = e4 ai; the
     substitution x = (t - e3) / (4 e4) takes 256 e4^3 f(x, 1) to
     t^4 + P t^2 + Q t + R with
 
@@ -263,12 +269,7 @@ def discriminant_case(m: MonicQuartic) -> int:
 
     Q splits 6 from 8: (t^2 - u)^2 has Q = 0, (t - a)^3 (t + 3a) has Q = 8 a^3.
     """
-    a3, a2, a1, a0 = m.a3, m.a2, m.a1, m.a0
-    e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
-    e3 = a3.numerator * (e4 // a3.denominator)
-    e2 = a2.numerator * (e4 // a2.denominator)
-    e1 = a1.numerator * (e4 // a1.denominator)
-    e0 = a0.numerator * (e4 // a0.denominator)
+    e4, e3, e2, e1, e0 = m.cleared
     e3e3 = e3 * e3
     p = 16 * e2 * e4 - 6 * e3e3
     q = 8 * ((8 * e1 * e4 - 4 * e2 * e3) * e4 + e3e3 * e3)
@@ -352,17 +353,20 @@ def quartic_root_nature(m: MonicQuartic) -> QuarticRootNature:
         conjugate_simple_pairs=counts[1][1],
         conjugate_double_pairs=counts[2][1],
     )
-    assert nature.total_multiplicity() == 4
+    if nature.total_multiplicity() != 4:
+        raise InconsistentCaseError(f"root profile of f of multiplicity "
+                                    f"{nature.total_multiplicity()}, not 4")
     return nature
 
 
 def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
     """Check the (lam0, g(lam0)) facts implied by the classified case,
-    against the integer sign tests of `pencil.lam0_test`."""
-    test = lam0_test(m)
-    if not test.lam0.is_real:
+    against the two integer sign tests of `pencil.lam0_test` (the signs
+    only: lam0 and g(lam0) are not built)."""
+    e4, _, disc, a, rn = _invariants(m)
+    if disc < 0:  # lam0 is not real
         return case_id == 3
-    slack, value = test.slack, test.value
+    slack, value = _lam0_signs(e4, disc, a, rn)
     facts = {
         1: slack < 0 and value > 0,
         2: slack > 0 and value > 0,
@@ -493,7 +497,8 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
 
 
 def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
-    """A rational t with exact f(t, 1) < 0 near a float critical point, or None."""
+    """A rational t with exact f(t, 1) < 0 near a float critical point, or
+    None.  The sign is taken in integers, from the form's record `m.cleared`."""
     try:
         a3, a2, a1, a0 = float(m.a3), float(m.a2), float(m.a1), float(m.a0)
         # p'(t) / 4 = t^3 + (3/4) a3 t^2 + (1/2) a2 t + (1/4) a1
@@ -507,14 +512,13 @@ def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
             ranked.append((value, x))
     ranked.sort()
 
-    # lcm den^4 p(n / den) = lcm n^4 + c3 n^3 den + c2 n^2 den^2 + c1 n den^3
-    # + c0 den^4 with integers ci = lcm ai, so integers decide the sign
-    lcm = math.lcm(m.a3.denominator, m.a2.denominator, m.a1.denominator, m.a0.denominator)
-    c3, c2, c1, c0 = (a.numerator * (lcm // a.denominator) for a in (m.a3, m.a2, m.a1, m.a0))
+    # e4 den^4 p(n / den) = e4 n^4 + e3 n^3 den + e2 n^2 den^2 + e1 n den^3
+    # + e0 den^4 with the record's integers ei = e4 ai, so integers decide the sign
+    e4, e3, e2, e1, e0 = m.cleared
     for _, x in ranked:
         for n, den in _dyadic_ratios(x):
             den2 = den * den
-            if (((lcm * n + c3 * den) * n + c2 * den2) * n + c1 * den2 * den) * n + c0 * den2 * den2 < 0:
+            if (((e4 * n + e3 * den) * n + e2 * den2) * n + e1 * den2 * den) * n + e0 * den2 * den2 < 0:
                 return Fraction(n, den)
     return None
 

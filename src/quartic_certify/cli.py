@@ -134,7 +134,8 @@ class Report:
         form = self.problem.form
         if form is not None:
             lam0 = self.verdict.lam0
-            out["a3_sq_over_4"] = str(form.a3**2 / 4)
+            e4, e3 = form.cleared[:2]
+            out["a3_sq_over_4"] = str(Fraction(e3 * e3, 4 * e4 * e4))
             if lam0.is_real:
                 out["lambda0"] = _scalar_json(lam0.value, self.digits)
                 out["g_lambda0"] = _scalar_json(self.verdict.g_lam0, self.digits)
@@ -147,11 +148,13 @@ class Report:
 
         mat = self.verdict.certificate
         if mat is not None:
-            # six distinct entries, each rendered once, laid out as the rows
-            m11, m12, m13, m22, m23, m33 = (
+            # six distinct entries, each rendered once, laid out as the rows;
+            # a monic form's certificate is M(lam0), whose m22 is lam0 itself
+            m11, m12, m13, m23, m33 = (
                 _scalar_json(entry, self.digits)
-                for entry in (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33)
+                for entry in (mat.m11, mat.m12, mat.m13, mat.m23, mat.m33)
             )
+            m22 = out["lambda0"] if form is not None else _scalar_json(mat.m22, self.digits)
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:

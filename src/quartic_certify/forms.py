@@ -8,12 +8,20 @@ coefficients (e4, e3, e2, e1, e0) into a `NormalizedProblem`: positive
 leading coefficients are scaled to monic, negative ones are additionally
 sign-flipped so that negativity questions become positivity questions, and
 e4 = 0 inputs are flagged for the dedicated degenerate path.
+
+Every `MonicQuartic` carries its coefficients cleared to integers once, at
+construction: `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the
+denominators and ei = e4 ai.  The integer kernels of `pencil` and
+`classifier` read that record instead of clearing the form again.
+`evaluate_plain` clears its own coefficients and evaluates by integer
+Horner, building one `Fraction` at the end.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import as_fraction
@@ -33,14 +41,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MonicQuartic:
+    """x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4 over Q.
+
+    `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
+    of the denominators of a3..a0 and ei = e4 ai, so e4 f has integer
+    coefficients.  It is computed once, in `__post_init__`, and takes no
+    part in ==, hash or repr.
+    """
+
     a3: Fraction
     a2: Fraction
     a1: Fraction
     a0: Fraction
+    cleared: tuple[int, int, int, int, int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("a3", "a2", "a1", "a0"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        a3, a2, a1, a0 = (as_fraction(self.a3), as_fraction(self.a2),
+                          as_fraction(self.a1), as_fraction(self.a0))
+        put = object.__setattr__
+        put(self, "a3", a3)
+        put(self, "a2", a2)
+        put(self, "a1", a1)
+        put(self, "a0", a0)
+        e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
+        put(self, "cleared", (
+            e4,
+            a3.numerator * (e4 // a3.denominator),
+            a2.numerator * (e4 // a2.denominator),
+            a1.numerator * (e4 // a1.denominator),
+            a0.numerator * (e4 // a0.denominator),
+        ))
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Plain coefficients (1, a3, a2, a1, a0), highest degree in x first."""
@@ -125,12 +156,24 @@ def evaluate(m: MonicQuartic, x, y) -> Fraction:
 
 
 def evaluate_plain(e4, e3, e2, e1, e0, x, y) -> Fraction:
+    """e4 x^4 + e3 x^3 y + e2 x^2 y^2 + e1 x y^3 + e0 y^4, exactly.
+
+    With L the lcm of the coefficient denominators, ki = L ei integers,
+    x = a/b and y = c/e, the integer L (b e)^4 f = sum ki u^(4-i) w^i with
+    u = a e and w = c b is taken by Horner, and divided out once.
+    """
     x, y = as_fraction(x), as_fraction(y)
-    e4, e3, e2, e1, e0 = map(as_fraction, (e4, e3, e2, e1, e0))
-    return (
-        e4 * x**4
-        + e3 * x**3 * y
-        + e2 * x**2 * y**2
-        + e1 * x * y**3
-        + e0 * y**4
-    )
+    e4, e3, e2, e1, e0 = (as_fraction(e4), as_fraction(e3), as_fraction(e2),
+                          as_fraction(e1), as_fraction(e0))
+    big = math.lcm(e4.denominator, e3.denominator, e2.denominator,
+                   e1.denominator, e0.denominator)
+    u, w = x.numerator * y.denominator, y.numerator * x.denominator
+    w2 = w * w
+    total = ((((e4.numerator * (big // e4.denominator) * u
+                + e3.numerator * (big // e3.denominator) * w) * u
+               + e2.numerator * (big // e2.denominator) * w2) * u
+              + e1.numerator * (big // e1.denominator) * w2 * w) * u
+             + e0.numerator * (big // e0.denominator) * w2 * w2)
+    scale = x.denominator * y.denominator
+    scale *= scale
+    return Fraction(total, big * scale * scale)

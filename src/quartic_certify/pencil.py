@@ -16,10 +16,11 @@ is the larger stationary point of g.  lam0 lives in Q(sqrt(d)) with
 d = 3 b1 + 4 b2^2; when d < 0 it is not real, which already settles the
 definiteness question (see the positivity module).
 
-`lam0_test` is the decision kernel: it clears the coefficients to integers
-and settles the two sign tests on lam0 with integer products and two signs
-of the shape a + b sqrt(D); `classifier.classify_case` reads the nine-case
-classification off the same integers (`_invariants`).  The Q(sqrt(d)) route (`critical_param`,
+`lam0_test` is the decision kernel: it reads the form's integer record
+(`MonicQuartic.cleared`) and settles the two sign tests on lam0 with
+integer products and two signs of the shape a + b sqrt(D);
+`classifier.classify_case` reads the nine-case classification off the
+same integers (`_invariants`).  The Q(sqrt(d)) route (`critical_param`,
 `g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
 serves the certificate and the cross-checks.
 """
@@ -299,8 +300,7 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     d = Fraction(disc, 4 * e4 * e4)
     if disc < 0:
         return Lam0Test(CriticalParam(d, None))
-    slack = _surd_sign(a, 4 * e4, disc)
-    value = _surd_sign(rn, 2 * disc, disc)
+    slack, value = _lam0_signs(e4, disc, a, rn)
     g_den = 108 * e4**3
     root = math.isqrt(disc)
     if root * root == disc:
@@ -312,20 +312,20 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     return Lam0Test(CriticalParam(d, lam0), g_lam0, slack, value)
 
 
+def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
+    """(sign of lam0 - a3^2/4, sign of g(lam0)) from `_invariants`, D >= 0."""
+    return _surd_sign(a, 4 * e4, disc), _surd_sign(rn, 2 * disc, disc)
+
+
 def _invariants(m: MonicQuartic) -> tuple[int, int, int, int, int]:
     """(e4, e2, D, A, Rn): the integer pencil invariants of m.
 
-    e4 > 0 is the lcm of the denominators of m and ei = e4 ai; D, Rn (from
-    N1 and N0) are as in `lam0_test`, and A = 8 e2 e4 - 3 e3^2, so that
-    lam0 - a3^2/4 = (A + 4 e4 sqrt(D)) / (12 e4^2).  When D < 0 both
-    callers stop at D, so A and Rn are left as 0 there.
+    e4 > 0 and ei = e4 ai are the form's integer record `m.cleared`; D, Rn
+    (from N1 and N0) are as in `lam0_test`, and A = 8 e2 e4 - 3 e3^2, so
+    that lam0 - a3^2/4 = (A + 4 e4 sqrt(D)) / (12 e4^2).  When D < 0 every
+    caller stops at D, so A and Rn are left as 0 there.
     """
-    a3, a2, a1, a0 = m.a3, m.a2, m.a1, m.a0
-    e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
-    e3 = a3.numerator * (e4 // a3.denominator)
-    e2 = a2.numerator * (e4 // a2.denominator)
-    e1 = a1.numerator * (e4 // a1.denominator)
-    e0 = a0.numerator * (e4 // a0.denominator)
+    e4, e3, e2, e1, e0 = m.cleared
     disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
     if disc < 0:
         return e4, e2, disc, 0, 0
@@ -358,5 +358,4 @@ def boundary_identity_check(m: MonicQuartic) -> tuple[Fraction, Fraction]:
     tau = m.a3**2 / 4
     lhs = g_eval(pencil_coeffs(m), tau)
     rhs = -((8 * m.a1 - 4 * m.a2 * m.a3 + m.a3**3) ** 2) / 256
-    assert isinstance(lhs, Fraction)
     return lhs, rhs

@@ -192,7 +192,7 @@ class TestDiscriminantCase:
         def forbidden(*args):
             raise AssertionError("the discriminant oracle used the pencil")
 
-        for name in ("_invariants", "_surd_sign", "lam0_test", "pencil_coeffs",
+        for name in ("_invariants", "_lam0_signs", "_surd_sign", "pencil_coeffs",
                      "critical_param", "g_eval", "classify_case"):
             monkeypatch.setattr(classifier, name, forbidden)
         for name in ("make_poly", "poly_gcd", "sturm_chain"):
@@ -201,6 +201,108 @@ class TestDiscriminantCase:
             assert discriminant_case(form) == case_id
         for m in small_corpus:
             discriminant_case(m)
+
+
+def _lcm_clearing(m):
+    """(e4, e3, e2, e1, e0) by the lcm definition, independent of the record."""
+    e4 = math.lcm(m.a3.denominator, m.a2.denominator, m.a1.denominator, m.a0.denominator)
+    return (e4, *(int(a * e4) for a in (m.a3, m.a2, m.a1, m.a0)))
+
+
+def _invariants_formula(m):
+    e4, e3, e2, e1, e0 = _lcm_clearing(m)
+    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    if disc < 0:
+        return e4, e2, disc, 0, 0
+    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
+    n0 = -e1 * e1 * e4 + e1 * e2 * e3 - e0 * e3 * e3
+    return e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, 27 * n0 + 18 * n1 * e2 + 16 * e2**3
+
+
+def _discriminant_case_formula(m):
+    """The sign table of `discriminant_case` on the depressed quartic
+    s^4 + p s^2 + q s + r of f(s - a3/4, 1), in Fractions; its sequence is a
+    positive multiple of the integer one, so the signs agree."""
+    a3, a2, a1, a0 = m.a3, m.a2, m.a1, m.a0
+    p = a2 - 3 * a3**2 / 8
+    q = a1 - a2 * a3 / 2 + a3**3 / 8
+    r = a0 - a1 * a3 / 4 + a2 * a3**2 / 16 - 3 * a3**4 / 256
+    d3 = -2 * p**3 + 8 * p * r - 9 * q**2
+    d4 = (16 * p**4 * r - 4 * p**3 * q**2 - 128 * p**2 * r**2 + 144 * p * q**2 * r
+          - 27 * q**4 + 256 * r**3)
+    if d4 > 0:
+        return 1 if d3 > 0 and p < 0 else 2
+    if d4 < 0:
+        return 3
+    if d3 != 0:
+        return 4 if d3 > 0 else 5
+    if p < 0:
+        return 6 if q == 0 else 8
+    return 7 if p > 0 else 9
+
+
+def _critical_point_witness_formula(m):
+    """The first dyadic candidate, in the search's order, with f(t, 1) < 0
+    in Fraction arithmetic."""
+    a3, a2, a1, a0 = float(m.a3), float(m.a2), float(m.a1), float(m.a0)
+    ranked = []
+    for x in classifier._cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1):
+        value = (((x + a3) * x + a2) * x + a1) * x + a0
+        if math.isfinite(x) and math.isfinite(value):
+            ranked.append((value, x))
+    for _, x in sorted(ranked):
+        for n, den in classifier._dyadic_ratios(x):
+            t = F(n, den)
+            if (((t + m.a3) * t + m.a2) * t + m.a1) * t + m.a0 < 0:
+                return t
+    return None
+
+
+class TestIntegerRecord:
+    """`_invariants`, `discriminant_case` and `_critical_point_witness`
+    read the form's integer record `MonicQuartic.cleared`; they give what
+    their formulas give on integers cleared by the lcm definition."""
+
+    def check(self, m):
+        from quartic_certify.pencil import _invariants
+
+        assert m.cleared == _lcm_clearing(m)
+        assert _invariants(m) == _invariants_formula(m)
+        assert discriminant_case(m) == _discriminant_case_formula(m)
+        assert classifier._critical_point_witness(m) == _critical_point_witness_formula(m)
+
+    def test_corpus(self, small_corpus):
+        for _, form in NINE_CASES:
+            self.check(form)
+        for m in small_corpus:
+            self.check(m)
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_constructed_configurations(self, case_id, data):
+        self.check(data.draw(configured_form(case_id)))
+
+    @given(st.tuples(root_rational, root_rational, root_rational, root_rational))
+    @settings(max_examples=100, deadline=None)
+    def test_random_forms(self, coeffs):
+        self.check(MonicQuartic(*coeffs))
+
+
+class TestTable3Facts:
+    def test_reads_only_the_kernel_signs(self, monkeypatch, small_corpus):
+        # the facts need the signs of lam0 - a3^2/4 and g(lam0), not the values
+        forms = [form for _, form in NINE_CASES] + small_corpus
+        expected = [[table3_facts_hold(m, case_id) for case_id in range(1, 10)] for m in forms]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lam0 or g(lam0) was built")
+
+        monkeypatch.setattr(QuadExt, "_normalised", forbidden)
+        assert [[table3_facts_hold(m, case_id) for case_id in range(1, 10)]
+                for m in forms] == expected
+        for case_id, form in NINE_CASES:
+            assert table3_facts_hold(form, case_id)
 
 
 class TestQuarticRootNature:

@@ -127,6 +127,24 @@ class TestJsonReport:
             assert value == parse_rational(w[label]["value"])
             assert (1 if value > 0 else -1) == expected
 
+    def test_each_exact_value_rendered_once(self, monkeypatch):
+        # lam0 is irrational here, and the certificate's m22 is lam0 itself:
+        # lambda0, g_lambda0 and six certificate entries are seven values
+        import quartic_certify.cli as cli
+
+        calls = []
+        real = cli.to_decimal
+
+        def counting(value, digits=12):
+            calls.append(value)
+            return real(value, digits)
+
+        monkeypatch.setattr(cli, "to_decimal", counting)
+        code, out = run_json(["1", "0", "0", "1", "1"])
+        assert code == 0 and out["lambda0"]["q"] != "0"
+        assert len(calls) == 7
+        assert out["certificate"][1][1] == out["lambda0"]
+
     def test_certificate_entries_are_scalars(self):
         _, out = run_json(["1", "-8", "26", "-40", "25"])
         cert = out["certificate"]

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -104,3 +106,96 @@ def test_dehomogenized_matches_evaluation():
         lo = m.dehomogenized()
         value = sum(c * (x / y) ** i for i, c in enumerate(lo))
         assert evaluate(m, x, y) == y**4 * value
+
+
+# -- integer Horner against the Fraction formula ------------------------------
+
+
+def fraction_formula(e4, e3, e2, e1, e0, x, y):
+    """The value written out in Fraction arithmetic, term by term."""
+    e4, e3, e2, e1, e0, x, y = map(Fraction, (e4, e3, e2, e1, e0, x, y))
+    return e4 * x**4 + e3 * x**3 * y + e2 * x**2 * y**2 + e1 * x * y**3 + e0 * y**4
+
+
+big_coefficients = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.just(0),
+)
+points = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+    # dyadic points, as the witness search proposes them
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(16, 64).map(lambda k: 2**k)),
+    st.just(0),
+)
+
+
+@given(st.tuples(*[big_coefficients] * 5), points, points)
+@settings(max_examples=400)
+def test_evaluate_plain_matches_the_fraction_formula(coeffs, x, y):
+    value = evaluate_plain(*coeffs, x, y)
+    expected = fraction_formula(*coeffs, x, y)
+    assert type(value) is Fraction
+    assert value == expected
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+@given(st.tuples(*[big_coefficients] * 4), points, points)
+@settings(max_examples=100)
+def test_evaluate_plain_without_leading_term(coeffs, x, y):
+    assert evaluate_plain(0, *coeffs, x, y) == fraction_formula(0, *coeffs, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(0, 0), (0, F(-3, 7)), (F(5, 2), 0), (F(-1, 2**64), F(-3))])
+def test_evaluate_plain_at_axis_points(x, y):
+    coeffs = (F(3, 4), -2, F(-7, 9), 5, F(1, 6))
+    value = evaluate_plain(*coeffs, x, y)
+    assert type(value) is Fraction and value == fraction_formula(*coeffs, x, y)
+
+
+@pytest.mark.parametrize("args", [
+    (1, 0, 0, 0, 1, 0.5, 1),
+    (1, 0, 0, 0, 1, 1, 0.5),
+    (1.0, 0, 0, 0, 1, 1, 1),
+    (1, 0, 0, 0.25, 1, 1, 1),
+])
+def test_evaluate_plain_rejects_floats(args):
+    with pytest.raises(TypeError):
+        evaluate_plain(*args)
+
+
+# -- the integer record of a monic form ---------------------------------------
+
+
+@given(st.tuples(*[big_coefficients] * 4))
+@settings(max_examples=200)
+def test_cleared_record_is_the_lcm_clearing(coeffs):
+    m = MonicQuartic(*coeffs)
+    e4 = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    expected = (e4, *(Fraction(c) * e4 for c in coeffs))
+    assert m.cleared == expected
+    assert all(type(e) is int for e in m.cleared)
+    assert m.cleared[0] > 0
+
+
+def test_cleared_record_is_outside_eq_hash_and_repr():
+    m = MonicQuartic(F(1, 2), F(-3, 4), 5, F(7, 6))
+    assert m.cleared == (12, 6, -9, 60, 14)
+    assert repr(m) == ("MonicQuartic(a3=Fraction(1, 2), a2=Fraction(-3, 4), "
+                       "a1=Fraction(5, 1), a0=Fraction(7, 6))")
+    assert hash(m) == hash((m.a3, m.a2, m.a1, m.a0))
+    twin = MonicQuartic(F(1, 2), F(-3, 4), 5, F(7, 6))
+    object.__setattr__(twin, "cleared", (1, 0, 0, 0, 0))
+    assert twin == m and hash(twin) == hash(m)
+    assert [f.name for f in dataclasses.fields(m) if f.compare] == ["a3", "a2", "a1", "a0"]
+
+
+def test_every_construction_carries_the_record():
+    m = MonicQuartic(F(1, 2), 0, 0, 1)
+    assert dataclasses.replace(m, a0=F(1, 3)).cleared == (6, 3, 0, 0, 2)
+    assert from_weighted(to_weighted(m)).cleared == (2, 1, 0, 0, 2)
+    assert from_plain_coeffs(-4, 2, 0, 0, -1).form.cleared == (4, -2, 0, 0, 1)
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, cleared=(1, 0, 0, 0, 0))
