@@ -33,7 +33,7 @@ from .classifier import (
     table3_facts_hold,
     witness_search,
 )
-from .exactnum import QuadExt, Rational, parse_rational, sign_of, to_decimal
+from .exactnum import QuadExt, parse_rational, sign_of, to_decimal
 from .forms import (
     GeneralQuartic,
     MonicQuartic,
@@ -42,7 +42,6 @@ from .forms import (
     evaluate,
     evaluate_plain,
     from_plain_coeffs,
-    from_weighted,
     to_weighted,
 )
 from .pencil import (

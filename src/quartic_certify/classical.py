@@ -16,11 +16,10 @@ against the root-configuration oracle instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import GeneralQuartic
+from .forms import GeneralQuartic, clear_denominators
 
 __all__ = ["ClassicalQuantities", "classical_quantities", "classical_is_pd"]
 
@@ -49,9 +48,7 @@ def classical_quantities(v: GeneralQuartic) -> ClassicalQuantities:
     """G, H, I, J, Delta and aux of v, computed on the integers k_i = L c_i
     with L the lcm of the denominators: each quantity is homogeneous in the
     c_i, of degree n say, so it is its integer value over L^n."""
-    cs = (v.c0, v.c1, v.c2, v.c3, v.c4)
-    den = math.lcm(*(c.denominator for c in cs))
-    c0, c1, c2, c3, c4 = (c.numerator * (den // c.denominator) for c in cs)
+    den, c0, c1, c2, c3, c4 = clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4)
     G = (c0 * c3 - 3 * c1 * c2) * c0 + 2 * c1**3
     H = c0 * c2 - c1 * c1
     I = c0 * c4 - 4 * c1 * c3 + 3 * c2 * c2

@@ -58,15 +58,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _polyroots as pr
-from .exactnum import rational_sign, sign_of
-from .forms import MonicQuartic
+from .exactnum import rational_sign, surd_sign
+from .forms import MonicQuartic, quartic_horner
 # pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
     _invariants,
     _lam0_signs,
-    _surd_sign,
     critical_param,
     g_eval,
     pencil_coeffs,
@@ -230,11 +229,11 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
     if disc == 0:  # then rn = 0: a triple root at 2 e2 / (3 e4)
         row, sign = "triple", rational_sign(a)
     elif gap > 0:  # the middle root lies below lam0, the largest above it
-        row, sign = "three simple", _surd_sign(a, 4 * e4, disc)
+        row, sign = "three simple", surd_sign(a, 4 * e4, disc)
     elif rn < 0:  # g(lam0) = 0; the simple root lies below lam1
-        row, sign = "double at lam0", _surd_sign(a, 4 * e4, disc)
+        row, sign = "double at lam0", surd_sign(a, 4 * e4, disc)
     else:  # g(lam1) = 0; the simple root lies above lam0
-        row, sign = "double at lam1", _surd_sign(a, -4 * e4, disc)
+        row, sign = "double at lam1", surd_sign(a, -4 * e4, disc)
     case_id = _CASE_BY_SIGN[row].get(sign)
     if case_id is None:
         raise InconsistentCaseError(f"{row} of g with sign(root - tau) = {sign}")
@@ -512,13 +511,12 @@ def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
             ranked.append((value, x))
     ranked.sort()
 
-    # e4 den^4 p(n / den) = e4 n^4 + e3 n^3 den + e2 n^2 den^2 + e1 n den^3
-    # + e0 den^4 with the record's integers ei = e4 ai, so integers decide the sign
+    # e4 den^4 p(n / den) is the record's form at the integer point (n, den),
+    # so integers decide the sign
     e4, e3, e2, e1, e0 = m.cleared
     for _, x in ranked:
         for n, den in _dyadic_ratios(x):
-            den2 = den * den
-            if (((e4 * n + e3 * den) * n + e2 * den2) * n + e1 * den2 * den) * n + e0 * den2 * den2 < 0:
+            if quartic_horner(e4, e3, e2, e1, e0, n, den) < 0:
                 return Fraction(n, den)
     return None
 
@@ -566,10 +564,10 @@ def _cubic_real_roots(b: float, c: float, d: float) -> list[float]:
 def _sturm_witness(m: MonicQuartic) -> Fraction:
     """Exact fallback: a negative point of f(t, 1) found by sampling every
     gap between its Sturm-isolated real roots (the negative set is a union
-    of such gaps)."""
-    poly = pr.make_poly(m.dehomogenized())
-    for t in _root_gap_samples(poly):
-        if sign_of(pr.evaluate(poly, t)) < 0:
+    of such gaps).  Each sample's sign is taken in integers, as in
+    `_critical_point_witness`."""
+    for t in _root_gap_samples(pr.make_poly(m.dehomogenized())):
+        if quartic_horner(*m.cleared, t.numerator, t.denominator) < 0:
             return t
     raise ValueError("form takes no negative value: not indefinite")
 

@@ -10,9 +10,9 @@ code), and exits with
     0   positive or negative definite
     1   semidefinite boundary (including the identically zero form)
     2   indefinite
-    64  malformed or oversize coefficient input: a decimal exponent beyond
-        +-1000, or more than 2000 bits in the five numerators and
-        denominators together
+    64  malformed or oversize input: a decimal exponent beyond +-1000, more
+        than 2000 bits in the five numerators and denominators together, or
+        a --precision outside 1..10000
     70  an internal cross-check disagreed, or a batch line raised an
         internal error (never expected in a release)
 
@@ -74,15 +74,10 @@ _EXIT_BY_CLASS = {
     Definiteness.INDEFINITE: EXIT_INDEFINITE,
 }
 
-# the definite and the semidefinite verdict of a problem decided on its side
-_SIDE_CLASSES = {
-    Orientation.POSITIVE_SIDE: (Definiteness.POSITIVE_DEFINITE,
-                                Definiteness.POSITIVE_SEMIDEFINITE),
-    Orientation.NEGATIVE_SIDE: (Definiteness.NEGATIVE_DEFINITE,
-                                Definiteness.NEGATIVE_SEMIDEFINITE),
-}
 # larger forms are rejected: derived exact values would pass the int-to-str limit
 MAX_FORM_BITS = 2000
+# a larger --precision is rejected: one rendering at 10^5 digits takes seconds
+MAX_PRECISION = 10_000
 
 
 class InputError(ValueError):
@@ -133,12 +128,12 @@ class Report:
 
         form = self.problem.form
         if form is not None:
-            lam0 = self.verdict.lam0
+            lam0 = self.verdict.kernel.lam0
             e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = str(Fraction(e3 * e3, 4 * e4 * e4))
             if lam0.is_real:
                 out["lambda0"] = _scalar_json(lam0.value, self.digits)
-                out["g_lambda0"] = _scalar_json(self.verdict.g_lam0, self.digits)
+                out["g_lambda0"] = _scalar_json(self.verdict.kernel.g_lam0, self.digits)
             else:
                 out["lambda0"] = {"p": None, "q": None,
                                   "d": str(lam0.radicand), "decimal": None}
@@ -181,17 +176,24 @@ class Report:
         return out
 
     def _run_crosschecks(self, out: dict, form) -> bool:
-        cls = self.verdict.classification
         agreement = out["agreement"]
+        # every check reads the decided monic form; a degenerate-leading form
+        # is read swapped, as f(y, x), which is as definite as f and has
+        # leading coefficient e0
+        problem = self.problem
+        if problem.degenerate_leading and self.coefficients[4] != 0:
+            problem = from_plain_coeffs(*reversed(self.coefficients))
+        # the verdict as a class of that positive-side form
+        cls = self.verdict.classification
+        if problem.orientation is Orientation.NEGATIVE_SIDE:
+            cls = cls.flipped()
+        definite = cls is Definiteness.POSITIVE_DEFINITE
+        semidefinite = definite or cls is Definiteness.POSITIVE_SEMIDEFINITE
 
         if form is not None:
-            positive_side_pd = cls in (
-                Definiteness.POSITIVE_DEFINITE,
-                Definiteness.NEGATIVE_DEFINITE,
-            )
             quantities = classical_quantities(to_weighted(form))
             pd = quantities.is_pd()
-            agreement["classical"] = pd == positive_side_pd
+            agreement["classical"] = pd == definite
             out["classical"] = {
                 "G": str(quantities.G),
                 "H": str(quantities.H),
@@ -203,18 +205,11 @@ class Report:
             }
 
             # the certificate, when there is one, is M(lam0) itself
-            lam0 = self.verdict.lam0
+            lam0 = self.verdict.kernel.lam0
             if lam0.is_real:
                 mat = self.verdict.certificate or pencil_matrix(form, lam0.value)
-                semidefinite = cls in (
-                    Definiteness.POSITIVE_DEFINITE,
-                    Definiteness.NEGATIVE_DEFINITE,
-                    Definiteness.POSITIVE_SEMIDEFINITE,
-                    Definiteness.NEGATIVE_SEMIDEFINITE,
-                )
                 agreement["sylvester"] = (
-                    sylvester_pd(mat) == positive_side_pd
-                    and sylvester_psd(mat) == semidefinite
+                    sylvester_pd(mat) == definite and sylvester_psd(mat) == semidefinite
                 )
             else:
                 agreement["sylvester"] = cls is Definiteness.INDEFINITE
@@ -222,19 +217,12 @@ class Report:
             if self.include_case and out["case"] is not None:
                 agreement["case_facts"] = table3_facts_hold(form, out["case"]["id"])
 
-        # the discriminant oracle reads the decided monic form; a
-        # degenerate-leading form is read swapped, as f(y, x), which is as
-        # definite as f and has leading coefficient e0
-        problem = self.problem
-        if problem.degenerate_leading and self.coefficients[4] != 0:
-            problem = from_plain_coeffs(*reversed(self.coefficients))
         if problem.form is not None:
             case_id = discriminant_case(problem.form)
             out["oracle"] = {"discriminant_case": case_id}
-            definite, semidefinite = _SIDE_CLASSES[problem.orientation]
             agreement["oracle"] = (
-                (cls is definite) == (case_id in PD_CASES)
-                and (cls in (definite, semidefinite)) == (case_id in PSD_CASES)
+                definite == (case_id in PD_CASES)
+                and semidefinite == (case_id in PSD_CASES)
                 and (out["case"] is None or out["case"]["id"] == case_id)
             )
 
@@ -425,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the cross-checks: the classical criterion, the Sylvester "
                         "test, the case facts and the discriminant oracle")
     parser.add_argument("--precision", type=int, default=12, metavar="N",
-                        help="significant digits for decimal renderings (default 12)")
+                        help="significant digits for decimal renderings "
+                        f"(default 12, at most {MAX_PRECISION})")
     parser.add_argument("--case", action=argparse.BooleanOptionalAction, default=True,
                         help="include the nine-case classification (default on)")
     return parser
@@ -451,8 +440,8 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.precision < 1:
-        print("error: --precision must be >= 1", file=sys.stderr)
+    if not 1 <= args.precision <= MAX_PRECISION:
+        print(f"error: --precision must be between 1 and {MAX_PRECISION}", file=sys.stderr)
         return EXIT_PARSE
 
     if args.batch is not None:

@@ -2,11 +2,13 @@
 
 Every inequality this package decides is reduced to an exact sign of a
 number of the form p + q*sqrt(d) with rational p, q and rational d >= 0.
-Rationals are `fractions.Fraction` (aliased as `Rational`); the extension
-element is `QuadExt`.  No floating point enters any decision path; floats
-and decimal strings are converted to exact fractions at the boundary by
-`parse_rational`, and decimal output is rendered from the exact value on
-demand by `to_decimal`.
+Rationals are `fractions.Fraction`; the extension element is `QuadExt`.
+That sign has one home, `surd_sign`: `QuadExt.sign`, the integer lam0
+kernel of `pencil`, its nine-case table in `classifier` and the integer
+Sylvester minors all take it there.  No floating point enters any
+decision path; floats and decimal strings are converted to exact fractions
+at the boundary by `parse_rational`, and decimal output is rendered from
+the exact value on demand by `to_decimal`.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QuadExt",
     "MismatchedRadicandError",
     "as_fraction",
@@ -99,9 +98,8 @@ class QuadExt:
     rational is supported.  Results skip the constructor's checks: operands
     in normal form over one radicand (0 or a non-square) give parts that
     are already normal, except that q = 0 must fold d to 0.
-    Comparisons and `sign()` are exact, by case analysis on the signs of p
-    and q and comparison of p**2 with q**2 * d; no radical is ever extracted
-    numerically.
+    Comparisons and `sign()` are exact, by `surd_sign`; no radical is ever
+    extracted numerically.
     """
 
     p: Fraction
@@ -226,17 +224,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of p + q*sqrt(d) in {-1, 0, +1}."""
-        sp = rational_sign(self.p)
-        sq = rational_sign(self.q)
-        if sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        # opposite signs: |p| vs |q|*sqrt(d) decides, compare squares
-        cmp = rational_sign(self.p * self.p - self.q * self.q * self.d)
-        return sp * cmp
+        return surd_sign(self.p, self.q, self.d)
 
     def _diff_sign(self, other: QuadExt | Fraction | int) -> int | None:
         o = self._coerce(other)
@@ -282,9 +270,6 @@ class QuadExt:
 
     # -- rendering -------------------------------------------------------
 
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(float(self.d))
-
     def __repr__(self) -> str:
         if self.q == 0:
             return f"QuadExt({self.p})"
@@ -308,6 +293,19 @@ def rational_sign(value: Fraction) -> int:
     if value < 0:
         return -1
     return 0
+
+
+def surd_sign(a: int | Fraction, b: int | Fraction, n: int | Fraction) -> int:
+    """Sign of a + b sqrt(n) in {-1, 0, +1}, for rationals (or integers)
+    a, b and n >= 0."""
+    sa = rational_sign(a)
+    sb = rational_sign(b) if n else 0
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: |a| against |b| sqrt(n), compared through squares
+    return sa * rational_sign(a * a - b * b * n)
 
 
 def sign_of(value: QuadExt | Fraction | int) -> int:

@@ -13,8 +13,13 @@ Every `MonicQuartic` carries its coefficients cleared to integers once, at
 construction: `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the
 denominators and ei = e4 ai.  The integer kernels of `pencil` and
 `classifier` read that record instead of clearing the form again.
-`evaluate_plain` clears its own coefficients and evaluates by integer
-Horner, building one `Fraction` at the end.
+
+Two integer rules live here and nowhere else: `clear_denominators` clears
+five rationals with one lcm (the record, `evaluate_plain` and
+`classical.classical_quantities` use it), and `quartic_horner` evaluates
+a cleared form at an integer point (`evaluate_plain` and both witness
+searches of `classifier` use it).  `evaluate_plain` builds one `Fraction`
+at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "NormalizedProblem",
     "from_plain_coeffs",
     "to_weighted",
-    "from_weighted",
     "evaluate",
     "evaluate_plain",
 ]
@@ -64,14 +68,7 @@ class MonicQuartic:
         put(self, "a2", a2)
         put(self, "a1", a1)
         put(self, "a0", a0)
-        e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
-        put(self, "cleared", (
-            e4,
-            a3.numerator * (e4 // a3.denominator),
-            a2.numerator * (e4 // a2.denominator),
-            a1.numerator * (e4 // a1.denominator),
-            a0.numerator * (e4 // a0.denominator),
-        ))
+        put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Plain coefficients (1, a3, a2, a1, a0), highest degree in x first."""
@@ -145,12 +142,6 @@ def to_weighted(m: MonicQuartic) -> GeneralQuartic:
     return GeneralQuartic(Fraction(1), m.a3 / 4, m.a2 / 6, m.a1 / 4, m.a0)
 
 
-def from_weighted(v: GeneralQuartic) -> MonicQuartic:
-    if v.c0 != 1:
-        raise ValueError(f"expected a monic weighted form (c0 = 1), got c0 = {v.c0}")
-    return MonicQuartic(4 * v.c1, 6 * v.c2, 4 * v.c3, v.c4)
-
-
 def evaluate(m: MonicQuartic, x, y) -> Fraction:
     return evaluate_plain(Fraction(1), m.a3, m.a2, m.a1, m.a0, x, y)
 
@@ -163,17 +154,29 @@ def evaluate_plain(e4, e3, e2, e1, e0, x, y) -> Fraction:
     u = a e and w = c b is taken by Horner, and divided out once.
     """
     x, y = as_fraction(x), as_fraction(y)
-    e4, e3, e2, e1, e0 = (as_fraction(e4), as_fraction(e3), as_fraction(e2),
-                          as_fraction(e1), as_fraction(e0))
-    big = math.lcm(e4.denominator, e3.denominator, e2.denominator,
-                   e1.denominator, e0.denominator)
-    u, w = x.numerator * y.denominator, y.numerator * x.denominator
-    w2 = w * w
-    total = ((((e4.numerator * (big // e4.denominator) * u
-                + e3.numerator * (big // e3.denominator) * w) * u
-               + e2.numerator * (big // e2.denominator) * w2) * u
-              + e1.numerator * (big // e1.denominator) * w2 * w) * u
-             + e0.numerator * (big // e0.denominator) * w2 * w2)
+    big, k4, k3, k2, k1, k0 = clear_denominators(
+        as_fraction(e4), as_fraction(e3), as_fraction(e2), as_fraction(e1), as_fraction(e0))
+    total = quartic_horner(k4, k3, k2, k1, k0,
+                           x.numerator * y.denominator, y.numerator * x.denominator)
     scale = x.denominator * y.denominator
     scale *= scale
     return Fraction(total, big * scale * scale)
+
+
+def clear_denominators(c4, c3, c2, c1, c0) -> tuple[int, int, int, int, int, int]:
+    """(L, L c4, L c3, L c2, L c1, L c0), all integers, for rationals (or
+    integers) c4..c0 with L > 0 the lcm of their denominators."""
+    big = math.lcm(c4.denominator, c3.denominator, c2.denominator,
+                   c1.denominator, c0.denominator)
+    return (big,
+            c4.numerator * (big // c4.denominator),
+            c3.numerator * (big // c3.denominator),
+            c2.numerator * (big // c2.denominator),
+            c1.numerator * (big // c1.denominator),
+            c0.numerator * (big // c0.denominator))
+
+
+def quartic_horner(k4: int, k3: int, k2: int, k1: int, k0: int, u: int, w: int) -> int:
+    """k4 u^4 + k3 u^3 w + k2 u^2 w^2 + k1 u w^3 + k0 w^4, by Horner in u."""
+    w2 = w * w
+    return (((k4 * u + k3 * w) * u + k2 * w2) * u + k1 * w2 * w) * u + k0 * w2 * w2

@@ -18,7 +18,8 @@ definiteness question (see the positivity module).
 
 `lam0_test` is the decision kernel: it reads the form's integer record
 (`MonicQuartic.cleared`) and settles the two sign tests on lam0 with
-integer products and two signs of the shape a + b sqrt(D);
+integer products and two signs of the shape a + b sqrt(D), each taken by
+`exactnum.surd_sign`;
 `classifier.classify_case` reads the nine-case classification off the
 same integers (`_invariants`).  The Q(sqrt(d)) route (`critical_param`,
 `g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import MismatchedRadicandError, QuadExt, as_fraction, rational_sign, sign_of
+from .exactnum import MismatchedRadicandError, QuadExt, as_fraction, sign_of, surd_sign
 from .forms import MonicQuartic
 
 __all__ = [
@@ -126,7 +127,7 @@ class Sym3Matrix:
         the twelve rationals p and q/m turns each entry p + q sqrt(d) into
         L (p + q sqrt(d)) = a + b sqrt(N) with integers a and b; the minors
         of that matrix are L, L^2 and L^3 times those of this one, so they
-        have the same signs, each taken by `_surd_sign`.
+        have the same signs, each taken by `surd_sign`.
         """
         radicand = Fraction(0)
         parts = []
@@ -160,7 +161,7 @@ class Sym3Matrix:
         first = minor(m11, c11, m12, c12)
         det = (first[0] + m13[0] * c13[0] + m13[1] * c13[1] * n,
                first[1] + m13[0] * c13[1] + m13[1] * c13[0])
-        return tuple(_surd_sign(a, b, n) for a, b in (
+        return tuple(surd_sign(a, b, n) for a, b in (
             m11, m22, m33, minor(m11, m22, m12, m12), minor(m11, m33, m13, m13), c11, det))
 
     def two_by_two_minors(self) -> tuple[Scalar, ...]:
@@ -314,7 +315,7 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
 
 def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
     """(sign of lam0 - a3^2/4, sign of g(lam0)) from `_invariants`, D >= 0."""
-    return _surd_sign(a, 4 * e4, disc), _surd_sign(rn, 2 * disc, disc)
+    return surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc)
 
 
 def _invariants(m: MonicQuartic) -> tuple[int, int, int, int, int]:
@@ -333,18 +334,6 @@ def _invariants(m: MonicQuartic) -> tuple[int, int, int, int, int]:
     n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
     rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
     return e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn
-
-
-def _surd_sign(a: int, b: int, n: int) -> int:
-    """Sign of a + b sqrt(n) for integers a, b and n >= 0."""
-    sa = rational_sign(a)
-    sb = rational_sign(b) if n else 0
-    if sb == 0 or sa == sb:
-        return sa
-    if sa == 0:
-        return sb
-    # opposite signs: |a| against |b| sqrt(n), compared through squares
-    return sa * rational_sign(a * a - b * b * n)
 
 
 def discriminant_g(p: PencilCubic) -> Fraction:

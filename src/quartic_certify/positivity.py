@@ -6,24 +6,27 @@ The decision for a monic form is two exact sign tests on lam0:
     PD   iff  lam0 >  a3^2/4  and  g(lam0) >  0,
 
 with a non-real lam0 (d < 0) immediately indefinite.  `pencil.lam0_test`
-settles both with integer products and two signs of a + b sqrt(D); the
-verdict records lam0 and g(lam0) in Q(sqrt(d)) for the report.  Whenever
-the verdict is PSD or PD the matrix M(lam0) is emitted as a certificate,
-the one place the decision builds it in Q(sqrt(d)) arithmetic: it is
-positive (semi)definite exactly when the form is, and it reproduces the
-form through the Veronese representation, so a verifier needs nothing but
-Sylvester's criterion and a matrix-vector product.  The equivalent
-Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd` for
-cross-checking: it runs on the emitted certificate itself, clearing its
-entries to integers over Z[sqrt(N)] with one denominator
+settles both with integer products and two signs of a + b sqrt(D), each
+taken by `exactnum.surd_sign`; the verdict carries that kernel record
+(lam0 and g(lam0) in Q(sqrt(d)), and the two signs) for the report.
+Whenever the verdict is PSD or PD the matrix M(lam0) is emitted as a
+certificate, the one place the decision builds it in Q(sqrt(d))
+arithmetic: it is positive (semi)definite exactly when the form is, and it
+reproduces the form through the Veronese representation, so a verifier
+needs nothing but Sylvester's criterion and a matrix-vector product.  The
+equivalent Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd`
+for cross-checking: it runs on the emitted certificate itself, clearing
+its entries to integers over Z[sqrt(N)] with one denominator
 (`Sym3Matrix.principal_minor_signs`), arithmetic independent of the
 integer sign tests, and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
-back.  Forms with vanishing leading coefficient get the dedicated
+back by `Definiteness.flipped`, the one map between the two sides.  Forms
+with vanishing leading coefficient get the dedicated
 `decide_degenerate_leading` treatment since they can never be PD but may
-still be semidefinite.
+still be semidefinite; its cubic witnesses are checked by
+`forms.evaluate_plain`, the integer clearing and Horner of `forms`.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 # sign_of stays bound for bench/spans.py to wrap
-from .exactnum import QuadExt, as_fraction, sign_of  # noqa: F401
+from .exactnum import as_fraction, sign_of  # noqa: F401
 from .forms import MonicQuartic, NormalizedProblem, Orientation, evaluate_plain
 # critical_param, g_eval and pencil_coeffs stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
-    CriticalParam,
+    Lam0Test,
     Sym3Matrix,
     critical_param,
     g_eval,
@@ -66,6 +69,18 @@ class Definiteness(enum.Enum):
     NEGATIVE_SEMIDEFINITE = "negative-semidefinite-not-definite"
     ZERO = "identically-zero"
 
+    def flipped(self) -> Definiteness:
+        """The class of -f for a form f of this class: PD <-> ND and
+        PSD <-> NSD; the indefinite and the zero class are their own."""
+        return _FLIPPED.get(self, self)
+
+
+_FLIPPED = {
+    Definiteness.POSITIVE_DEFINITE: Definiteness.NEGATIVE_DEFINITE,
+    Definiteness.NEGATIVE_DEFINITE: Definiteness.POSITIVE_DEFINITE,
+    Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
+    Definiteness.NEGATIVE_SEMIDEFINITE: Definiteness.POSITIVE_SEMIDEFINITE,
+}
 
 Point = tuple[Fraction, Fraction]
 
@@ -81,16 +96,15 @@ class Verdict:
     every indefinite verdict: two rational points where the decided form is
     exactly positive and exactly negative.
 
-    `lam0` and `g_lam0` (None unless lam0 is real) are the exact values the
-    sign tests read, for reports and cross-checks to reuse; a
-    degenerate-leading form has no pencil and leaves both None.
+    `kernel` is the record of `pencil.lam0_test` that made the decision:
+    lam0, g(lam0) and the two signs, for reports and cross-checks to reuse;
+    a degenerate-leading form has no pencil and leaves it None.
     """
 
     classification: Definiteness
     certificate: Sym3Matrix | None = None
     witnesses: tuple[Point, Point] | None = None
-    lam0: CriticalParam | None = None
-    g_lam0: QuadExt | Fraction | None = None
+    kernel: Lam0Test | None = None
 
 
 def sylvester_pd(mat: Sym3Matrix) -> bool:
@@ -109,36 +123,22 @@ def sylvester_psd(mat: Sym3Matrix) -> bool:
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
-    test = lam0_test(m)
-    lam0 = test.lam0
-    if not lam0.is_real:
-        return _indefinite_with_witnesses(m, lam0, None)
-    if test.slack > 0 and test.value > 0:
-        cls = Definiteness.POSITIVE_DEFINITE
-    elif test.slack >= 0 and test.value >= 0:
-        cls = Definiteness.POSITIVE_SEMIDEFINITE
-    else:
-        return _indefinite_with_witnesses(m, lam0, test.g_lam0)
-    return Verdict(cls, certificate=pencil_matrix(m, lam0.value), lam0=lam0, g_lam0=test.g_lam0)
-
-
-def _indefinite_with_witnesses(m: MonicQuartic, lam0: CriticalParam, g_lam0) -> Verdict:
+    kernel = lam0_test(m)
+    if kernel.lam0.is_real and kernel.slack >= 0 and kernel.value >= 0:
+        cls = (Definiteness.POSITIVE_DEFINITE if kernel.slack > 0 and kernel.value > 0
+               else Definiteness.POSITIVE_SEMIDEFINITE)
+        return Verdict(cls, certificate=pencil_matrix(m, kernel.lam0.value), kernel=kernel)
     from .classifier import witness_search
 
-    return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m), lam0=lam0, g_lam0=g_lam0)
+    return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m), kernel=kernel)
 
 
 def decide_negative_side(m: MonicQuartic) -> Verdict:
     """Decide the sign-flipped monic form of a negative-leading quartic and
-    map PD -> ND, PSD -> NSD.  The certificate stays the PSD matrix of the
-    flipped form (its negation certifies the original)."""
+    map its class back by `Definiteness.flipped`.  The certificate stays the
+    PSD matrix of the flipped form (its negation certifies the original)."""
     verdict = decide_monic(m)
-    mapping = {
-        Definiteness.POSITIVE_DEFINITE: Definiteness.NEGATIVE_DEFINITE,
-        Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
-    }
-    cls = mapping.get(verdict.classification, verdict.classification)
-    return replace(verdict, classification=cls)
+    return replace(verdict, classification=verdict.classification.flipped())
 
 
 def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:

@@ -13,6 +13,7 @@ from quartic_certify import (
     MonicQuartic,
     PencilCubic,
     QuadExt,
+    Sym3Matrix,
     certify,
     circle_min_estimate,
     classify_case,
@@ -192,7 +193,7 @@ class TestDiscriminantCase:
         def forbidden(*args):
             raise AssertionError("the discriminant oracle used the pencil")
 
-        for name in ("_invariants", "_lam0_signs", "_surd_sign", "pencil_coeffs",
+        for name in ("_invariants", "_lam0_signs", "surd_sign", "pencil_coeffs",
                      "critical_param", "g_eval", "classify_case"):
             monkeypatch.setattr(classifier, name, forbidden)
         for name in ("make_poly", "poly_gcd", "sturm_chain"):
@@ -344,6 +345,10 @@ class TestDegenerateMemberStructure:
             for sign in (-1, 1):
                 roots.append((QuadExt(-b / 2, F(sign, 2), disc), 1))
         return roots
+
+    def test_full_rank_is_not_degenerate(self):
+        with pytest.raises(ValueError):
+            degenerate_conic_type(Sym3Matrix(F(1), F(0), F(0), F(1), F(0), F(1)))
 
     def test_structural_invariants(self, small_corpus):
         checked_pairs = checked_rank1 = 0

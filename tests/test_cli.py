@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from quartic_certify import ClassicalQuantities, evaluate_plain, parse_rational
-from quartic_certify.cli import main
+from quartic_certify import ClassicalQuantities, Definiteness, evaluate_plain, parse_rational
+from quartic_certify.cli import MAX_PRECISION, main
 
 F = Fraction
 
@@ -92,6 +93,19 @@ class TestExitCodes:
 
     def test_wrong_arity(self, capsys):
         assert main(["1", "2", "3"]) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["--frobnicate", "1", "0", "0", "1", "1"],
+        ["--precision", "abc", "1", "0", "0", "1", "1"],
+    ])
+    def test_usage_error_exits_64(self, argv, capsys):
+        assert main(argv) == 64
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_argv_that_already_holds_double_dash(self):
+        code, out = run_json(["--", "-1", "0", "0", "-1", "-1"])
+        assert code == 0
+        assert out["verdict"] == "negative-definite"
 
     def test_negative_fraction_coefficient(self):
         code, _ = run(["-1/2", "0", "0", "0", "-1/2"])
@@ -199,6 +213,14 @@ class TestJsonReport:
         _, out = run_json(["--precision", "30", "1", "0", "0", "1", "1"])
         assert len(out["lambda0"]["decimal"].replace(".", "")) == 30
 
+    def test_precision_bound(self, capsys):
+        code, out = run_json(["--precision", str(MAX_PRECISION), "1", "0", "0", "1", "1"])
+        assert code == 0
+        assert len(out["lambda0"]["decimal"].replace(".", "")) == MAX_PRECISION
+        for value in (MAX_PRECISION + 1, 0):
+            assert run(["--precision", str(value), "1", "0", "0", "1", "1"]) == (64, "")
+            assert f"between 1 and {MAX_PRECISION}" in capsys.readouterr().err
+
     def test_no_case_flag(self):
         _, out = run_json(["--no-case", "1", "0", "0", "1", "1"])
         assert out["case"] is None
@@ -245,6 +267,23 @@ class TestBatch:
         summary = rows[-1]["summary"]
         assert summary["positive-definite"] == 2
         assert summary["positive-semidefinite-not-definite"] == 3
+
+    def test_precision_bound(self, tmp_path, capsys):
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 1 1\n")
+        code, text = run(["--precision", str(MAX_PRECISION), "--batch", str(path)])
+        assert code == 0
+        assert len(json.loads(text.splitlines()[0])["lambda0"]["decimal"]) == MAX_PRECISION + 1
+        # rejected before the file is opened: a missing file reads the same
+        for batch in (path, tmp_path / "missing.txt"):
+            for value in (MAX_PRECISION + 1, 0):
+                assert run(["--precision", str(value), "--batch", str(batch)]) == (64, "")
+                assert str(MAX_PRECISION) in capsys.readouterr().err
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        code, text = run(["--batch", str(tmp_path / "missing.txt")])
+        assert (code, text) == (64, "")
+        assert "cannot read" in capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -399,6 +438,22 @@ class TestDisagreementPath:
         assert out["agreement"]["oracle"] is False and code == 70
 
 
+    def test_wrong_side_class_fails_every_flag(self, monkeypatch):
+        import quartic_certify.cli as cli
+
+        # a positive-side PD form reported ND: the verdict's class on the
+        # decided side is wrong for all three checks, not for the oracle alone
+        decide = cli.decide_problem
+        monkeypatch.setattr(cli, "decide_problem", lambda problem: dataclasses.replace(
+            decide(problem), classification=Definiteness.NEGATIVE_DEFINITE))
+        code, out = run_json(["1", "0", "0", "1", "1"])
+        assert out["verdict"] == "negative-definite"
+        assert out["agreement"]["classical"] is False
+        assert out["agreement"]["sylvester"] is False
+        assert out["agreement"]["oracle"] is False
+        assert code == 70
+
+
 class TestWithoutNumpy:
     def test_default_batch_imports_no_numpy(self, tmp_path):
         # only the advisory circle minimum needs numpy; the exact cross-checks
@@ -425,6 +480,11 @@ class TestTextOutput:
         assert "case: 2" in text
         assert "lambda0:" in text
         assert "oracle discriminant case: 2" in text
+
+    def test_non_real_lambda0_line(self):
+        code, text = run(["1", "0", "0", "0", "-1"])
+        assert code == 2
+        assert "lambda0: non-real (radicand -3 < 0)" in text.splitlines()
 
     def test_exit_code_is_function_of_verdict(self):
         # same verdict class, same exit code, crosscheck on or off

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartic_certify import exactnum
 from quartic_certify.exactnum import (
     MismatchedRadicandError,
     QuadExt,
     parse_rational,
     sign_of,
     sqrt_exact,
+    surd_sign,
     to_decimal,
 )
 
@@ -195,6 +197,23 @@ class TestSign:
                     assert x.sign() == (1 if approx > 0 else -1)
                 else:
                     assert x.sign() == 0
+
+    def test_surd_sign_on_integers(self):
+        assert surd_sign(-10, 1, 101) == 1 and surd_sign(-10, 1, 73) == -1
+        assert surd_sign(10, -1, 101) == -1 and surd_sign(-9, 1, 81) == 0
+        assert surd_sign(3, -5, 0) == 1
+        assert surd_sign(0, -2, 7) == -1 and surd_sign(0, 0, 7) == 0
+
+    def test_quad_ext_sign_is_surd_sign(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, n):
+            calls.append((a, b, n))
+            return 7
+
+        monkeypatch.setattr(exactnum, "surd_sign", spy)
+        assert QuadExt(F(-1, 4), F(4, 9), F(3)).sign() == 7
+        assert calls == [(F(-1, 4), F(4, 9), F(3))]
 
     def test_comparisons(self):
         lam0 = QuadExt(F(0), F(2, 3), F(3))

@@ -13,13 +13,10 @@ from quartic_certify import (
     evaluate,
     evaluate_plain,
     from_plain_coeffs,
-    from_weighted,
     to_weighted,
 )
 
 F = Fraction
-
-fractions = st.fractions(max_denominator=40)
 
 
 def test_from_plain_monicises_positive_leading():
@@ -57,20 +54,6 @@ def test_to_weighted_examples():
     assert (v.c0, v.c1, v.c2, v.c3, v.c4) == (1, 0, 0, 0, 0)
     v = to_weighted(MonicQuartic(4, 6, 4, 1))
     assert (v.c0, v.c1, v.c2, v.c3, v.c4) == (1, 1, 1, 1, 1)
-
-
-@given(fractions, fractions, fractions, fractions)
-@settings(max_examples=150)
-def test_weighted_round_trip(a3, a2, a1, a0):
-    m = MonicQuartic(a3, a2, a1, a0)
-    assert from_weighted(to_weighted(m)) == m
-
-
-def test_from_weighted_requires_monic():
-    v = to_weighted(MonicQuartic(0, 0, 0, 0))
-    object.__setattr__(v, "c0", F(2))
-    with pytest.raises(ValueError):
-        from_weighted(v)
 
 
 def test_evaluate_examples():
@@ -195,7 +178,6 @@ def test_cleared_record_is_outside_eq_hash_and_repr():
 def test_every_construction_carries_the_record():
     m = MonicQuartic(F(1, 2), 0, 0, 1)
     assert dataclasses.replace(m, a0=F(1, 3)).cleared == (6, 3, 0, 0, 2)
-    assert from_weighted(to_weighted(m)).cleared == (2, 1, 0, 0, 2)
     assert from_plain_coeffs(-4, 2, 0, 0, -1).form.cleared == (4, -2, 0, 0, 1)
     with pytest.raises(ValueError):
         dataclasses.replace(m, cleared=(1, 0, 0, 0, 0))

@@ -64,6 +64,10 @@ class TestPencilMatrix:
         )
         assert mat.rank() == 1
 
+    def test_rank_extremes(self):
+        assert Sym3Matrix(F(1), F(0), F(0), F(1), F(0), F(1)).rank() == 3
+        assert Sym3Matrix(*[F(0)] * 6).rank() == 0
+
     def test_corner_vanishes_at_a2(self):
         m = MonicQuartic(3, F(7, 2), -1, 5)
         assert pencil_matrix(m, m.a2).m13 == 0
@@ -185,12 +189,12 @@ def assert_kernel_matches_field_route(m: MonicQuartic):
 
 def assert_verdict_records_kernel(m: MonicQuartic, verdict):
     test = lam0_test(m)
-    assert verdict.lam0 == test.lam0
+    assert verdict.kernel == test
     if test.lam0.is_real:
-        assert quad_parts(verdict.lam0.value) == quad_parts(test.lam0.value)
-        assert quad_parts(verdict.g_lam0) == quad_parts(test.g_lam0)
+        assert quad_parts(verdict.kernel.lam0.value) == quad_parts(test.lam0.value)
+        assert quad_parts(verdict.kernel.g_lam0) == quad_parts(test.g_lam0)
     else:
-        assert verdict.g_lam0 is None
+        assert verdict.kernel.g_lam0 is None
 
 
 _big = st.integers(-10**30, 10**30)
@@ -368,5 +372,5 @@ class TestPrincipalMinorSigns:
     def test_computed_once_per_matrix(self, monkeypatch):
         mat = pencil_matrix(EX1, critical_param(pencil_coeffs(EX1)).value)
         assert sylvester_pd(mat) and sylvester_psd(mat)
-        monkeypatch.setattr(pencil, "_surd_sign", None)  # a second computation would fail
+        monkeypatch.setattr(pencil, "surd_sign", None)  # a second computation would fail
         assert sylvester_pd(mat) and sylvester_psd(mat)

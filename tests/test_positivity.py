@@ -132,6 +132,15 @@ class TestDegenerateLeading:
         assert evaluate_plain(0, 1, 0, 0, 0, px, py) > 0
         assert evaluate_plain(0, 1, 0, 0, 0, nx, ny) < 0
 
+    def test_negative_cubic_needs_doubling(self):
+        # y (-x^3 + 5 y^3): f(1, 1) = 4 has the sign of -e3 t^3 at t = 1, so
+        # the search doubles to t = 2, and e3 < 0 swaps the two witnesses
+        v = decide_degenerate_leading(F(-1), F(0), F(0), F(5))
+        assert v.classification is D.INDEFINITE
+        assert v.witnesses == ((F(-1), F(1)), (F(2), F(1)))
+        assert evaluate_plain(0, -1, 0, 0, 5, F(-1), F(1)) == 6
+        assert evaluate_plain(0, -1, 0, 0, 5, F(2), F(1)) == -3
+
     def test_perfect_square(self):
         v = decide_degenerate_leading(F(0), F(1), F(2), F(1))
         assert v.classification is D.POSITIVE_SEMIDEFINITE
@@ -232,6 +241,14 @@ class TestCrossProperties:
             )
             assert scaled.form == m
             assert decide_problem(scaled).classification is decide_monic(m).classification
+
+
+def test_flipped_pairs_the_two_sides():
+    assert D.POSITIVE_DEFINITE.flipped() is D.NEGATIVE_DEFINITE
+    assert D.POSITIVE_SEMIDEFINITE.flipped() is D.NEGATIVE_SEMIDEFINITE
+    for cls in D:
+        assert cls.flipped().flipped() is cls
+    assert D.INDEFINITE.flipped() is D.INDEFINITE and D.ZERO.flipped() is D.ZERO
 
 
 def test_verdict_routing():
