@@ -12,6 +12,17 @@ never feeds the user-facing verdict; it exists so that every pencil-based
 decision can be validated against an algebraically independent criterion.
 There is no semidefinite analogue here: boundary cases are cross-checked
 against the root-configuration oracle instead.
+
+The quantities are taken in integers.  `classical_quantities` clears a
+weighted `GeneralQuartic` with one lcm.  The command line's check,
+`_monic_quantities`, reads a `MonicQuartic` from its integer record
+`cleared` = (e4, e3, e2, e1, e0), whose weighted coefficients
+(1, a3/4, a2/6, a1/4, a0) are (12 e4, 3 e3, 2 e2, 3 e1, 12 e0) over 12 e4,
+with no clearing at all.  That record is the one the pencil kernel and the
+discriminant-sequence oracle read, so this check confirms the decision on
+the normalised record, not the normalisation itself: a wrong record would
+pass every cross-check alike.  The test suite guards the normalisation
+(`tests/test_forms.py::test_from_plain_record_is_the_lcm_record`).
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import GeneralQuartic, clear_denominators
+from .forms import GeneralQuartic, MonicQuartic, clear_denominators
 
 __all__ = ["ClassicalQuantities", "classical_quantities", "classical_is_pd"]
 
@@ -45,10 +56,21 @@ class ClassicalQuantities:
 
 
 def classical_quantities(v: GeneralQuartic) -> ClassicalQuantities:
-    """G, H, I, J, Delta and aux of v, computed on the integers k_i = L c_i
-    with L the lcm of the denominators: each quantity is homogeneous in the
-    c_i, of degree n say, so it is its integer value over L^n."""
-    den, c0, c1, c2, c3, c4 = clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4)
+    """G, H, I, J, Delta and aux of the weighted form v."""
+    return _integer_quantities(*clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4))
+
+
+def _monic_quantities(m: MonicQuartic) -> ClassicalQuantities:
+    """The quantities of `to_weighted(m)`, read from the record `m.cleared`."""
+    e4, e3, e2, e1, e0 = m.cleared
+    return _integer_quantities(12 * e4, 12 * e4, 3 * e3, 2 * e2, 3 * e1, 12 * e0)
+
+
+def _integer_quantities(den: int, c0: int, c1: int, c2: int, c3: int,
+                        c4: int) -> ClassicalQuantities:
+    """The quantities of the weighted form (c0, ..., c4)/den, den > 0, from
+    integers: each is homogeneous in the c_i, of degree n say, so it is its
+    integer value over den^n."""
     G = (c0 * c3 - 3 * c1 * c2) * c0 + 2 * c1**3
     H = c0 * c2 - c1 * c1
     I = c0 * c4 - 4 * c1 * c3 + 3 * c2 * c2

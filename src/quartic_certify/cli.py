@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -31,8 +32,9 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-# classical_is_pd and circle_min_estimate_plain stay bound for bench/spans.py to wrap
-from .classical import classical_is_pd, classical_quantities  # noqa: F401
+# classical_quantities, classical_is_pd and circle_min_estimate_plain stay
+# bound for bench/spans.py to wrap
+from .classical import _monic_quantities, classical_is_pd, classical_quantities  # noqa: F401
 from .classifier import (  # noqa: F401
     PD_CASES,
     PSD_CASES,
@@ -42,13 +44,7 @@ from .classifier import (  # noqa: F401
     table3_facts_hold,
 )
 from .exactnum import QuadExt, parse_rational, to_decimal
-from .forms import (
-    NormalizedProblem,
-    Orientation,
-    evaluate_plain,
-    from_plain_coeffs,
-    to_weighted,
-)
+from .forms import NormalizedProblem, Orientation, evaluate_cleared, from_plain_coeffs
 # pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
 from .pencil import critical_param, g_eval, pencil_coeffs, pencil_matrix  # noqa: F401
 from .positivity import (
@@ -164,14 +160,16 @@ class Report:
 
     def _witnesses_json(self) -> dict:
         # witnesses certify the decided (normalised) form; report them
-        # against the original input coefficients so they stand alone
+        # against the original input coefficients, from the input's integer
+        # record, so they stand alone
+        record = self.problem.input_record
         flip = self.problem.orientation is Orientation.NEGATIVE_SIDE
         pos, neg = self.verdict.witnesses
         if flip:
             pos, neg = neg, pos
         out = {}
         for label, (x, y) in (("positive", pos), ("negative", neg)):
-            value = evaluate_plain(*self.coefficients, x, y)
+            value = evaluate_cleared(record, x, y)
             out[label] = {"x": str(x), "y": str(y), "value": str(value)}
         return out
 
@@ -191,7 +189,7 @@ class Report:
         semidefinite = definite or cls is Definiteness.POSITIVE_SEMIDEFINITE
 
         if form is not None:
-            quantities = classical_quantities(to_weighted(form))
+            quantities = _monic_quantities(form)
             pd = quantities.is_pd()
             agreement["classical"] = pd == definite
             out["classical"] = {
@@ -420,6 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process."""
+    return build_parser()
+
+
 def _escape_negative_coefficients(argv: list[str]) -> list[str]:
     """Insert "--" before the first token that reads as a negative number
     (or fraction), so forms with a negative leading coefficient parse
@@ -436,7 +440,7 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_escape_negative_coefficients(argv))
+        args = _parser().parse_args(_escape_negative_coefficients(argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,9 +13,17 @@ the exact value on demand by `to_decimal`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import (
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from fractions import Fraction
 
 __all__ = [
@@ -64,10 +72,22 @@ _ZERO = Fraction(0)
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly.
 
-    A decimal exponent beyond +-MAX_EXPONENT is rejected before any digits
-    are built: "1e200000" alone would make a 200001-digit integer.  The
-    ValueError says which of the two rejected the text.
+    ASCII "[+-]digits" and "[+-]digits/digits" with a nonzero denominator
+    take a fast path through int(); every other text (decimals, exponents,
+    whitespace, underscores, other digits, a zero denominator) goes to
+    Fraction(), with the same values and errors.  A decimal exponent beyond
+    +-MAX_EXPONENT is rejected before any digits are built: "1e200000"
+    alone would make a 200001-digit integer.  The ValueError says which of
+    the two rejected the text.
     """
+    if text.isascii():
+        num, slash, den = text.partition("/")
+        body = num[1:] if num[:1] in ("+", "-") else num
+        if body.isdigit() and (not slash or (den.isdigit() and den.strip("0"))):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except ValueError:  # beyond int()'s digit limit: Fraction() says so
+                pass
     text = text.strip()
     _, marker, exponent = text.lower().partition("e")
     try:
@@ -322,29 +342,41 @@ def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
     the requested digits, so every printed digit agrees with the exact value.
     When p and q*sqrt(d) cancel so far that the rounding error of that sum
     could reach the printed digits (or the sign), the precision is doubled
-    until it cannot.
+    until it cannot.  Every step runs in a fixed context (`_context`), so
+    the caller's decimal settings change neither the digits nor the traps.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with localcontext() as ctx:
-        ctx.prec = max(digits + 25, 50)
-        if isinstance(value, QuadExt) and value.q != 0:
-            while True:
-                rat = _decimal(value.p)
-                surd = _decimal(value.q) * _decimal(value.d).sqrt()
-                total = rat + surd
-                # the roundings above err by less than
-                # (|rat| + |surd|) * 10**(2 - prec); keep that below a
-                # tenth of the last printed digit
-                if abs(total) > (abs(rat) + abs(surd)).scaleb(digits + 3 - ctx.prec):
-                    break
-                ctx.prec *= 2
-        else:
-            total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value))
-        ctx.prec = digits
-        return str(+total)
+    prec = max(digits + 25, 50)
+    if isinstance(value, QuadExt) and value.q != 0:
+        while True:
+            ctx = _context(prec)
+            rat = _decimal(value.p, ctx)
+            surd = ctx.multiply(_decimal(value.q, ctx), ctx.sqrt(_decimal(value.d, ctx)))
+            total = ctx.add(rat, surd)
+            # the roundings above err by less than
+            # (|rat| + |surd|) * 10**(2 - prec); keep that below a
+            # tenth of the last printed digit
+            bound = ctx.add(ctx.abs(rat), ctx.abs(surd)).scaleb(digits + 3 - prec, ctx)
+            if ctx.abs(total) > bound:
+                break
+            prec *= 2
+    else:
+        total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value),
+                         _context(prec))
+    out = _context(digits)
+    return out.to_sci_string(out.plus(total))
 
 
-def _decimal(value: Fraction) -> Decimal:
-    """value rounded to the current decimal context."""
-    return Decimal(value.numerator) / Decimal(value.denominator)
+@functools.lru_cache(maxsize=64)
+def _context(prec: int) -> Context:
+    """A fixed decimal context: `prec` digits, half-even rounding, the
+    default exponent limits and traps, whatever the thread's context is."""
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=-999_999, Emax=999_999,
+                   capitals=1, clamp=0, flags=[],
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
+def _decimal(value: Fraction, ctx: Context) -> Decimal:
+    """value rounded to ctx."""
+    return ctx.divide(Decimal(value.numerator), Decimal(value.denominator))

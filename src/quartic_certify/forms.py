@@ -2,24 +2,29 @@
 
 `MonicQuartic` is the working representation x^4 + a3 x^3 y + a2 x^2 y^2 +
 a1 x y^3 + a0 y^4.  `GeneralQuartic` carries the binomially weighted
-coefficients c0 x^4 + 4 c1 x^3 y + 6 c2 x^2 y^2 + 4 c3 x y^3 + c4 y^4 used
-by the classical cross-check.  `from_plain_coeffs` turns arbitrary plain
+coefficients c0 x^4 + 4 c1 x^3 y + 6 c2 x^2 y^2 + 4 c3 x y^3 + c4 y^4 in
+which the classical criterion is stated (`to_weighted`).
+`from_plain_coeffs` turns arbitrary plain
 coefficients (e4, e3, e2, e1, e0) into a `NormalizedProblem`: positive
 leading coefficients are scaled to monic, negative ones are additionally
 sign-flipped so that negativity questions become positivity questions, and
 e4 = 0 inputs are flagged for the dedicated degenerate path.
 
-Every `MonicQuartic` carries its coefficients cleared to integers once, at
-construction: `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the
-denominators and ei = e4 ai.  The integer kernels of `pencil` and
-`classifier` read that record instead of clearing the form again.
+Each input is cleared to integers once, in `from_plain_coeffs`: the
+problem keeps that input record (L, k4, k3, k2, k1, k0), and its
+`MonicQuartic` is built from the same integers.  Every `MonicQuartic`
+carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of
+the denominators and ei = e4 ai.  The integer kernels of `pencil` and
+`classifier`, the report's witnesses and the classical cross-check read
+these records instead of clearing the form again.
 
-Two integer rules live here and nowhere else: `clear_denominators` clears
-five rationals with one lcm (the record, `evaluate_plain` and
-`classical.classical_quantities` use it), and `quartic_horner` evaluates
-a cleared form at an integer point (`evaluate_plain` and both witness
-searches of `classifier` use it).  `evaluate_plain` builds one `Fraction`
-at the end.
+Three integer rules live here and nowhere else: `clear_denominators`
+clears five rationals with one lcm, `quartic_horner` evaluates a cleared
+form at an integer point (both witness searches of `classifier` and the
+degenerate-leading witnesses of `positivity` use it), and
+`evaluate_cleared` takes a cleared form at a rational point by that Horner,
+building one `Fraction` at the end (`evaluate_plain` is "clear, then
+`evaluate_cleared`").
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "to_weighted",
     "evaluate",
     "evaluate_plain",
+    "evaluate_cleared",
 ]
 
 
@@ -49,8 +55,8 @@ class MonicQuartic:
 
     `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
     of the denominators of a3..a0 and ei = e4 ai, so e4 f has integer
-    coefficients.  It is computed once, in `__post_init__`, and takes no
-    part in ==, hash or repr.
+    coefficients.  It is computed once, in `__post_init__` (or given to
+    `_from_record`), and takes no part in ==, hash or repr.
     """
 
     a3: Fraction
@@ -69,6 +75,19 @@ class MonicQuartic:
         put(self, "a1", a1)
         put(self, "a0", a0)
         put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
+
+    @classmethod
+    def _from_record(cls, e4: int, e3: int, e2: int, e1: int, e0: int) -> MonicQuartic:
+        """The form ai = ei/e4 of a primitive integer record with e4 > 0,
+        which is then its lcm record, without clearing it again."""
+        m = object.__new__(cls)
+        put = object.__setattr__
+        put(m, "a3", Fraction(e3, e4))
+        put(m, "a2", Fraction(e2, e4))
+        put(m, "a1", Fraction(e1, e4))
+        put(m, "a0", Fraction(e0, e4))
+        put(m, "cleared", (e4, e3, e2, e1, e0))
+        return m
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Plain coefficients (1, a3, a2, a1, a0), highest degree in x first."""
@@ -106,6 +125,9 @@ class NormalizedProblem:
     the original's negativity classes.  `scale` is |e4| (0 when the leading
     coefficient vanishes and `degenerate_leading` is set; then `form` is
     None and the lower coefficients live in `degenerate_coeffs`).
+    `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
+    `clear_denominators(e4, e3, e2, e1, e0)`, set by `from_plain_coeffs`
+    on both paths; it takes no part in == or repr.
     """
 
     form: MonicQuartic | None
@@ -113,28 +135,38 @@ class NormalizedProblem:
     scale: Fraction
     degenerate_leading: bool
     degenerate_coeffs: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
+    input_record: tuple[int, int, int, int, int, int] | None = field(
+        default=None, repr=False, compare=False)
 
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
     e4, e3, e2, e1, e0 = map(as_fraction, (e4, e3, e2, e1, e0))
-    if e4 == 0:
+    record = clear_denominators(e4, e3, e2, e1, e0)
+    _, k4, k3, k2, k1, k0 = record
+    if k4 == 0:
         return NormalizedProblem(
             form=None,
             orientation=None,
             scale=Fraction(0),
             degenerate_leading=True,
             degenerate_coeffs=(e3, e2, e1, e0),
+            input_record=record,
         )
-    # dividing by e4 both scales to monic and, when e4 < 0, negates the
-    # lower coefficients, which swaps the negative-side question for the
-    # positive-side one
-    form = MonicQuartic(e3 / e4, e2 / e4, e1 / e4, e0 / e4)
-    orientation = Orientation.POSITIVE_SIDE if e4 > 0 else Orientation.NEGATIVE_SIDE
+    # dividing by g = +-gcd(k4, ..., k0), with the sign of k4, leaves the
+    # primitive integers of f/e4 with a positive lead: the lcm record of the
+    # monic form.  When e4 < 0 it negates the lower coefficients, which
+    # swaps the negative-side question for the positive-side one.
+    g = math.gcd(k4, k3, k2, k1, k0)
+    if k4 < 0:
+        g = -g
+    form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
+    orientation = Orientation.POSITIVE_SIDE if k4 > 0 else Orientation.NEGATIVE_SIDE
     return NormalizedProblem(
         form=form,
         orientation=orientation,
         scale=abs(e4),
         degenerate_leading=False,
+        input_record=record,
     )
 
 
@@ -143,19 +175,27 @@ def to_weighted(m: MonicQuartic) -> GeneralQuartic:
 
 
 def evaluate(m: MonicQuartic, x, y) -> Fraction:
-    return evaluate_plain(Fraction(1), m.a3, m.a2, m.a1, m.a0, x, y)
+    # the record of (1, a3, a2, a1, a0) is (e4, e4, e3, e2, e1, e0)
+    return evaluate_cleared((m.cleared[0], *m.cleared), as_fraction(x), as_fraction(y))
 
 
 def evaluate_plain(e4, e3, e2, e1, e0, x, y) -> Fraction:
-    """e4 x^4 + e3 x^3 y + e2 x^2 y^2 + e1 x y^3 + e0 y^4, exactly.
+    """e4 x^4 + e3 x^3 y + e2 x^2 y^2 + e1 x y^3 + e0 y^4, exactly."""
+    record = clear_denominators(as_fraction(e4), as_fraction(e3), as_fraction(e2),
+                                as_fraction(e1), as_fraction(e0))
+    return evaluate_cleared(record, as_fraction(x), as_fraction(y))
 
-    With L the lcm of the coefficient denominators, ki = L ei integers,
-    x = a/b and y = c/e, the integer L (b e)^4 f = sum ki u^(4-i) w^i with
-    u = a e and w = c b is taken by Horner, and divided out once.
+
+def evaluate_cleared(record: tuple[int, int, int, int, int, int],
+                     x: Fraction, y: Fraction) -> Fraction:
+    """f(x, y) exactly, for f given by its record (L, k4, k3, k2, k1, k0) =
+    `clear_denominators(e4, e3, e2, e1, e0)` and rationals x, y.
+
+    With x = a/b and y = c/e, the integer L (b e)^4 f = sum ki u^(4-i) w^i
+    with u = a e and w = c b is taken by `quartic_horner`, and divided out
+    once.
     """
-    x, y = as_fraction(x), as_fraction(y)
-    big, k4, k3, k2, k1, k0 = clear_denominators(
-        as_fraction(e4), as_fraction(e3), as_fraction(e2), as_fraction(e1), as_fraction(e0))
+    big, k4, k3, k2, k1, k0 = record
     total = quartic_horner(k4, k3, k2, k1, k0,
                            x.numerator * y.denominator, y.numerator * x.denominator)
     scale = x.denominator * y.denominator

@@ -25,8 +25,8 @@ side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
 back by `Definiteness.flipped`, the one map between the two sides.  Forms
 with vanishing leading coefficient get the dedicated
 `decide_degenerate_leading` treatment since they can never be PD but may
-still be semidefinite; its cubic witnesses are checked by
-`forms.evaluate_plain`, the integer clearing and Horner of `forms`.
+still be semidefinite; its cubic witnesses are checked on the form cleared
+once, by the integer Horner of `forms`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from fractions import Fraction
 
 # sign_of stays bound for bench/spans.py to wrap
 from .exactnum import as_fraction, sign_of  # noqa: F401
-from .forms import MonicQuartic, NormalizedProblem, Orientation, evaluate_plain
+from .forms import (
+    MonicQuartic,
+    NormalizedProblem,
+    Orientation,
+    clear_denominators,
+    quartic_horner,
+)
 # critical_param, g_eval and pencil_coeffs stay bound for bench/spans.py to wrap
 from .pencil import (  # noqa: F401
     Lam0Test,
@@ -173,17 +179,21 @@ def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:
 
 
 def _cubic_sign_witnesses(e3, e2, e1, e0) -> tuple[Point, Point]:
-    # odd degree in x: f(t, 1) follows sign(e3 * t^3) for large |t|
-    def value(t: Fraction) -> Fraction:
-        return evaluate_plain(0, e3, e2, e1, e0, t, 1)
+    # odd degree in x: f(t, 1) follows sign(e3 * t^3) for large |t|; the
+    # integer L f(t, 1) of the form cleared once has the sign of f(t, 1),
+    # and k3 = L e3 that of e3
+    _, _, k3, k2, k1, k0 = clear_denominators(0, e3, e2, e1, e0)
 
-    t = Fraction(1)
-    while value(t) * e3 <= 0:
+    def value(t: int) -> int:
+        return quartic_horner(0, k3, k2, k1, k0, t, 1)
+
+    t = 1
+    while value(t) * k3 <= 0:
         t *= 2
-    s = Fraction(-1)
-    while value(s) * e3 >= 0:
+    s = -1
+    while value(s) * k3 >= 0:
         s *= 2
-    pos, neg = ((t, Fraction(1)), (s, Fraction(1)))
+    pos, neg = ((Fraction(t), Fraction(1)), (Fraction(s), Fraction(1)))
     if e3 < 0:
         pos, neg = neg, pos
     return pos, neg

@@ -15,6 +15,7 @@ from quartic_certify import (
     sign_of,
     to_weighted,
 )
+from quartic_certify.classical import _monic_quantities
 
 F = Fraction
 
@@ -114,3 +115,30 @@ def test_integer_quantities_equal_the_fraction_formulas(coeffs):
             or (delta > 0 and H >= 0)
             or (delta > 0 and H < 0 and aux < 0)
         )
+
+
+@given(st.tuples(_coefficient, _coefficient, _coefficient, _coefficient))
+@settings(max_examples=300, deadline=None)
+def test_monic_record_quantities_equal_the_weighted_ones(coeffs):
+    # a MonicQuartic is read from its integer record, with no clearing;
+    # every quantity, its printed form and the criterion are those of the
+    # weighted form of to_weighted
+    m = MonicQuartic(*coeffs)
+    got, expected = _monic_quantities(m), classical_quantities(to_weighted(m))
+    assert got == expected
+    assert [str(getattr(got, f)) for f in ("G", "H", "I", "J", "delta", "aux")] == [
+        str(getattr(expected, f)) for f in ("G", "H", "I", "J", "delta", "aux")]
+    assert got.is_pd() == classical_is_pd(to_weighted(m))
+
+
+def test_monic_record_is_not_cleared_again(monkeypatch):
+    import quartic_certify.classical as classical
+
+    m = MonicQuartic(F(1, 2), F(-3, 4), 5, F(7, 6))
+    expected = classical_quantities(to_weighted(m))
+
+    def forbidden(*args):
+        raise AssertionError("cleared again")
+
+    monkeypatch.setattr(classical, "clear_denominators", forbidden)
+    assert _monic_quantities(m) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,15 +15,9 @@ from quartic_certify.cli import MAX_PRECISION, main
 
 F = Fraction
 
-GOLDEN_LINES = """\
-# the six reference forms
-1 0 0 1 1
-1 -8 26 -40 25
-1 1 0 1 1
-1 4 2 -4 1
-1 4 6 4 1
--1 6 -13 24 -36
-"""
+# the golden forms of tests/test_golden.py: every verdict class on both
+# sides, degenerate-leading, large and fractional forms and input spellings
+GOLDEN_FORMS = Path(__file__).resolve().parent / "data" / "golden_forms.txt"
 
 
 def run(argv):
@@ -249,24 +244,22 @@ class TestBatch:
         self._check_not_utf8(*run(["--batch", "-"]))
         assert not stdin.closed  # the batch leaves stdin open
 
-    def test_golden_file(self, tmp_path):
-        path = tmp_path / "forms.txt"
-        path.write_text(GOLDEN_LINES)
-        code, text = run(["--batch", str(path)])
+    def test_golden_file(self):
+        code, text = run(["--batch", str(GOLDEN_FORMS)])
         assert code == 0
         rows = [json.loads(line) for line in text.splitlines()]
         verdicts = [r["verdict"] for r in rows if "verdict" in r]
+        pd, nd, ind, zero = ("positive-definite", "negative-definite", "indefinite",
+                             "identically-zero")
+        psd, nsd = "positive-semidefinite-not-definite", "negative-semidefinite-not-definite"
         assert verdicts == [
-            "positive-definite",
-            "positive-definite",
-            "positive-semidefinite-not-definite",
-            "positive-semidefinite-not-definite",
-            "positive-semidefinite-not-definite",
-            "negative-semidefinite-not-definite",
+            pd, nd, pd, psd, psd, nsd, nsd, psd, psd, ind, ind, nsd, ind, ind,
+            ind, psd, nsd, ind, pd, pd, zero,
+            pd, ind, ind, psd, ind, nd,  # the input spellings
         ]
         summary = rows[-1]["summary"]
-        assert summary["positive-definite"] == 2
-        assert summary["positive-semidefinite-not-definite"] == 3
+        assert summary["positive-definite"] == 5
+        assert summary["positive-semidefinite-not-definite"] == 6
 
     def test_precision_bound(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"
@@ -325,7 +318,7 @@ class TestBatch:
         import quartic_certify.cli as cli
 
         path = tmp_path / "forms.txt"
-        path.write_text(GOLDEN_LINES + "1 0 -5 0 4\n1 0 3 0 -4\n0 0 -1 0 -1\n")
+        path.write_text(GOLDEN_FORMS.read_text(encoding="utf-8") + "1 0 -5 0 4\n1 0 3 0 -4\n")
         expected = run(["--batch", str(path)])
 
         def forbidden(*args):
@@ -341,8 +334,7 @@ class TestBatch:
         from quartic_certify import Sym3Matrix
 
         path = tmp_path / "forms.txt"
-        path.write_text(GOLDEN_LINES + "1 0 -5 0 4\n1 0 3 0 -4\n0 0 -1 0 -1\n"
-                        "3/7 1/3 2 5/11 9\n-1 0 0 -1 -1\n")
+        path.write_text(GOLDEN_FORMS.read_text(encoding="utf-8") + "1 0 -5 0 4\n1 0 3 0 -4\n")
         expected = [run([*flags, "--batch", str(path)])
                     for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])]
 
@@ -354,9 +346,10 @@ class TestBatch:
         assert [run([*flags, "--batch", str(path)])
                 for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])
                 ] == expected
-        flags = [json.loads(line)["agreement"]["sylvester"]
-                 for line in expected[0][1].splitlines()[:-1]]
-        assert flags == [True] * 8 + [None] + [True] * 2  # line 9 has no pencil
+        rows = [json.loads(line) for line in expected[0][1].splitlines()[:-1]]
+        # a degenerate-leading form has no pencil
+        assert [r["agreement"]["sylvester"] for r in rows] == [
+            None if r["input"][0] == "0" else True for r in rows]
 
     def test_internal_error_is_isolated_to_its_line(self, monkeypatch, tmp_path, capsys):
         import quartic_certify.cli as cli
@@ -408,6 +401,53 @@ class TestBatch:
         assert main(["--batch", str(path), "1", "0", "0", "1", "1"]) == 64
 
 
+class TestFrontEnd:
+    def test_witness_values_come_from_the_input_record(self, tmp_path):
+        # each reported value is f at the witness, for the input as given
+        rng = random.Random(23)
+        lines = [" ".join(f"{rng.randint(-60, 60)}/{rng.randint(1, 9)}" for _ in range(5))
+                 for _ in range(150)]
+        path = tmp_path / "forms.txt"
+        path.write_text(GOLDEN_FORMS.read_text(encoding="utf-8") + "\n".join(lines) + "\n")
+        code, text = run(["--no-crosscheck", "--batch", str(path)])
+        assert code == 0
+        rows = [json.loads(line) for line in text.splitlines()[:-1]]
+        checked = 0
+        for row in rows:
+            if row["witnesses"] is None:
+                continue
+            coeffs = [parse_rational(c) for c in row["input"]]
+            for w in row["witnesses"].values():
+                x, y = parse_rational(w["x"]), parse_rational(w["y"])
+                assert parse_rational(w["value"]) == evaluate_plain(*coeffs, x, y)
+                checked += 1
+        assert checked > 100
+
+    def test_parser_is_built_once(self, monkeypatch):
+        import quartic_certify.cli as cli
+
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert run_json(["1", "0", "0", "1", "1"])[0] == 0
+            # no parsed option carries over to the next call
+            code, text = run(["--no-crosscheck", "-1", "0", "0", "-1", "-1"])
+            assert code == 0 and text.startswith("form: -1 0 0 -1 -1\n")
+            assert "classical:" not in text
+            assert run(["--precision", "0", "1", "0", "0", "1", "1"]) == (64, "")
+            assert run(["1", "0", "0", "1", "1"])[1].splitlines()[-1].startswith("agreement:")
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
+
 class TestDisagreementPath:
     def test_forced_crosscheck_failure_exits_70(self, monkeypatch):
         monkeypatch.setattr(ClassicalQuantities, "is_pd", lambda self: True)
@@ -455,11 +495,10 @@ class TestDisagreementPath:
 
 
 class TestWithoutNumpy:
-    def test_default_batch_imports_no_numpy(self, tmp_path):
+    def test_default_batch_imports_no_numpy(self):
         # only the advisory circle minimum needs numpy; the exact cross-checks
         # of a default --batch must run without it
-        path = tmp_path / "forms.txt"
-        path.write_text(GOLDEN_LINES)
+        path = GOLDEN_FORMS
         src = Path(__file__).resolve().parents[1] / "src"
         script = ("import io, sys\n"
                   "from quartic_certify.cli import main\n"

@@ -268,3 +268,62 @@ class TestBoundary:
             ctx.prec = 12
             expected = str(+exact)
         assert to_decimal(value, 12) == expected == "-2.76620249538E-62"
+
+    def test_to_decimal_ignores_the_callers_context(self):
+        # the digits, the exponent letter and the traps are the renderer's,
+        # not the thread's
+        from decimal import ROUND_DOWN, Inexact
+
+        lam0 = QuadExt(F(0), F(2, 3), F(3))
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_DOWN
+            ctx.prec = 5
+            ctx.capitals = 0
+            ctx.traps[Inexact] = True
+            assert to_decimal(F(2, 3), 12) == "0.666666666667"
+            assert to_decimal(lam0, 12) == "1.15470053838"
+            assert to_decimal(F(10**400, 3), 12) == "3.33333333333E+399"
+
+
+# -- the integer fast path of parse_rational ----------------------------------
+
+_sign = st.sampled_from(["", "+", "-"])
+_digits = st.text("0123456789", min_size=1, max_size=40)
+
+
+@given(_sign, _digits, st.one_of(st.none(), _digits.filter(lambda d: d.strip("0"))))
+@settings(max_examples=400)
+def test_parse_fast_path_equals_fraction(sign, num, den):
+    # signs, leading zeros, -0 and 0/q included
+    text = sign + num if den is None else f"{sign}{num}/{den}"
+    value = parse_rational(text)
+    assert type(value) is Fraction
+    assert value == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["-0", "+0", "0/7", "-0/0001", "007", "+3/6", "-0002/4"])
+def test_parse_fast_path_examples(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "1/-2", "1/+2", "+-1", " 3/4", "3/4 ", "1_000", "١٢", "1.5e3", "1e1001",
+    "1e-1001", "0/00", "-", "/2", "2/", "1" * 5000,
+])
+def test_parse_fallback_keeps_values_and_messages(text):
+    # the values and the messages of the Fraction() path: an exponent
+    # beyond the bound, else whatever Fraction() makes of the stripped text
+    stripped = text.strip()
+    if text in ("1e1001", "1e-1001"):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"decimal exponent of {stripped!r} beyond +-1000"
+        return
+    try:
+        expected = Fraction(stripped)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"not a rational number: {stripped!r}"
+    else:
+        assert parse_rational(text) == expected

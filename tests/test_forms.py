@@ -15,6 +15,7 @@ from quartic_certify import (
     from_plain_coeffs,
     to_weighted,
 )
+from quartic_certify.forms import clear_denominators, evaluate_cleared
 
 F = Fraction
 
@@ -181,3 +182,55 @@ def test_every_construction_carries_the_record():
     assert from_plain_coeffs(-4, 2, 0, 0, -1).form.cleared == (4, -2, 0, 0, 1)
     with pytest.raises(ValueError):
         dataclasses.replace(m, cleared=(1, 0, 0, 0, 0))
+
+
+# -- the input record of from_plain_coeffs ------------------------------------
+
+
+def lcm_record(a3, a2, a1, a0):
+    """The record of the monic form by its definition: the lcm of the
+    denominators, times each coefficient."""
+    e4 = math.lcm(a3.denominator, a2.denominator, a1.denominator, a0.denominator)
+    return (e4, *(int(a * e4) for a in (a3, a2, a1, a0)))
+
+
+@given(st.tuples(*[big_coefficients] * 5))
+@settings(max_examples=400)
+def test_from_plain_record_is_the_lcm_record(coeffs):
+    # both sides, and num/den up to 10^30/10^12
+    e4, e3, e2, e1, e0 = map(Fraction, coeffs)
+    p = from_plain_coeffs(*coeffs)
+    assert p.input_record == clear_denominators(e4, e3, e2, e1, e0)
+    assert all(type(k) is int for k in p.input_record)
+    if e4 == 0:
+        assert p.degenerate_leading and p.form is None
+        assert p.degenerate_coeffs == (e3, e2, e1, e0)
+        return
+    monic = (e3 / e4, e2 / e4, e1 / e4, e0 / e4)
+    m = p.form
+    assert (m.a3, m.a2, m.a1, m.a0) == monic
+    assert all(type(a) is Fraction for a in (m.a3, m.a2, m.a1, m.a0))
+    assert m.cleared == lcm_record(*monic) == MonicQuartic(*monic).cleared
+    assert all(type(e) is int for e in m.cleared)
+    assert p.scale == abs(e4)
+    assert p.orientation is (Orientation.POSITIVE_SIDE if e4 > 0
+                             else Orientation.NEGATIVE_SIDE)
+
+
+def test_input_record_is_outside_eq_and_repr():
+    p = from_plain_coeffs(F(-1, 2), 0, F(3, 4), 0, 1)
+    assert p.input_record == (4, -2, 0, 3, 0, 4)
+    assert p.form.cleared == (2, 0, -3, 0, -4)
+    twin = dataclasses.replace(p, input_record=None)
+    assert twin == p and repr(twin) == repr(p)
+    assert "input_record" not in repr(p)
+    assert from_plain_coeffs(0, 1, F(1, 3), 0, 2).input_record == (3, 0, 3, 1, 0, 6)
+
+
+@given(st.tuples(*[big_coefficients] * 5), points, points)
+@settings(max_examples=200)
+def test_evaluate_cleared_equals_evaluate_plain(coeffs, x, y):
+    record = from_plain_coeffs(*coeffs).input_record
+    value = evaluate_cleared(record, Fraction(x), Fraction(y))
+    expected = evaluate_plain(*coeffs, x, y)
+    assert type(value) is Fraction and value == expected

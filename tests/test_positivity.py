@@ -141,6 +141,26 @@ class TestDegenerateLeading:
         assert evaluate_plain(0, -1, 0, 0, 5, F(-1), F(1)) == 6
         assert evaluate_plain(0, -1, 0, 0, 5, F(2), F(1)) == -3
 
+    def test_large_cubic_clears_once(self, monkeypatch):
+        # y (x^3 - 10^30 y^3): the search doubles t from 1 to 2^34, the first
+        # power of two past 10^10, on the form cleared once
+        import quartic_certify.positivity as positivity
+
+        calls = []
+        real = positivity.clear_denominators
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(positivity, "clear_denominators", counting)
+        e = (F(1), F(0), F(0), F(-10**30))
+        v = decide_degenerate_leading(*e)
+        assert v.classification is D.INDEFINITE
+        assert v.witnesses == ((F(2**34), F(1)), (F(-1), F(1)))
+        assert len(calls) == 1
+        assert evaluate_plain(0, *e, F(2**33), F(1)) < 0 < evaluate_plain(0, *e, F(2**34), F(1))
+
     def test_perfect_square(self):
         v = decide_degenerate_leading(F(0), F(1), F(2), F(1))
         assert v.classification is D.POSITIVE_SEMIDEFINITE
