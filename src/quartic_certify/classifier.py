@@ -16,8 +16,9 @@ realise, and hence the full projective root picture of the quartic:
     case 9  real quadruple root               triple root = tau
 
 All case decisions are exact and read the integer invariants of
-`pencil.lam0_test`: e4 > 0 and e3..e0 clear m to integers, D and Rn give
-the stationary points lam0,1 = (2 e2 +- sqrt(D)) / (3 e4) of g and
+`pencil.lam0_test`, computed once per form (`MonicQuartic.invariants`):
+e4 > 0 and e3..e0 clear m to integers, D and Rn give the stationary
+points lam0,1 = (2 e2 +- sqrt(D)) / (3 e4) of g and
 disc(g) = (4 D^3 - Rn^2) / (6912 e4^6), and with A = 8 e2 e4 - 3 e3^2,
 sign(lam0,1 - tau) = sign(A +- 4 e4 sqrt(D)):
 
@@ -64,7 +65,6 @@ from .forms import MonicQuartic, quartic_horner
 from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
-    _invariants,
     _lam0_signs,
     critical_param,
     g_eval,
@@ -222,7 +222,7 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
     table in the module docstring: at most one surd sign per form.
     `quartic_root_nature` checks it independently, from the roots of the
     quartic itself."""
-    e4, _, disc, a, rn = _invariants(m)
+    e4, _, disc, a, rn, _ = m.invariants
     gap = 4 * disc**3 - rn * rn  # the sign of disc(g); rn = 0 when disc < 0
     if gap < 0:  # one real root and a conjugate pair
         return IntersectionCase(3, CASE_DESCRIPTIONS[3])
@@ -362,7 +362,7 @@ def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
     """Check the (lam0, g(lam0)) facts implied by the classified case,
     against the two integer sign tests of `pencil.lam0_test` (the signs
     only: lam0 and g(lam0) are not built)."""
-    e4, _, disc, a, rn = _invariants(m)
+    e4, _, disc, a, rn, _ = m.invariants
     if disc < 0:  # lam0 is not real
         return case_id == 3
     slack, value = _lam0_signs(e4, disc, a, rn)

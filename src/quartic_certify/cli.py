@@ -17,7 +17,9 @@ code), and exits with
         internal error (never expected in a release)
 
 Exact values come first in the JSON report; decimal fields are renderings
-of the exact values at --precision significant digits.
+of the exact values at --precision significant digits, rounded half-even
+from the exact value (an irrational one from the integers of the kernel
+that decided the form).
 """
 
 from __future__ import annotations
@@ -43,14 +45,24 @@ from .classifier import (  # noqa: F401
     discriminant_case,
     table3_facts_hold,
 )
-from .exactnum import QuadExt, parse_rational, to_decimal
+from .exactnum import QuadExt, parse_rational, surd_decimal, to_decimal
 from .forms import NormalizedProblem, Orientation, evaluate_cleared, from_plain_coeffs
-# pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
-from .pencil import critical_param, g_eval, pencil_coeffs, pencil_matrix  # noqa: F401
-from .positivity import (
+# pencil_coeffs, critical_param, g_eval and pencil_matrix stay bound for
+# bench/spans.py to wrap
+from .pencil import (  # noqa: F401
+    critical_param,
+    g_eval,
+    lam0_minor_signs,
+    pencil_coeffs,
+    pencil_matrix,
+)
+# sylvester_pd and sylvester_psd stay bound for bench/spans.py to wrap
+from .positivity import (  # noqa: F401
     Definiteness,
     Verdict,
     decide_problem,
+    signs_pd,
+    signs_psd,
     sylvester_pd,
     sylvester_psd,
 )
@@ -95,6 +107,13 @@ def _scalar_json(value: QuadExt | Fraction, digits: int) -> dict:
     return {"p": p, "q": q, "d": d, "decimal": to_decimal(value, digits)}
 
 
+def _surd_json(value: QuadExt, a: int, b: int, n: int, den: int, digits: int) -> dict:
+    """`_scalar_json` of an irrational value = (a + b sqrt(n)) / den, rendered
+    from those integers."""
+    return {"p": str(value.p), "q": str(value.q), "d": str(value.d),
+            "decimal": surd_decimal(a, b, n, den, digits)}
+
+
 @dataclass
 class Report:
     coefficients: tuple[Fraction, ...]
@@ -124,28 +143,39 @@ class Report:
 
         form = self.problem.form
         if form is not None:
-            lam0 = self.verdict.kernel.lam0
+            kernel = self.verdict.kernel
+            lam0 = kernel.lam0
             e4, e3 = form.cleared[:2]
+            _, e2, disc, _, rn, root = form.invariants
             out["a3_sq_over_4"] = str(Fraction(e3 * e3, 4 * e4 * e4))
-            if lam0.is_real:
-                out["lambda0"] = _scalar_json(lam0.value, self.digits)
-                out["g_lambda0"] = _scalar_json(self.verdict.kernel.g_lam0, self.digits)
-            else:
+            if not lam0.is_real:
                 out["lambda0"] = {"p": None, "q": None,
                                   "d": str(lam0.radicand), "decimal": None}
+            elif root is None:  # irrational, rendered from the kernel's integers
+                # lam0 = (2 e2 + sqrt(D)) / (3 e4), g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3)
+                out["lambda0"] = _surd_json(lam0.value, 2 * e2, 1, disc, 3 * e4, self.digits)
+                out["g_lambda0"] = _surd_json(kernel.g_lam0, rn, 2 * disc, disc,
+                                              108 * e4**3, self.digits)
+            else:
+                out["lambda0"] = _scalar_json(lam0.value, self.digits)
+                out["g_lambda0"] = _scalar_json(kernel.g_lam0, self.digits)
             if self.include_case:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
 
         mat = self.verdict.certificate
         if mat is not None:
-            # six distinct entries, each rendered once, laid out as the rows;
-            # a monic form's certificate is M(lam0), whose m22 is lam0 itself
-            m11, m12, m13, m23, m33 = (
+            # six distinct entries, each rendered once, laid out as the rows
+            m11, m12, m23, m33 = (
                 _scalar_json(entry, self.digits)
-                for entry in (mat.m11, mat.m12, mat.m13, mat.m23, mat.m33)
+                for entry in (mat.m11, mat.m12, mat.m23, mat.m33)
             )
-            m22 = out["lambda0"] if form is not None else _scalar_json(mat.m22, self.digits)
+            if form is None:
+                m13, m22 = (_scalar_json(entry, self.digits) for entry in (mat.m13, mat.m22))
+            else:  # M(lam0): m22 is lam0 itself, and m13 = (e2 - sqrt(D)) / (6 e4)
+                m22 = out["lambda0"]
+                m13 = (_scalar_json(mat.m13, self.digits) if root is not None
+                       else _surd_json(mat.m13, e2, -1, disc, 6 * e4, self.digits))
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
@@ -180,7 +210,7 @@ class Report:
         # leading coefficient e0
         problem = self.problem
         if problem.degenerate_leading and self.coefficients[4] != 0:
-            problem = from_plain_coeffs(*reversed(self.coefficients))
+            problem = problem.swapped()
         # the verdict as a class of that positive-side form
         cls = self.verdict.classification
         if problem.orientation is Orientation.NEGATIVE_SIDE:
@@ -202,12 +232,12 @@ class Report:
                 "pd": pd,
             }
 
-            # the certificate, when there is one, is M(lam0) itself
-            lam0 = self.verdict.kernel.lam0
-            if lam0.is_real:
-                mat = self.verdict.certificate or pencil_matrix(form, lam0.value)
+            # the principal minor signs of M(lam0), the certificate when there
+            # is one, read off the integer matrix 6 e4 M(lam0) over Z[sqrt(D)]
+            if self.verdict.kernel.lam0.is_real:
+                signs = lam0_minor_signs(form)
                 agreement["sylvester"] = (
-                    sylvester_pd(mat) == definite and sylvester_psd(mat) == semidefinite
+                    signs_pd(signs) == definite and signs_psd(signs) == semidefinite
                 )
             else:
                 agreement["sylvester"] = cls is Definiteness.INDEFINITE

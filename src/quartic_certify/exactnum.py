@@ -8,7 +8,8 @@ kernel of `pencil`, its nine-case table in `classifier` and the integer
 Sylvester minors all take it there.  No floating point enters any
 decision path; floats and decimal strings are converted to exact fractions
 at the boundary by `parse_rational`, and decimal output is rendered from
-the exact value on demand by `to_decimal`.
+the exact value on demand by `to_decimal`, an irrational one from its
+integers by `surd_decimal`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "sqrt_exact",
     "parse_rational",
     "to_decimal",
+    "surd_decimal",
 ]
 
 
@@ -338,34 +340,96 @@ def sign_of(value: QuadExt | Fraction | int) -> int:
 def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
     """Render an exact scalar to `digits` significant decimal digits.
 
-    The square root is taken with `decimal` at a working precision well above
-    the requested digits, so every printed digit agrees with the exact value.
-    When p and q*sqrt(d) cancel so far that the rounding error of that sum
-    could reach the printed digits (or the sign), the precision is doubled
-    until it cannot.  Every step runs in a fixed context (`_context`), so
-    the caller's decimal settings change neither the digits nor the traps.
+    A rational value is divided out by `decimal`, at a working precision
+    well above the requested digits.  An irrational value p + q sqrt(d) is
+    cleared to (a + b sqrt(N)) / L in integers and rendered by
+    `surd_decimal`, which rounds it once, exactly.  Every step runs in a
+    fixed context (`_context`), so the caller's decimal settings change
+    neither the digits nor the traps.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    prec = max(digits + 25, 50)
     if isinstance(value, QuadExt) and value.q != 0:
-        while True:
-            ctx = _context(prec)
-            rat = _decimal(value.p, ctx)
-            surd = ctx.multiply(_decimal(value.q, ctx), ctx.sqrt(_decimal(value.d, ctx)))
-            total = ctx.add(rat, surd)
-            # the roundings above err by less than
-            # (|rat| + |surd|) * 10**(2 - prec); keep that below a
-            # tenth of the last printed digit
-            bound = ctx.add(ctx.abs(rat), ctx.abs(surd)).scaleb(digits + 3 - prec, ctx)
-            if ctx.abs(total) > bound:
-                break
-            prec *= 2
-    else:
-        total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value),
-                         _context(prec))
+        # sqrt(n/m) = sqrt(n m) / m
+        p, q, m = value.p, value.q, value.d.denominator
+        big = math.lcm(p.denominator, q.denominator * m)
+        return surd_decimal(p.numerator * (big // p.denominator),
+                            q.numerator * (big // (q.denominator * m)),
+                            value.d.numerator * m, big, digits)
+    total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value),
+                     _context(max(digits + 25, 50)))
     out = _context(digits)
     return out.to_sci_string(out.plus(total))
+
+
+def surd_decimal(a: int, b: int, n: int, den: int, digits: int) -> str:
+    """(a + b sqrt(n)) / den, for integers a, b, n >= 0 and den != 0, to
+    `digits` significant decimal digits, rounded half-even, spelled as
+    `Decimal.__str__` spells a result of that many digits (0 as "0").
+
+    The value is rounded once, from the exact value: one `math.isqrt` at a
+    scale with guard digits places the decimal point and proposes the
+    digits, and when the guard digits leave the rounding in doubt,
+    `surd_sign` settles it exactly (a tie is possible only for a rational
+    value).  When a and b sqrt(n) cancel so far that the guard digits do
+    not survive, the scale widens.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if den < 0:
+        a, b, den = -a, -b, -den
+    # y = a 10^w + b isqrt(n 10^2w) is within |b| of (a + b sqrt(n)) 10^w;
+    # start from a w at which that is a relative error of 10^-(digits + 2)
+    # unless a and b sqrt(n) cancel
+    low = 10 ** (digits - 1)
+    high = 10 * low
+    guard = abs(b) * low * 1000
+    lead = max((n.bit_length() - 1) // 2, abs(a).bit_length() - abs(b).bit_length() - 1)
+    w = max(0, digits + 3 - lead * 3 // 10)
+    while True:
+        scale = 10**w
+        y = a * scale + b * math.isqrt(n * scale * scale)
+        if y and abs(y) >= guard:
+            break
+        if surd_sign(a, b, n) == 0:
+            return "0"
+        w += max(w, digits)
+    sign = 1 if y > 0 else -1
+
+    def nearest(s: int) -> tuple[int, bool]:
+        # x = y 10^(s - w) / den is within 0.0102 of value 10^s; k = round(x),
+        # sure when x lies more than 1/32 from k +- 1/2
+        num, div = (y * 10 ** (s - w), den) if s >= w else (y, den * 10 ** (w - s))
+        k, r = divmod(2 * num + div, 2 * div)
+        return k, div < 16 * r < 31 * div
+
+    def exact_sign(s: int, twice: int) -> int:  # sign of value 10^s - twice / 2
+        up, down = (10**s, 1) if s >= 0 else (1, 10**-s)
+        return surd_sign(2 * up * a - twice * den * down, 2 * up * b, n)
+
+    # the scale s with 10^(digits-1) <= |value| 10^s < 10^digits
+    s = digits - 1 - ((abs(y).bit_length() - den.bit_length()) * 30103 // 100000 - w)
+    k, sure = nearest(s)
+    while not low <= abs(k) < high:
+        s += 1 if abs(k) < low else -1
+        k, sure = nearest(s)
+    if abs(k) == low and sign * exact_sign(s, 2 * sign * low) < 0:
+        s += 1  # |value| 10^s lies just below 10^(digits-1)
+        k, sure = nearest(s)
+    while not sure:  # k is within one of the rounding: settle it, ties to even
+        below = exact_sign(s, 2 * k - 1)
+        above = exact_sign(s, 2 * k + 1)
+        if below < 0 or (below == 0 and k & 1):
+            k -= 1
+        elif above > 0 or (above == 0 and k & 1):
+            k += 1
+        else:
+            sure = True
+    if abs(k) == high:  # rounded up to a power of ten: one digit fewer after the point
+        k //= 10
+        s -= 1
+    out = _context(digits)
+    return out.to_sci_string(Decimal(k).scaleb(-s, out))
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,9 +14,11 @@ Each input is cleared to integers once, in `from_plain_coeffs`: the
 problem keeps that input record (L, k4, k3, k2, k1, k0), and its
 `MonicQuartic` is built from the same integers.  Every `MonicQuartic`
 carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of
-the denominators and ei = e4 ai.  The integer kernels of `pencil` and
-`classifier`, the report's witnesses and the classical cross-check read
-these records instead of clearing the form again.
+the denominators and ei = e4 ai, and beside it the integer pencil
+invariants of that record (`invariants`, computed once).  The integer
+kernels of `pencil` and `classifier`, the certificate, the report and the
+classical cross-check read these records instead of clearing the form or
+taking its invariants again.
 
 Three integer rules live here and nowhere else: `clear_denominators`
 clears five rationals with one lcm, `quartic_horner` evaluates a cleared
@@ -55,8 +57,10 @@ class MonicQuartic:
 
     `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
     of the denominators of a3..a0 and ei = e4 ai, so e4 f has integer
-    coefficients.  It is computed once, in `__post_init__` (or given to
-    `_from_record`), and takes no part in ==, hash or repr.
+    coefficients.  `invariants` = (e4, e2, D, A, Rn, root) are the pencil
+    invariants of that record (`_pencil_invariants`).  Both are computed
+    once, in `__post_init__` (or `_from_record`), and take no part in ==,
+    hash or repr.
     """
 
     a3: Fraction
@@ -64,6 +68,8 @@ class MonicQuartic:
     a1: Fraction
     a0: Fraction
     cleared: tuple[int, int, int, int, int] = field(
+        init=False, repr=False, compare=False)
+    invariants: tuple[int, int, int, int, int, int | None] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -74,7 +80,9 @@ class MonicQuartic:
         put(self, "a2", a2)
         put(self, "a1", a1)
         put(self, "a0", a0)
-        put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
+        record = clear_denominators(1, a3, a2, a1, a0)[1:]
+        put(self, "cleared", record)
+        put(self, "invariants", _pencil_invariants(*record))
 
     @classmethod
     def _from_record(cls, e4: int, e3: int, e2: int, e1: int, e0: int) -> MonicQuartic:
@@ -87,6 +95,7 @@ class MonicQuartic:
         put(m, "a1", Fraction(e1, e4))
         put(m, "a0", Fraction(e0, e4))
         put(m, "cleared", (e4, e3, e2, e1, e0))
+        put(m, "invariants", _pencil_invariants(e4, e3, e2, e1, e0))
         return m
 
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -138,12 +147,20 @@ class NormalizedProblem:
     input_record: tuple[int, int, int, int, int, int] | None = field(
         default=None, repr=False, compare=False)
 
+    def swapped(self) -> NormalizedProblem:
+        """The problem of f(y, x), which is as definite as f, normalised from
+        the reversed input record without clearing the input again; f must
+        have e0 != 0."""
+        big, k4, k3, k2, k1, k0 = self.input_record
+        if k0 == 0:
+            raise ValueError("f(y, x) has a vanishing leading coefficient")
+        return _monic_problem((big, k0, k1, k2, k3, k4), Fraction(abs(k0), big))
+
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
     e4, e3, e2, e1, e0 = map(as_fraction, (e4, e3, e2, e1, e0))
     record = clear_denominators(e4, e3, e2, e1, e0)
-    _, k4, k3, k2, k1, k0 = record
-    if k4 == 0:
+    if record[1] == 0:
         return NormalizedProblem(
             form=None,
             orientation=None,
@@ -152,6 +169,14 @@ def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
             degenerate_coeffs=(e3, e2, e1, e0),
             input_record=record,
         )
+    return _monic_problem(record, abs(e4))
+
+
+def _monic_problem(record: tuple[int, int, int, int, int, int],
+                   scale: Fraction) -> NormalizedProblem:
+    """The problem of the input with record (L, k4, ..., k0), k4 != 0, and
+    |e4| = `scale`."""
+    _, k4, k3, k2, k1, k0 = record
     # dividing by g = +-gcd(k4, ..., k0), with the sign of k4, leaves the
     # primitive integers of f/e4 with a positive lead: the lcm record of the
     # monic form.  When e4 < 0 it negates the lower coefficients, which
@@ -164,10 +189,28 @@ def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
     return NormalizedProblem(
         form=form,
         orientation=orientation,
-        scale=abs(e4),
+        scale=scale,
         degenerate_leading=False,
         input_record=record,
     )
+
+
+def _pencil_invariants(e4: int, e3: int, e2: int, e1: int,
+                       e0: int) -> tuple[int, int, int, int, int, int | None]:
+    """(e4, e2, D, A, Rn, root): the integer pencil invariants of a cleared
+    monic record, as `pencil.lam0_test` defines them; root is isqrt(D) when
+    D is a perfect square, else None.  When D < 0 every reader stops at D,
+    so A and Rn are left as 0 there.
+    """
+    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    if disc < 0:
+        return e4, e2, disc, 0, 0, None
+    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
+    n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
+    rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
+    root = math.isqrt(disc)
+    return (e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn,
+            root if root * root == disc else None)
 
 
 def to_weighted(m: MonicQuartic) -> GeneralQuartic:

@@ -16,14 +16,16 @@ is the larger stationary point of g.  lam0 lives in Q(sqrt(d)) with
 d = 3 b1 + 4 b2^2; when d < 0 it is not real, which already settles the
 definiteness question (see the positivity module).
 
-`lam0_test` is the decision kernel: it reads the form's integer record
-(`MonicQuartic.cleared`) and settles the two sign tests on lam0 with
-integer products and two signs of the shape a + b sqrt(D), each taken by
-`exactnum.surd_sign`;
-`classifier.classify_case` reads the nine-case classification off the
-same integers (`_invariants`).  The Q(sqrt(d)) route (`critical_param`,
-`g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
-serves the certificate and the cross-checks.
+`lam0_test` is the decision kernel: it reads the form's integer pencil
+invariants (`MonicQuartic.invariants`, computed once per form) and settles
+the two sign tests on lam0 with two signs of the shape a + b sqrt(D), each
+taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
+nine-case classification off the same integers, and `lam0_minor_signs`
+the principal minor signs of M(lam0).  The certificate M(lam0) is built
+from them too (`positivity.decide_monic`).  The Q(sqrt(d)) route
+(`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
+field arithmetic; it serves the tests, the demos and M(lam) at any other
+lam, and is the reference the integer route is tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "g_prime_eval",
     "critical_param",
     "lam0_test",
+    "lam0_minor_signs",
     "discriminant_g",
     "boundary_identity_check",
 ]
@@ -127,7 +130,7 @@ class Sym3Matrix:
         the twelve rationals p and q/m turns each entry p + q sqrt(d) into
         L (p + q sqrt(d)) = a + b sqrt(N) with integers a and b; the minors
         of that matrix are L, L^2 and L^3 times those of this one, so they
-        have the same signs, each taken by `surd_sign`.
+        have the same signs (`_minor_signs`).
         """
         radicand = Fraction(0)
         parts = []
@@ -145,24 +148,11 @@ class Sym3Matrix:
         n = radicand.numerator * m
         big = math.lcm(*(p.denominator for p, _ in parts),
                        *(q.denominator * m for _, q in parts if q))
-        m11, m12, m13, m22, m23, m33 = (
+        return _minor_signs(*(
             (p.numerator * (big // p.denominator),
              q.numerator * (big // (q.denominator * m)) if q else 0)
             for p, q in parts
-        )
-
-        def minor(x, y, z, w):  # x y - z w, with (a, b) = a + b sqrt(N)
-            return (x[0] * y[0] + x[1] * y[1] * n - z[0] * w[0] - z[1] * w[1] * n,
-                    x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0])
-
-        c11 = minor(m22, m33, m23, m23)
-        c12 = minor(m12, m33, m23, m13)
-        c13 = minor(m12, m23, m22, m13)
-        first = minor(m11, c11, m12, c12)
-        det = (first[0] + m13[0] * c13[0] + m13[1] * c13[1] * n,
-               first[1] + m13[0] * c13[1] + m13[1] * c13[0])
-        return tuple(surd_sign(a, b, n) for a, b in (
-            m11, m22, m33, minor(m11, m22, m12, m12), minor(m11, m33, m13, m13), c11, det))
+        ), n)
 
     def two_by_two_minors(self) -> tuple[Scalar, ...]:
         """All nine 2x2 minors; rank <= 1 iff every one vanishes."""
@@ -199,6 +189,25 @@ class Sym3Matrix:
     def negated(self) -> Sym3Matrix:
         return Sym3Matrix(-self.m11, -self.m12, -self.m13,
                           -self.m22, -self.m23, -self.m33)
+
+
+def _minor_signs(m11, m12, m13, m22, m23, m33, n: int) -> tuple[int, ...]:
+    """Signs of the seven principal minors, in the order of
+    `Sym3Matrix.principal_minors`, of the symmetric matrix whose entries are
+    the integers a + b sqrt(n) of Z[sqrt(n)] given as pairs (a, b)."""
+
+    def minor(x, y, z, w):  # x y - z w
+        return (x[0] * y[0] + x[1] * y[1] * n - z[0] * w[0] - z[1] * w[1] * n,
+                x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0])
+
+    c11 = minor(m22, m33, m23, m23)
+    c12 = minor(m12, m33, m23, m13)
+    c13 = minor(m12, m23, m22, m13)
+    first = minor(m11, c11, m12, c12)
+    det = (first[0] + m13[0] * c13[0] + m13[1] * c13[1] * n,
+           first[1] + m13[0] * c13[1] + m13[1] * c13[0])
+    return tuple(surd_sign(a, b, n) for a, b in (
+        m11, m22, m33, minor(m11, m22, m12, m12), minor(m11, m33, m13, m13), c11, det))
 
 
 @dataclass(frozen=True)
@@ -293,18 +302,19 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     Rn = 27 N0 + 18 N1 e2 + 16 e2^3, N1 = 4 e0 e4 - e2^2 - e1 e3 and
     N0 = -e1^2 e4 + e1 e2 e3 - e0 e3^2 (so b1 = N1 / (4 e4^2) and
     b0 = N0 / (4 e4^3)).  Since e4 > 0 both signs are signs of integers
-    a + b sqrt(D).  lam0 and g(lam0) are then built in Q(sqrt(d)) for the
-    record, equal part for part to `critical_param` and `g_eval`; one
-    isqrt(D) folds both to rationals when D is a perfect square.
+    a + b sqrt(D).  These integers (e4, e2, D, A = 8 e2 e4 - 3 e3^2, Rn)
+    are the form's `invariants`, computed once per form.  lam0 and g(lam0)
+    are then built in Q(sqrt(d)) for the record, equal part for part to
+    `critical_param` and `g_eval`; they fold to rationals when D is a
+    perfect square.
     """
-    e4, e2, disc, a, rn = _invariants(m)
+    e4, e2, disc, a, rn, root = m.invariants
     d = Fraction(disc, 4 * e4 * e4)
     if disc < 0:
         return Lam0Test(CriticalParam(d, None))
     slack, value = _lam0_signs(e4, disc, a, rn)
     g_den = 108 * e4**3
-    root = math.isqrt(disc)
-    if root * root == disc:
+    if root is not None:
         lam0 = QuadExt._normalised(Fraction(2 * e2 + root, 3 * e4))
         g_lam0 = QuadExt._normalised(Fraction(rn + 2 * disc * root, g_den))
     else:
@@ -314,26 +324,24 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
 
 
 def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
-    """(sign of lam0 - a3^2/4, sign of g(lam0)) from `_invariants`, D >= 0."""
+    """(sign of lam0 - a3^2/4, sign of g(lam0)) from the invariants, D >= 0."""
     return surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc)
 
 
-def _invariants(m: MonicQuartic) -> tuple[int, int, int, int, int]:
-    """(e4, e2, D, A, Rn): the integer pencil invariants of m.
+def lam0_minor_signs(m: MonicQuartic) -> tuple[int, ...]:
+    """Signs of the seven principal minors of M(lam0), in the order of
+    `Sym3Matrix.principal_minors`, for a form with real lam0.
 
-    e4 > 0 and ei = e4 ai are the form's integer record `m.cleared`; D, Rn
-    (from N1 and N0) are as in `lam0_test`, and A = 8 e2 e4 - 3 e3^2, so
-    that lam0 - a3^2/4 = (A + 4 e4 sqrt(D)) / (12 e4^2).  When D < 0 every
-    caller stops at D, so A and Rn are left as 0 there.
+    They are read off 6 e4 M(lam0), a positive multiple whose entries are
+    integers of Z[sqrt(D)]: 6 e4, 3 e3, e2 - sqrt(D), 4 e2 + 2 sqrt(D), 3 e1
+    and 6 e0, so no denominator is cleared.
     """
     e4, e3, e2, e1, e0 = m.cleared
-    disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
+    disc = m.invariants[2]
     if disc < 0:
-        return e4, e2, disc, 0, 0
-    n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
-    n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
-    rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
-    return e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn
+        raise ValueError("lam0 is not real")
+    return _minor_signs((6 * e4, 0), (3 * e3, 0), (e2, -1), (4 * e2, 2), (3 * e1, 0),
+                        (6 * e0, 0), disc)
 
 
 def discriminant_g(p: PencilCubic) -> Fraction:

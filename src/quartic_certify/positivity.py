@@ -6,19 +6,21 @@ The decision for a monic form is two exact sign tests on lam0:
     PD   iff  lam0 >  a3^2/4  and  g(lam0) >  0,
 
 with a non-real lam0 (d < 0) immediately indefinite.  `pencil.lam0_test`
-settles both with integer products and two signs of a + b sqrt(D), each
-taken by `exactnum.surd_sign`; the verdict carries that kernel record
-(lam0 and g(lam0) in Q(sqrt(d)), and the two signs) for the report.
-Whenever the verdict is PSD or PD the matrix M(lam0) is emitted as a
-certificate, the one place the decision builds it in Q(sqrt(d))
-arithmetic: it is positive (semi)definite exactly when the form is, and it
+settles both with two signs of a + b sqrt(D), each taken by
+`exactnum.surd_sign`, from the form's integer pencil invariants; the
+verdict carries that kernel record (lam0 and g(lam0) in Q(sqrt(d)), and
+the two signs) for the report.  Whenever the verdict is PSD or PD the
+matrix M(lam0) is emitted as a certificate, built from the same integers
+(m12 = e3 / (2 e4), m13 = (e2 - sqrt(D)) / (6 e4), m22 = lam0 and
+m23 = e1 / (2 e4)), equal entry for entry to `pencil.pencil_matrix` at
+lam0: it is positive (semi)definite exactly when the form is, and it
 reproduces the form through the Veronese representation, so a verifier
 needs nothing but Sylvester's criterion and a matrix-vector product.  The
 equivalent Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd`
-for cross-checking: it runs on the emitted certificate itself, clearing
-its entries to integers over Z[sqrt(N)] with one denominator
-(`Sym3Matrix.principal_minor_signs`), arithmetic independent of the
-integer sign tests, and never decides the user-facing verdict.
+for cross-checking: it takes the principal minor signs of a matrix over
+Z[sqrt(N)] (`Sym3Matrix.principal_minor_signs`, or for M(lam0) of a form
+`pencil.lam0_minor_signs`), arithmetic independent of the two sign tests,
+and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 # sign_of stays bound for bench/spans.py to wrap
-from .exactnum import as_fraction, sign_of  # noqa: F401
+from .exactnum import QuadExt, as_fraction, sign_of  # noqa: F401
 from .forms import (
     MonicQuartic,
     NormalizedProblem,
@@ -44,8 +46,10 @@ from .forms import (
     clear_denominators,
     quartic_horner,
 )
-# critical_param, g_eval and pencil_coeffs stay bound for bench/spans.py to wrap
+# critical_param, g_eval, pencil_coeffs and pencil_matrix stay bound for
+# bench/spans.py to wrap
 from .pencil import (  # noqa: F401
+    CriticalParam,
     Lam0Test,
     Sym3Matrix,
     critical_param,
@@ -60,6 +64,8 @@ __all__ = [
     "Verdict",
     "sylvester_pd",
     "sylvester_psd",
+    "signs_pd",
+    "signs_psd",
     "decide_monic",
     "decide_negative_side",
     "decide_degenerate_leading",
@@ -115,17 +121,27 @@ class Verdict:
 
 def sylvester_pd(mat: Sym3Matrix) -> bool:
     """Positive definite iff all three leading principal minors are > 0."""
-    signs = mat.principal_minor_signs
-    return signs[0] > 0 and signs[3] > 0 and signs[6] > 0
+    return signs_pd(mat.principal_minor_signs)
 
 
 def sylvester_psd(mat: Sym3Matrix) -> bool:
-    """Positive semidefinite iff all seven principal minors are >= 0.
+    """Positive semidefinite iff all seven principal minors are >= 0."""
+    return signs_psd(mat.principal_minor_signs)
+
+
+def signs_pd(signs: tuple[int, ...]) -> bool:
+    """Sylvester's criterion on the seven principal minor signs, in the
+    order of `Sym3Matrix.principal_minors`: the three leading ones > 0."""
+    return signs[0] > 0 and signs[3] > 0 and signs[6] > 0
+
+
+def signs_psd(signs: tuple[int, ...]) -> bool:
+    """All seven principal minor signs >= 0.
 
     Leading minors alone do not suffice for semidefiniteness, e.g.
     diag(1, 0, -1) has leading minors 1, 0, 0.
     """
-    return all(sign >= 0 for sign in mat.principal_minor_signs)
+    return all(sign >= 0 for sign in signs)
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
@@ -133,10 +149,26 @@ def decide_monic(m: MonicQuartic) -> Verdict:
     if kernel.lam0.is_real and kernel.slack >= 0 and kernel.value >= 0:
         cls = (Definiteness.POSITIVE_DEFINITE if kernel.slack > 0 and kernel.value > 0
                else Definiteness.POSITIVE_SEMIDEFINITE)
-        return Verdict(cls, certificate=pencil_matrix(m, kernel.lam0.value), kernel=kernel)
+        return Verdict(cls, certificate=_certificate(m, kernel.lam0), kernel=kernel)
     from .classifier import witness_search
 
     return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m), kernel=kernel)
+
+
+_ONE = Fraction(1)
+_MINUS_THIRD = Fraction(-1, 3)
+
+
+def _certificate(m: MonicQuartic, lam0: CriticalParam) -> Sym3Matrix:
+    """M(lam0) of m for a real lam0, from the form's integers: the entries
+    equal those of `pencil_matrix(m, lam0.value)` in value and type."""
+    e4, e3, e2, e1, _ = m.cleared
+    root = m.invariants[5]
+    if root is None:  # m13 = e2 / (6 e4) - sqrt(d) / 3, with sqrt(D) = 2 e4 sqrt(d)
+        m13 = QuadExt._normalised(Fraction(e2, 6 * e4), _MINUS_THIRD, lam0.radicand)
+    else:
+        m13 = QuadExt._normalised(Fraction(e2 - root, 6 * e4))
+    return Sym3Matrix(_ONE, Fraction(e3, 2 * e4), m13, lam0.value, Fraction(e1, 2 * e4), m.a0)
 
 
 def decide_negative_side(m: MonicQuartic) -> Verdict:

@@ -193,15 +193,20 @@ class TestDiscriminantCase:
         def forbidden(*args):
             raise AssertionError("the discriminant oracle used the pencil")
 
-        for name in ("_invariants", "_lam0_signs", "surd_sign", "pencil_coeffs",
+        def without_invariants(m):  # a copy whose pencil invariants cannot be read
+            bare = MonicQuartic(m.a3, m.a2, m.a1, m.a0)
+            object.__setattr__(bare, "invariants", None)
+            return bare
+
+        for name in ("_lam0_signs", "surd_sign", "pencil_coeffs",
                      "critical_param", "g_eval", "classify_case"):
             monkeypatch.setattr(classifier, name, forbidden)
         for name in ("make_poly", "poly_gcd", "sturm_chain"):
             monkeypatch.setattr(pr, name, forbidden)
         for case_id, form in NINE_CASES:
-            assert discriminant_case(form) == case_id
+            assert discriminant_case(without_invariants(form)) == case_id
         for m in small_corpus:
-            discriminant_case(m)
+            discriminant_case(without_invariants(m))
 
 
 def _lcm_clearing(m):
@@ -260,15 +265,17 @@ def _critical_point_witness_formula(m):
 
 
 class TestIntegerRecord:
-    """`_invariants`, `discriminant_case` and `_critical_point_witness`
+    """`MonicQuartic.invariants`, `discriminant_case` and `_critical_point_witness`
     read the form's integer record `MonicQuartic.cleared`; they give what
     their formulas give on integers cleared by the lcm definition."""
 
     def check(self, m):
-        from quartic_certify.pencil import _invariants
-
         assert m.cleared == _lcm_clearing(m)
-        assert _invariants(m) == _invariants_formula(m)
+        *invariants, root = m.invariants
+        assert tuple(invariants) == _invariants_formula(m)
+        disc = invariants[2]
+        assert root == (math.isqrt(disc) if disc >= 0 and math.isqrt(disc) ** 2 == disc
+                        else None)
         assert discriminant_case(m) == _discriminant_case_formula(m)
         assert classifier._critical_point_witness(m) == _critical_point_witness_formula(m)
 

@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from quartic_certify import ClassicalQuantities, Definiteness, evaluate_plain, parse_rational
+from quartic_certify import (
+    ClassicalQuantities,
+    Definiteness,
+    discriminant_case,
+    evaluate_plain,
+    from_plain_coeffs,
+    parse_rational,
+)
 from quartic_certify.cli import MAX_PRECISION, main
 
 F = Fraction
@@ -138,20 +145,28 @@ class TestJsonReport:
 
     def test_each_exact_value_rendered_once(self, monkeypatch):
         # lam0 is irrational here, and the certificate's m22 is lam0 itself:
-        # lambda0, g_lambda0 and six certificate entries are seven values
+        # lambda0, g_lambda0 and six certificate entries are seven values;
+        # the three irrational ones (lambda0, g_lambda0 and m13) are rendered
+        # from the kernel's integers, the four rational ones by to_decimal
         import quartic_certify.cli as cli
 
-        calls = []
-        real = cli.to_decimal
+        rational, irrational = [], []
+        real_rational, real_irrational = cli.to_decimal, cli.surd_decimal
 
-        def counting(value, digits=12):
-            calls.append(value)
-            return real(value, digits)
+        def counting_rational(value, digits=12):
+            rational.append(value)
+            return real_rational(value, digits)
 
-        monkeypatch.setattr(cli, "to_decimal", counting)
+        def counting_irrational(*args):
+            irrational.append(args)
+            return real_irrational(*args)
+
+        monkeypatch.setattr(cli, "to_decimal", counting_rational)
+        monkeypatch.setattr(cli, "surd_decimal", counting_irrational)
         code, out = run_json(["1", "0", "0", "1", "1"])
         assert code == 0 and out["lambda0"]["q"] != "0"
-        assert len(calls) == 7
+        assert len(rational) == 4 and len(irrational) == 3
+        assert all(isinstance(value, Fraction) for value in rational)
         assert out["certificate"][1][1] == out["lambda0"]
 
     def test_certificate_entries_are_scalars(self):
@@ -256,9 +271,10 @@ class TestBatch:
             pd, nd, pd, psd, psd, nsd, nsd, psd, psd, ind, ind, nsd, ind, ind,
             ind, psd, nsd, ind, pd, pd, zero,
             pd, ind, ind, psd, ind, nd,  # the input spellings
+            ind, ind, pd,  # cases 4 and 8, and a certificate entry near -1e-30
         ]
         summary = rows[-1]["summary"]
-        assert summary["positive-definite"] == 5
+        assert summary["positive-definite"] == 6
         assert summary["positive-semidefinite-not-definite"] == 6
 
     def test_precision_bound(self, tmp_path, capsys):
@@ -329,8 +345,11 @@ class TestBatch:
         assert run(["--batch", str(path)]) == expected
 
     def test_sylvester_reads_the_integer_minor_signs(self, monkeypatch, tmp_path):
-        # the sylvester flag and the certificate come from
-        # principal_minor_signs, with no QuadExt minor built
+        # the sylvester flag reads the minor signs of 6 e4 M(lam0) over
+        # Z[sqrt(D)] (lam0_minor_signs), and the certificate is built from the
+        # form's integers: no matrix is cleared and no QuadExt minor is built
+        import quartic_certify.cli as cli
+        import quartic_certify.positivity as positivity
         from quartic_certify import Sym3Matrix
 
         path = tmp_path / "forms.txt"
@@ -343,6 +362,9 @@ class TestBatch:
 
         monkeypatch.setattr(Sym3Matrix, "principal_minors", forbidden)
         monkeypatch.setattr(Sym3Matrix, "det", forbidden)
+        monkeypatch.setattr(Sym3Matrix, "principal_minor_signs", property(forbidden))
+        monkeypatch.setattr(cli, "pencil_matrix", forbidden)
+        monkeypatch.setattr(positivity, "pencil_matrix", forbidden)
         assert [run([*flags, "--batch", str(path)])
                 for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])
                 ] == expected
@@ -422,6 +444,54 @@ class TestFrontEnd:
                 assert parse_rational(w["value"]) == evaluate_plain(*coeffs, x, y)
                 checked += 1
         assert checked > 100
+
+    def test_pencil_invariants_taken_once_per_form(self, monkeypatch, tmp_path):
+        # the verdict, the case, the case facts, the report and the Sylvester
+        # signs all read the invariants computed with the monic form; a
+        # degenerate-leading line with e0 != 0 has one form too, the swapped
+        # one that the oracle reads
+        import quartic_certify.forms as forms
+
+        calls = []
+        real = forms._pencil_invariants
+
+        def counting(*record):
+            calls.append(record)
+            return real(*record)
+
+        monkeypatch.setattr(forms, "_pencil_invariants", counting)
+        path = tmp_path / "form.txt"
+        monic = 0
+        for line in GOLDEN_FORMS.read_text(encoding="utf-8").splitlines():
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            e4, *_, e0 = map(parse_rational, fields)
+            path.write_text(line + "\n")
+            calls.clear()
+            assert run(["--batch", str(path)])[0] == 0
+            assert len(calls) == (1 if e4 != 0 or e0 != 0 else 0), line
+            monic += e4 != 0
+        assert monic >= 20
+
+    def test_degenerate_leading_input_cleared_once(self, monkeypatch):
+        # the cross-checks read 0 1 2 1 3 swapped, as 3 x^4 + x^3 y + 2 x^2 y^2
+        # + x y^3, normalised from the reversed input record
+        import quartic_certify.forms as forms
+
+        oracle = discriminant_case(from_plain_coeffs(3, 1, 2, 1, 0).form)
+        calls = []
+        real = forms.clear_denominators
+
+        def counting(*coeffs):
+            calls.append(coeffs)
+            return real(*coeffs)
+
+        monkeypatch.setattr(forms, "clear_denominators", counting)
+        code, out = run_json(["0", "1", "2", "1", "3"])
+        assert code == 2 and len(calls) == 1
+        assert out["oracle"] == {"discriminant_case": oracle}
+        assert out["agreement"]["oracle"] is True
 
     def test_parser_is_built_once(self, monkeypatch):
         import quartic_certify.cli as cli

@@ -1,18 +1,22 @@
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import exactnum
 from quartic_certify.exactnum import (
     MismatchedRadicandError,
     QuadExt,
+    _context,
+    _decimal,
     parse_rational,
     sign_of,
     sqrt_exact,
+    surd_decimal,
     surd_sign,
     to_decimal,
 )
@@ -262,12 +266,15 @@ class TestBoundary:
             a, b = a + 2 * b, a + b
         value = QuadExt(F(a, b), F(-1), F(2))
         assert value.sign() == -1
-        with localcontext() as ctx:
-            ctx.prec = 200
-            exact = Decimal(a) / Decimal(b) - Decimal(2).sqrt()
-            ctx.prec = 12
-            expected = str(+exact)
-        assert to_decimal(value, 12) == expected == "-2.76620249538E-62"
+        for digits in (12, 40):
+            with localcontext() as ctx:
+                ctx.prec = 200
+                exact = Decimal(a) / Decimal(b) - Decimal(2).sqrt()
+                ctx.prec = digits
+                expected = str(+exact)
+            assert to_decimal(value, digits) == expected == reference_to_decimal(value, digits)
+        assert to_decimal(value, 12) == "-2.76620249538E-62"
+        assert to_decimal(value, 40) == "-2.766202495379937679420392152642569741904E-62"
 
     def test_to_decimal_ignores_the_callers_context(self):
         # the digits, the exponent letter and the traps are the renderer's,
@@ -327,3 +334,131 @@ def test_parse_fallback_keeps_values_and_messages(text):
         assert str(info.value) == f"not a rational number: {stripped!r}"
     else:
         assert parse_rational(text) == expected
+
+
+# -- irrational decimals: surd_decimal against the Decimal algorithm ----------
+
+
+def reference_to_decimal(value: QuadExt, digits: int) -> str:
+    """The Decimal rendering `to_decimal` used for an irrational value: the
+    square root at a working precision of max(digits + 25, 50), doubled
+    until p and q sqrt(d) no longer cancel into the printed digits, then
+    rounded a second time to `digits`."""
+    prec = max(digits + 25, 50)
+    while True:
+        ctx = _context(prec)
+        rat = _decimal(value.p, ctx)
+        surd = ctx.multiply(_decimal(value.q, ctx), ctx.sqrt(_decimal(value.d, ctx)))
+        total = ctx.add(rat, surd)
+        bound = ctx.add(ctx.abs(rat), ctx.abs(surd)).scaleb(digits + 3 - prec, ctx)
+        if ctx.abs(total) > bound:
+            break
+        prec *= 2
+    out = _context(digits)
+    return out.to_sci_string(out.plus(total))
+
+
+def is_exact_rounding(value: QuadExt, text: str, digits: int) -> bool:
+    """Whether `text` is the exact value rounded half-even to `digits`
+    significant digits at the value's own leading digit, as Decimal rounds:
+    checked by exact signs, independently of both renderers."""
+    dec = Decimal(text)
+    _, coefficient, exponent = dec.as_tuple()
+    if len(coefficient) != digits:
+        return False
+    r, ulp = F(dec), F(10) ** exponent
+    below, above = (value - (r - ulp / 2)).sign(), (r + ulp / 2 - value).sign()
+    if below < 0 or above < 0 or ((below == 0 or above == 0) and coefficient[-1] % 2):
+        return False
+    size, top = (value if value.sign() > 0 else -value), F(10) ** (exponent + digits - 1)
+    if size < top:  # only a carry, 99..9|5.. rounded up, reaches the leading digit
+        return coefficient == (1,) + (0,) * (digits - 1) and size >= top - ulp / 20
+    return size < 10 * top
+
+
+_numerator = st.integers(-10**30, 10**30)
+_denominator = st.integers(1, 10**12)
+_rational = st.builds(F, _numerator, _denominator)
+
+
+@given(_rational, _rational, st.builds(F, st.integers(0, 10**30), _denominator),
+       st.integers(1, 60))
+@settings(max_examples=500, deadline=None)
+def test_to_decimal_against_the_decimal_reference(p, q, d, digits):
+    value = QuadExt(p, q, d)
+    text = to_decimal(value, digits)
+    if value.is_rational:  # the rational branch is unchanged
+        return
+    reference = reference_to_decimal(value, digits)
+    assert is_exact_rounding(value, text, digits)
+    # the reference rounds twice: it can differ only next to a tie, and
+    # then it is the one that is wrong
+    assert text == reference or not is_exact_rounding(value, reference, digits)
+
+
+@given(_numerator, _numerator, st.one_of(st.integers(0, 10**30), st.integers(0, 10**15).map(
+    lambda r: r * r)), st.integers(1, 10**12), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_surd_decimal_is_the_exact_rounding(a, b, n, den, digits):
+    # rational values (b = 0 or n a square) included, ties among them
+    value = QuadExt(F(a, den), F(b, den), F(n))
+    text = surd_decimal(a, b, n, den, digits)
+    assert text == "0" if value == 0 else is_exact_rounding(value, text, digits)
+    assert surd_decimal(-a, -b, n, -den, digits) == text
+
+
+@given(_rational, st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)),
+       st.integers(1, 60), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_to_decimal_of_near_cancellation(q, d, digits, extra):
+    # p = -q sqrt(d) to about 10 + extra digits: the value is small beside
+    # either part, and its decimals need a widened scale
+    scale = 10 ** (10 + extra)
+    root = math.isqrt(d.numerator * d.denominator * scale * scale)
+    value = QuadExt(-q * F(root, d.denominator * scale), q, d)
+    assume(not value.is_rational)
+    text = to_decimal(value, digits)
+    assert text == reference_to_decimal(value, digits)
+    assert is_exact_rounding(value, text, digits)
+
+
+def test_to_decimal_next_to_a_tie():
+    # 5/2 + 10^-60 sqrt(2) lies 1.4e-60 above the tie 5/2: rounded to one
+    # digit it is 3.  The Decimal reference first rounds it to 50 digits,
+    # onto 2.5 itself, and then rounds the tie to even: 2.
+    value = QuadExt(F(5, 2), F(1, 10**60), F(2))
+    assert to_decimal(value, 1) == "3"
+    assert reference_to_decimal(value, 1) == "2"
+    assert is_exact_rounding(value, "3", 1) and not is_exact_rounding(value, "2", 1)
+    assert to_decimal(-value, 1) == "-3"
+    assert to_decimal(QuadExt(F(5, 2), F(-1, 10**60), F(2)), 1) == "2"
+
+
+def test_to_decimal_at_the_precision_bound():
+    # 10000 digits, the command line's largest --precision
+    for value in (QuadExt(F(0), F(2, 3), F(3)), QuadExt(F(-7, 3), F(5, 11), F(13, 2))):
+        text = to_decimal(value, 10_000)
+        assert text == reference_to_decimal(value, 10_000)
+        assert is_exact_rounding(value, text, 10_000)
+
+
+@pytest.mark.parametrize("a, b, n, den, digits, text", [
+    (0, 2, 3, 3, 12, "1.15470053838"),  # 2 / sqrt(3)
+    (1, 0, 5, 8, 12, "0.125000000000"),  # rational: all the digits are spelled
+    (5, 0, 0, 2, 1, "2"),  # 5/2, a tie: to even
+    (15, 0, 0, 2, 1, "8"),  # 15/2, a tie: to even
+    (-5, 0, 0, 2, 1, "-2"),
+    (3, -1, 9, 7, 5, "0"),  # 3 - sqrt(9)
+    (0, 1, 2, -1, 3, "-1.41"),  # a negative denominator
+    (999, 1, 0, 1, 2, "1.0E+3"),  # rounded up to the next power of ten
+    (0, 1, 2, 10**9, 3, "1.41E-9"),
+    (0, 1, 2, 1000, 4, "0.001414"),
+])
+def test_surd_decimal_examples(a, b, n, den, digits, text):
+    assert surd_decimal(a, b, n, den, digits) == text
+    assert str(Decimal(text)) == text
+
+
+def test_surd_decimal_rejects_no_digits():
+    with pytest.raises(ValueError):
+        surd_decimal(0, 1, 2, 1, 0)

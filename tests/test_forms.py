@@ -116,6 +116,21 @@ points = st.one_of(
 )
 
 
+@given(st.tuples(*[big_coefficients] * 5))
+@settings(max_examples=200)
+def test_swapped_is_the_reversed_input(coeffs):
+    # f(y, x), normalised from the reversed record, as from the reversed input
+    if Fraction(coeffs[4]) == 0:
+        with pytest.raises(ValueError):
+            from_plain_coeffs(*coeffs).swapped()
+        return
+    swapped = from_plain_coeffs(*coeffs).swapped()
+    expected = from_plain_coeffs(*reversed(coeffs))
+    assert swapped == expected and swapped.input_record == expected.input_record
+    assert swapped.form.cleared == expected.form.cleared
+    assert swapped.form.invariants == expected.form.invariants
+
+
 @given(st.tuples(*[big_coefficients] * 5), points, points)
 @settings(max_examples=400)
 def test_evaluate_plain_matches_the_fraction_formula(coeffs, x, y):
@@ -212,6 +227,7 @@ def test_from_plain_record_is_the_lcm_record(coeffs):
     assert all(type(a) is Fraction for a in (m.a3, m.a2, m.a1, m.a0))
     assert m.cleared == lcm_record(*monic) == MonicQuartic(*monic).cleared
     assert all(type(e) is int for e in m.cleared)
+    assert m.invariants == MonicQuartic(*monic).invariants
     assert p.scale == abs(e4)
     assert p.orientation is (Orientation.POSITIVE_SIDE if e4 > 0
                              else Orientation.NEGATIVE_SIDE)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic_certify import (
     Definiteness,
@@ -27,8 +29,10 @@ from quartic_certify import (
 )
 
 from quartic_certify import positivity
+from quartic_certify.pencil import lam0_minor_signs, lam0_test
 
-from conftest import mixed_corpus, random_fraction, random_monic
+from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
+                      random_monic)
 
 F = Fraction
 D = Definiteness
@@ -261,6 +265,46 @@ class TestCrossProperties:
             )
             assert scaled.form == m
             assert decide_problem(scaled).classification is decide_monic(m).classification
+
+
+def _entries(mat):
+    return (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33)
+
+
+class TestIntegerCertificate:
+    """M(lam0) and its principal minor signs from the form's integers, against
+    `pencil_matrix` and `principal_minor_signs` at the kernel's lam0."""
+
+    def check(self, m) -> bool:
+        """Whether m has a real lam0 and an indefinite verdict."""
+        lam0 = lam0_test(m).lam0
+        if not lam0.is_real:
+            return False
+        reference = pencil_matrix(m, lam0.value)
+        built = positivity._certificate(m, lam0)
+        for ours, theirs in zip(_entries(built), _entries(reference)):
+            assert type(ours) is type(theirs)
+            if isinstance(ours, QuadExt):
+                assert quad_parts(ours) == quad_parts(theirs)
+            else:
+                assert ours == theirs
+        certificate = decide_monic(m).certificate
+        assert certificate is None or _entries(certificate) == _entries(built)
+        assert lam0_minor_signs(m) == Sym3Matrix(*_entries(reference)).principal_minor_signs
+        return certificate is None
+
+    def test_small_corpus(self, small_corpus):
+        assert sum(self.check(m) for m in small_corpus) >= 20
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nine_case_strata(self, case_id, data):
+        self.check(data.draw(configured_form(case_id)))
+
+    def test_non_real_lam0(self):
+        with pytest.raises(ValueError):
+            lam0_minor_signs(MonicQuartic(0, 0, 0, -1))  # x^4 - y^4: D = -12
 
 
 def test_flipped_pairs_the_two_sides():
