@@ -364,8 +364,16 @@ def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
     only: lam0 and g(lam0) are not built)."""
     e4, _, disc, a, rn, _ = m.invariants
     if disc < 0:  # lam0 is not real
+        return _case_facts_hold(case_id, None, None)
+    return _case_facts_hold(case_id, *_lam0_signs(e4, disc, a, rn))
+
+
+def _case_facts_hold(case_id: int, slack: int | None, value: int | None) -> bool:
+    """`table3_facts_hold` from the two kernel signs, as `Lam0Test` holds
+    them: sign(lam0 - a3^2/4) and sign(g(lam0)), both None when lam0 is
+    not real."""
+    if slack is None:
         return case_id == 3
-    slack, value = _lam0_signs(e4, disc, a, rn)
     facts = {
         1: slack < 0 and value > 0,
         2: slack > 0 and value > 0,
@@ -498,8 +506,10 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
 def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
     """A rational t with exact f(t, 1) < 0 near a float critical point, or
     None.  The sign is taken in integers, from the form's record `m.cleared`."""
+    e4, e3, e2, e1, e0 = m.cleared
     try:
-        a3, a2, a1, a0 = float(m.a3), float(m.a2), float(m.a1), float(m.a0)
+        # int / int is correctly rounded: these are float(m.a3) .. float(m.a0)
+        a3, a2, a1, a0 = e3 / e4, e2 / e4, e1 / e4, e0 / e4
         # p'(t) / 4 = t^3 + (3/4) a3 t^2 + (1/2) a2 t + (1/4) a1
         points = _cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1)
     except (OverflowError, ValueError, ZeroDivisionError):
@@ -513,7 +523,6 @@ def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
 
     # e4 den^4 p(n / den) is the record's form at the integer point (n, den),
     # so integers decide the sign
-    e4, e3, e2, e1, e0 = m.cleared
     for _, x in ranked:
         for n, den in _dyadic_ratios(x):
             if quartic_horner(e4, e3, e2, e1, e0, n, den) < 0:

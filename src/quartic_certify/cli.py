@@ -18,8 +18,9 @@ code), and exits with
 
 Exact values come first in the JSON report; decimal fields are renderings
 of the exact values at --precision significant digits, rounded half-even
-from the exact value (an irrational one from the integers of the kernel
-that decided the form).
+from the exact value.  For a monic form, lam0, g(lam0), a3^2/4 and the
+certificate are rendered from the integers of the kernel that decided the
+form, without building the verdict's `Fraction`/`QuadExt` views.
 """
 
 from __future__ import annotations
@@ -34,18 +35,19 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-# classical_quantities, classical_is_pd and circle_min_estimate_plain stay
-# bound for bench/spans.py to wrap
+# classical_quantities, classical_is_pd, circle_min_estimate_plain and
+# table3_facts_hold stay bound for bench/spans.py to wrap
 from .classical import _monic_quantities, classical_is_pd, classical_quantities  # noqa: F401
 from .classifier import (  # noqa: F401
     PD_CASES,
     PSD_CASES,
+    _case_facts_hold,
     circle_min_estimate_plain,
     classify_case,
     discriminant_case,
     table3_facts_hold,
 )
-from .exactnum import QuadExt, parse_rational, surd_decimal, to_decimal
+from .exactnum import parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal
 from .forms import NormalizedProblem, Orientation, evaluate_cleared, from_plain_coeffs
 # pencil_coeffs, critical_param, g_eval and pencil_matrix stay bound for
 # bench/spans.py to wrap
@@ -99,19 +101,26 @@ class CoefficientError(InputError):
         self.position = position
 
 
-def _scalar_json(value: QuadExt | Fraction, digits: int) -> dict:
-    if isinstance(value, Fraction):
-        p, q, d = str(value), "0", "0"
-    else:
-        p, q, d = str(value.p), str(value.q), str(value.d)
-    return {"p": p, "q": q, "d": d, "decimal": to_decimal(value, digits)}
+def _scalar_json(value: Fraction, digits: int) -> dict:
+    return {"p": str(value), "q": "0", "d": "0", "decimal": to_decimal(value, digits)}
 
 
-def _surd_json(value: QuadExt, a: int, b: int, n: int, den: int, digits: int) -> dict:
-    """`_scalar_json` of an irrational value = (a + b sqrt(n)) / den, rendered
-    from those integers."""
-    return {"p": str(value.p), "q": str(value.q), "d": str(value.d),
-            "decimal": surd_decimal(a, b, n, den, digits)}
+def _ratio_json(num: int, den: int, digits: int) -> dict:
+    """`_scalar_json` of Fraction(num, den), rendered from the integers."""
+    return {"p": ratio_text(num, den), "q": "0", "d": "0",
+            "decimal": ratio_decimal(num, den, digits)}
+
+
+def _surd_json(a: int, b: int, den: int, form, digits: int) -> dict:
+    """The JSON of (a + b sqrt(D)) / den, for the invariant D of a monic
+    form with record (e4, ...): p + q sqrt(d) with p = a / den,
+    q = 2 b e4 / den and d = D / (4 e4^2), rational when D is a square."""
+    e4 = form.cleared[0]
+    _, _, disc, _, _, root = form.invariants
+    if root is not None:
+        return _ratio_json(a + b * root, den, digits)
+    return {"p": ratio_text(a, den), "q": ratio_text(2 * b * e4, den),
+            "d": ratio_text(disc, 4 * e4 * e4), "decimal": surd_decimal(a, b, disc, den, digits)}
 
 
 @dataclass
@@ -143,39 +152,36 @@ class Report:
 
         form = self.problem.form
         if form is not None:
-            kernel = self.verdict.kernel
-            lam0 = kernel.lam0
-            e4, e3 = form.cleared[:2]
-            _, e2, disc, _, rn, root = form.invariants
-            out["a3_sq_over_4"] = str(Fraction(e3 * e3, 4 * e4 * e4))
-            if not lam0.is_real:
+            e4, e3, _, e1, e0 = form.cleared
+            _, e2, disc, _, rn, _ = form.invariants
+            out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
+            if disc < 0:
                 out["lambda0"] = {"p": None, "q": None,
-                                  "d": str(lam0.radicand), "decimal": None}
-            elif root is None:  # irrational, rendered from the kernel's integers
-                # lam0 = (2 e2 + sqrt(D)) / (3 e4), g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3)
-                out["lambda0"] = _surd_json(lam0.value, 2 * e2, 1, disc, 3 * e4, self.digits)
-                out["g_lambda0"] = _surd_json(kernel.g_lam0, rn, 2 * disc, disc,
-                                              108 * e4**3, self.digits)
+                                  "d": ratio_text(disc, 4 * e4 * e4), "decimal": None}
             else:
-                out["lambda0"] = _scalar_json(lam0.value, self.digits)
-                out["g_lambda0"] = _scalar_json(kernel.g_lam0, self.digits)
+                # lam0 = (2 e2 + sqrt(D)) / (3 e4), g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3)
+                out["lambda0"] = _surd_json(2 * e2, 1, 3 * e4, form, self.digits)
+                out["g_lambda0"] = _surd_json(rn, 2 * disc, 108 * e4**3, form, self.digits)
             if self.include_case:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
 
-        mat = self.verdict.certificate
-        if mat is not None:
+        # every verdict but an indefinite one carries a certificate; asking
+        # the verdict for it would build the matrix of a monic form
+        if cls is not Definiteness.INDEFINITE:
             # six distinct entries, each rendered once, laid out as the rows
-            m11, m12, m23, m33 = (
-                _scalar_json(entry, self.digits)
-                for entry in (mat.m11, mat.m12, mat.m23, mat.m33)
-            )
             if form is None:
-                m13, m22 = (_scalar_json(entry, self.digits) for entry in (mat.m13, mat.m22))
-            else:  # M(lam0): m22 is lam0 itself, and m13 = (e2 - sqrt(D)) / (6 e4)
+                mat = self.verdict.certificate
+                m11, m12, m13, m22, m23, m33 = (
+                    _scalar_json(entry, self.digits)
+                    for entry in (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33))
+            else:  # M(lam0) from the integers, with m22 = lam0 itself
+                m11 = _ratio_json(1, 1, self.digits)
+                m12 = _ratio_json(e3, 2 * e4, self.digits)
+                m13 = _surd_json(e2, -1, 6 * e4, form, self.digits)  # (e2 - sqrt(D)) / (6 e4)
                 m22 = out["lambda0"]
-                m13 = (_scalar_json(mat.m13, self.digits) if root is not None
-                       else _surd_json(mat.m13, e2, -1, disc, 6 * e4, self.digits))
+                m23 = _ratio_json(e1, 2 * e4, self.digits)
+                m33 = _ratio_json(e0, e4, self.digits)
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
@@ -234,7 +240,7 @@ class Report:
 
             # the principal minor signs of M(lam0), the certificate when there
             # is one, read off the integer matrix 6 e4 M(lam0) over Z[sqrt(D)]
-            if self.verdict.kernel.lam0.is_real:
+            if form.invariants[2] >= 0:
                 signs = lam0_minor_signs(form)
                 agreement["sylvester"] = (
                     signs_pd(signs) == definite and signs_psd(signs) == semidefinite
@@ -243,7 +249,9 @@ class Report:
                 agreement["sylvester"] = cls is Definiteness.INDEFINITE
 
             if self.include_case and out["case"] is not None:
-                agreement["case_facts"] = table3_facts_hold(form, out["case"]["id"])
+                kernel = self.verdict.kernel
+                agreement["case_facts"] = _case_facts_hold(out["case"]["id"], kernel.slack,
+                                                           kernel.value)
 
         if problem.form is not None:
             case_id = discriminant_case(problem.form)

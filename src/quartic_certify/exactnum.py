@@ -8,8 +8,10 @@ kernel of `pencil`, its nine-case table in `classifier` and the integer
 Sylvester minors all take it there.  No floating point enters any
 decision path; floats and decimal strings are converted to exact fractions
 at the boundary by `parse_rational`, and decimal output is rendered from
-the exact value on demand by `to_decimal`, an irrational one from its
-integers by `surd_decimal`.
+the exact value on demand by `to_decimal`, a rational one from its
+integers by `ratio_decimal` and an irrational one by `surd_decimal`.
+`ratio_text` spells a ratio of integers as `str(Fraction)` does, so a
+value held as integers is rendered without building its `Fraction`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "parse_rational",
     "to_decimal",
     "surd_decimal",
+    "ratio_text",
+    "ratio_decimal",
 ]
 
 
@@ -356,8 +360,28 @@ def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
         return surd_decimal(p.numerator * (big // p.denominator),
                             q.numerator * (big // (q.denominator * m)),
                             value.d.numerator * m, big, digits)
-    total = _decimal(value.p if isinstance(value, QuadExt) else as_fraction(value),
-                     _context(max(digits + 25, 50)))
+    value = value.p if isinstance(value, QuadExt) else as_fraction(value)
+    return ratio_decimal(value.numerator, value.denominator, digits)
+
+
+def ratio_text(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for integers num and den != 0, with one gcd."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def ratio_decimal(num: int, den: int, digits: int) -> str:
+    """num / den, for integers num and den != 0, to `digits` significant
+    decimal digits, rounded half-even, as `to_decimal(Fraction(num, den))`:
+    the quotient is rounded from the exact value at a working precision
+    well above the requested digits, then to `digits`."""
+    if den < 0:
+        num, den = -num, -den
+    total = _context(max(digits + 25, 50)).divide(Decimal(num), Decimal(den))
     out = _context(digits)
     return out.to_sci_string(out.plus(total))
 
@@ -440,7 +464,3 @@ def _context(prec: int) -> Context:
                    capitals=1, clamp=0, flags=[],
                    traps=[InvalidOperation, DivisionByZero, Overflow])
 
-
-def _decimal(value: Fraction, ctx: Context) -> Decimal:
-    """value rounded to ctx."""
-    return ctx.divide(Decimal(value.numerator), Decimal(value.denominator))

@@ -14,11 +14,19 @@ Each input is cleared to integers once, in `from_plain_coeffs`: the
 problem keeps that input record (L, k4, k3, k2, k1, k0), and its
 `MonicQuartic` is built from the same integers.  Every `MonicQuartic`
 carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of
-the denominators and ei = e4 ai, and beside it the integer pencil
-invariants of that record (`invariants`, computed once).  The integer
-kernels of `pencil` and `classifier`, the certificate, the report and the
-classical cross-check read these records instead of clearing the form or
-taking its invariants again.
+the denominators and ei = e4 ai.  The integer kernels of `pencil` and
+`classifier`, the certificate, the report and the classical cross-check
+read that record, and the integer pencil invariants of it (`invariants`),
+instead of clearing the form again.
+
+The integer records are what the decision computes; the rational values
+are views of them, built on first read and then kept (`_View`).  A form
+built from a record (every form of `from_plain_coeffs`) builds a3..a0 as
+`Fraction(ei, e4)` only when they are read, a form built from a3..a0
+clears them at once, and either takes its `invariants` on first read.
+`NormalizedProblem.scale` = |e4| is a view of the input record in the same
+way.  A view is built on ==, hash and repr too, which see the same values
+as before, whichever way the object was built.
 
 Three integer rules live here and nowhere else: `clear_denominators`
 clears five rationals with one lcm, `quartic_horner` evaluates a cleared
@@ -51,6 +59,39 @@ __all__ = [
 ]
 
 
+class _View:
+    """An attribute built on first read from the instance's other
+    attributes, then kept in the instance dict.
+
+    It is a non-data descriptor, so a value already in the instance dict
+    (put there by a dataclass `__init__` or a private constructor) shadows
+    it.  As the class attribute of a dataclass field it also gives the
+    field's default: `_View(build, default)`, or no default when `default`
+    is left out.
+    """
+
+    def __init__(self, build, *default) -> None:
+        self._build = build
+        self._default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            if not self._default:
+                raise AttributeError(self._name)
+            return self._default[0]
+        value = self._build(instance)
+        instance.__dict__[self._name] = value
+        return value
+
+
+def _coefficient(i: int) -> _View:
+    """The view a_i = Fraction(e_i, e4) of `MonicQuartic.cleared`."""
+    return _View(lambda m: Fraction(m.cleared[4 - i], m.cleared[0]))
+
+
 @dataclass(frozen=True)
 class MonicQuartic:
     """x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4 over Q.
@@ -58,19 +99,18 @@ class MonicQuartic:
     `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
     of the denominators of a3..a0 and ei = e4 ai, so e4 f has integer
     coefficients.  `invariants` = (e4, e2, D, A, Rn, root) are the pencil
-    invariants of that record (`_pencil_invariants`).  Both are computed
-    once, in `__post_init__` (or `_from_record`), and take no part in ==,
-    hash or repr.
+    invariants of that record (`_pencil_invariants`), taken on first read.
+    A form built from its record (`_from_record`) builds a3..a0 on first
+    read as well.  Neither record takes part in ==, hash or repr.
     """
 
-    a3: Fraction
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
+    a3: Fraction = _coefficient(3)
+    a2: Fraction = _coefficient(2)
+    a1: Fraction = _coefficient(1)
+    a0: Fraction = _coefficient(0)
     cleared: tuple[int, int, int, int, int] = field(
         init=False, repr=False, compare=False)
-    invariants: tuple[int, int, int, int, int, int | None] = field(
-        init=False, repr=False, compare=False)
+    invariants = _View(lambda m: _pencil_invariants(*m.cleared))
 
     def __post_init__(self) -> None:
         a3, a2, a1, a0 = (as_fraction(self.a3), as_fraction(self.a2),
@@ -80,22 +120,14 @@ class MonicQuartic:
         put(self, "a2", a2)
         put(self, "a1", a1)
         put(self, "a0", a0)
-        record = clear_denominators(1, a3, a2, a1, a0)[1:]
-        put(self, "cleared", record)
-        put(self, "invariants", _pencil_invariants(*record))
+        put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
 
     @classmethod
     def _from_record(cls, e4: int, e3: int, e2: int, e1: int, e0: int) -> MonicQuartic:
         """The form ai = ei/e4 of a primitive integer record with e4 > 0,
         which is then its lcm record, without clearing it again."""
         m = object.__new__(cls)
-        put = object.__setattr__
-        put(m, "a3", Fraction(e3, e4))
-        put(m, "a2", Fraction(e2, e4))
-        put(m, "a1", Fraction(e1, e4))
-        put(m, "a0", Fraction(e0, e4))
-        put(m, "cleared", (e4, e3, e2, e1, e0))
-        put(m, "invariants", _pencil_invariants(e4, e3, e2, e1, e0))
+        m.__dict__["cleared"] = (e4, e3, e2, e1, e0)
         return m
 
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -136,12 +168,13 @@ class NormalizedProblem:
     None and the lower coefficients live in `degenerate_coeffs`).
     `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
     `clear_denominators(e4, e3, e2, e1, e0)`, set by `from_plain_coeffs`
-    on both paths; it takes no part in == or repr.
+    on both paths; it takes no part in == or repr.  A problem of
+    `from_plain_coeffs` builds `scale` = Fraction(|k4|, L) on first read.
     """
 
     form: MonicQuartic | None
     orientation: Orientation | None
-    scale: Fraction
+    scale: Fraction = _View(lambda p: Fraction(abs(p.input_record[1]), p.input_record[0]))
     degenerate_leading: bool
     degenerate_coeffs: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
     input_record: tuple[int, int, int, int, int, int] | None = field(
@@ -154,28 +187,29 @@ class NormalizedProblem:
         big, k4, k3, k2, k1, k0 = self.input_record
         if k0 == 0:
             raise ValueError("f(y, x) has a vanishing leading coefficient")
-        return _monic_problem((big, k0, k1, k2, k3, k4), Fraction(abs(k0), big))
+        return _monic_problem((big, k0, k1, k2, k3, k4))
 
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
     e4, e3, e2, e1, e0 = map(as_fraction, (e4, e3, e2, e1, e0))
     record = clear_denominators(e4, e3, e2, e1, e0)
     if record[1] == 0:
-        return NormalizedProblem(
-            form=None,
-            orientation=None,
-            scale=Fraction(0),
-            degenerate_leading=True,
-            degenerate_coeffs=(e3, e2, e1, e0),
-            input_record=record,
-        )
-    return _monic_problem(record, abs(e4))
+        return _problem(record, None, None, (e3, e2, e1, e0))
+    return _monic_problem(record)
 
 
-def _monic_problem(record: tuple[int, int, int, int, int, int],
-                   scale: Fraction) -> NormalizedProblem:
-    """The problem of the input with record (L, k4, ..., k0), k4 != 0, and
-    |e4| = `scale`."""
+def _problem(record: tuple[int, int, int, int, int, int], form: MonicQuartic | None,
+             orientation: Orientation | None,
+             degenerate_coeffs: tuple | None = None) -> NormalizedProblem:
+    """The problem of the input record, with `scale` left to its view."""
+    problem = object.__new__(NormalizedProblem)
+    problem.__dict__.update(form=form, orientation=orientation, degenerate_leading=form is None,
+                            degenerate_coeffs=degenerate_coeffs, input_record=record)
+    return problem
+
+
+def _monic_problem(record: tuple[int, int, int, int, int, int]) -> NormalizedProblem:
+    """The problem of the input with record (L, k4, ..., k0), k4 != 0."""
     _, k4, k3, k2, k1, k0 = record
     # dividing by g = +-gcd(k4, ..., k0), with the sign of k4, leaves the
     # primitive integers of f/e4 with a positive lead: the lcm record of the
@@ -185,14 +219,8 @@ def _monic_problem(record: tuple[int, int, int, int, int, int],
     if k4 < 0:
         g = -g
     form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
-    orientation = Orientation.POSITIVE_SIDE if k4 > 0 else Orientation.NEGATIVE_SIDE
-    return NormalizedProblem(
-        form=form,
-        orientation=orientation,
-        scale=scale,
-        degenerate_leading=False,
-        input_record=record,
-    )
+    return _problem(record, form, Orientation.POSITIVE_SIDE if k4 > 0
+                    else Orientation.NEGATIVE_SIDE)
 
 
 def _pencil_invariants(e4: int, e3: int, e2: int, e1: int,

@@ -19,13 +19,15 @@ definiteness question (see the positivity module).
 `lam0_test` is the decision kernel: it reads the form's integer pencil
 invariants (`MonicQuartic.invariants`, computed once per form) and settles
 the two sign tests on lam0 with two signs of the shape a + b sqrt(D), each
-taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
-nine-case classification off the same integers, and `lam0_minor_signs`
-the principal minor signs of M(lam0).  The certificate M(lam0) is built
-from them too (`positivity.decide_monic`).  The Q(sqrt(d)) route
-(`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
-field arithmetic; it serves the tests, the demos and M(lam) at any other
-lam, and is the reference the integer route is tested against.
+taken by `exactnum.surd_sign`.  Its record (`Lam0Test`) holds the two
+signs and the invariants; lam0 and g(lam0) are views of them, built in
+Q(sqrt(d)) on first read.  `classifier.classify_case` reads the nine-case
+classification off the same integers, and `lam0_minor_signs` the
+principal minor signs of M(lam0).  The certificate M(lam0) is built from
+them too (`positivity`).  The Q(sqrt(d)) route (`critical_param`,
+`g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
+serves the tests, the demos and M(lam) at any other lam, and is the
+reference the integer route is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactnum import MismatchedRadicandError, QuadExt, as_fraction, sign_of, surd_sign
-from .forms import MonicQuartic
+from .forms import MonicQuartic, _View
 
 __all__ = [
     "PencilCubic",
@@ -274,16 +276,41 @@ def critical_param(p: PencilCubic) -> CriticalParam:
     return CriticalParam(radicand=d, value=value)
 
 
+def _lam0_view(test: Lam0Test) -> CriticalParam:
+    """lam0 = (2 e2 + sqrt(D)) / (3 e4) in Q(sqrt(d)), d = D / (4 e4^2)."""
+    e4, e2, disc, _, _, root = test._invariants
+    d = Fraction(disc, 4 * e4 * e4)
+    if disc < 0:
+        return CriticalParam(d, None)
+    if root is not None:
+        return CriticalParam(d, QuadExt._normalised(Fraction(2 * e2 + root, 3 * e4)))
+    return CriticalParam(d, QuadExt._normalised(Fraction(2 * e2, 3 * e4), Fraction(2, 3), d))
+
+
+def _g_lam0_view(test: Lam0Test) -> QuadExt | None:
+    """g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3) in Q(sqrt(d))."""
+    e4, _, disc, _, rn, root = test._invariants
+    if disc < 0:
+        return None
+    g_den = 108 * e4**3
+    if root is not None:
+        return QuadExt._normalised(Fraction(rn + 2 * disc * root, g_den))
+    return QuadExt._normalised(Fraction(rn, g_den), Fraction(disc, 27 * e4 * e4),
+                               test.lam0.radicand)
+
+
 @dataclass(frozen=True)
 class Lam0Test:
     """The two sign tests on lam0 and the exact values they read.
 
     `slack` is the sign of lam0 - a3^2/4 and `value` that of g(lam0); with
-    `g_lam0` they are None when lam0 is not real (d < 0).
+    `g_lam0` they are None when lam0 is not real (d < 0).  A record of
+    `lam0_test` holds the signs and the form's invariants, and builds
+    `lam0` and `g_lam0` from them on first read.
     """
 
-    lam0: CriticalParam
-    g_lam0: QuadExt | None = None
+    lam0: CriticalParam = _View(_lam0_view)
+    g_lam0: QuadExt | None = _View(_g_lam0_view, None)
     slack: int | None = None
     value: int | None = None
 
@@ -303,24 +330,17 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     N0 = -e1^2 e4 + e1 e2 e3 - e0 e3^2 (so b1 = N1 / (4 e4^2) and
     b0 = N0 / (4 e4^3)).  Since e4 > 0 both signs are signs of integers
     a + b sqrt(D).  These integers (e4, e2, D, A = 8 e2 e4 - 3 e3^2, Rn)
-    are the form's `invariants`, computed once per form.  lam0 and g(lam0)
-    are then built in Q(sqrt(d)) for the record, equal part for part to
-    `critical_param` and `g_eval`; they fold to rationals when D is a
-    perfect square.
+    are the form's `invariants`, computed once per form.  The record's
+    lam0 and g(lam0), built on first read, equal `critical_param` and
+    `g_eval` part for part; they fold to rationals when D is a perfect
+    square.
     """
-    e4, e2, disc, a, rn, root = m.invariants
-    d = Fraction(disc, 4 * e4 * e4)
-    if disc < 0:
-        return Lam0Test(CriticalParam(d, None))
-    slack, value = _lam0_signs(e4, disc, a, rn)
-    g_den = 108 * e4**3
-    if root is not None:
-        lam0 = QuadExt._normalised(Fraction(2 * e2 + root, 3 * e4))
-        g_lam0 = QuadExt._normalised(Fraction(rn + 2 * disc * root, g_den))
-    else:
-        lam0 = QuadExt._normalised(Fraction(2 * e2, 3 * e4), Fraction(2, 3), d)
-        g_lam0 = QuadExt._normalised(Fraction(rn, g_den), Fraction(disc, 27 * e4 * e4), d)
-    return Lam0Test(CriticalParam(d, lam0), g_lam0, slack, value)
+    invariants = m.invariants
+    e4, _, disc, a, rn, _ = invariants
+    slack, value = _lam0_signs(e4, disc, a, rn) if disc >= 0 else (None, None)
+    test = object.__new__(Lam0Test)
+    test.__dict__.update(slack=slack, value=value, _invariants=invariants)
+    return test
 
 
 def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:

@@ -7,18 +7,22 @@ The decision for a monic form is two exact sign tests on lam0:
 
 with a non-real lam0 (d < 0) immediately indefinite.  `pencil.lam0_test`
 settles both with two signs of a + b sqrt(D), each taken by
-`exactnum.surd_sign`, from the form's integer pencil invariants; the
-verdict carries that kernel record (lam0 and g(lam0) in Q(sqrt(d)), and
-the two signs) for the report.  Whenever the verdict is PSD or PD the
-matrix M(lam0) is emitted as a certificate, built from the same integers
-(m12 = e3 / (2 e4), m13 = (e2 - sqrt(D)) / (6 e4), m22 = lam0 and
-m23 = e1 / (2 e4)), equal entry for entry to `pencil.pencil_matrix` at
-lam0: it is positive (semi)definite exactly when the form is, and it
-reproduces the form through the Veronese representation, so a verifier
-needs nothing but Sylvester's criterion and a matrix-vector product.  The
-equivalent Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd`
-for cross-checking: it takes the principal minor signs of a matrix over
-Z[sqrt(N)] (`Sym3Matrix.principal_minor_signs`, or for M(lam0) of a form
+`exactnum.surd_sign`, from the form's integer pencil invariants, and the
+verdict carries that kernel record (the two signs, with lam0 and g(lam0)
+as views) for the report.  The integers and the two signs are all the
+decision computes: the verdict's exact values are views of them, built on
+first read.  Whenever the verdict is PSD or PD the matrix M(lam0) is its
+certificate, built from the same integers (m12 = e3 / (2 e4),
+m13 = (e2 - sqrt(D)) / (6 e4), m22 = lam0 and m23 = e1 / (2 e4)), equal
+entry for entry to `pencil.pencil_matrix` at lam0: it is positive
+(semi)definite exactly when the form is, and it reproduces the form
+through the Veronese representation, so a verifier needs nothing but
+Sylvester's criterion and a matrix-vector product.  Otherwise the verdict's
+witnesses are two points of opposite sign, from
+`classifier.witness_search`.  The equivalent Sylvester-based test is kept
+as `sylvester_pd`/`sylvester_psd` for cross-checking: it takes the
+principal minor signs of a matrix over Z[sqrt(N)]
+(`Sym3Matrix.principal_minor_signs`, or for M(lam0) of a form
 `pencil.lam0_minor_signs`), arithmetic independent of the two sign tests,
 and never decides the user-facing verdict.
 
@@ -27,22 +31,25 @@ side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
 back by `Definiteness.flipped`, the one map between the two sides.  Forms
 with vanishing leading coefficient get the dedicated
 `decide_degenerate_leading` treatment since they can never be PD but may
-still be semidefinite; its cubic witnesses are checked on the form cleared
-once, by the integer Horner of `forms`.
+still be semidefinite; its cubic witnesses are checked on the input record
+(`NormalizedProblem.input_record`, or the form cleared once), by the
+integer Horner of `forms`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
+from . import classifier
 # sign_of stays bound for bench/spans.py to wrap
 from .exactnum import QuadExt, as_fraction, sign_of  # noqa: F401
 from .forms import (
     MonicQuartic,
     NormalizedProblem,
     Orientation,
+    _View,
     clear_denominators,
     quartic_horner,
 )
@@ -110,12 +117,14 @@ class Verdict:
 
     `kernel` is the record of `pencil.lam0_test` that made the decision:
     lam0, g(lam0) and the two signs, for reports and cross-checks to reuse;
-    a degenerate-leading form has no pencil and leaves it None.
+    a degenerate-leading form has no pencil and leaves it None.  A verdict
+    on a monic form builds its certificate, or its witnesses, on first read.
     """
 
     classification: Definiteness
-    certificate: Sym3Matrix | None = None
-    witnesses: tuple[Point, Point] | None = None
+    certificate: Sym3Matrix | None = _View(lambda v: _certificate(v._form, v.kernel.lam0), None)
+    witnesses: tuple[Point, Point] | None = _View(
+        lambda v: classifier.witness_search(v._form), None)
     kernel: Lam0Test | None = None
 
 
@@ -145,16 +154,36 @@ def signs_psd(signs: tuple[int, ...]) -> bool:
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
+    return _decide_monic(m, flip=False)
+
+
+def decide_negative_side(m: MonicQuartic) -> Verdict:
+    """Decide the sign-flipped monic form of a negative-leading quartic and
+    map its class back by `Definiteness.flipped`.  The certificate stays the
+    PSD matrix of the flipped form (its negation certifies the original)."""
+    return _decide_monic(m, flip=True)
+
+
+def _decide_monic(m: MonicQuartic, flip: bool) -> Verdict:
+    """The verdict on m, its class flipped when `flip` is set, from the
+    kernel's two signs alone."""
     kernel = lam0_test(m)
-    if kernel.lam0.is_real and kernel.slack >= 0 and kernel.value >= 0:
+    semidefinite = m.invariants[2] >= 0 and kernel.slack >= 0 and kernel.value >= 0
+    if semidefinite:
         cls = (Definiteness.POSITIVE_DEFINITE if kernel.slack > 0 and kernel.value > 0
                else Definiteness.POSITIVE_SEMIDEFINITE)
-        return Verdict(cls, certificate=_certificate(m, kernel.lam0), kernel=kernel)
-    from .classifier import witness_search
+    else:
+        cls = Definiteness.INDEFINITE
+    verdict = object.__new__(Verdict)
+    # the certificate of a semidefinite form, or the witnesses of an
+    # indefinite one, is built on first read
+    verdict.__dict__.update({"witnesses" if semidefinite else "certificate": None},
+                            classification=cls.flipped() if flip else cls,
+                            kernel=kernel, _form=m)
+    return verdict
 
-    return Verdict(Definiteness.INDEFINITE, witnesses=witness_search(m), kernel=kernel)
 
-
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _MINUS_THIRD = Fraction(-1, 3)
 
@@ -171,14 +200,6 @@ def _certificate(m: MonicQuartic, lam0: CriticalParam) -> Sym3Matrix:
     return Sym3Matrix(_ONE, Fraction(e3, 2 * e4), m13, lam0.value, Fraction(e1, 2 * e4), m.a0)
 
 
-def decide_negative_side(m: MonicQuartic) -> Verdict:
-    """Decide the sign-flipped monic form of a negative-leading quartic and
-    map its class back by `Definiteness.flipped`.  The certificate stays the
-    PSD matrix of the flipped form (its negation certifies the original)."""
-    verdict = decide_monic(m)
-    return replace(verdict, classification=verdict.classification.flipped())
-
-
 def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:
     """Decide f = y * (e3 x^3 + e2 x^2 y + e1 x y^2 + e0 y^3).
 
@@ -188,33 +209,39 @@ def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:
     quadratic form q; its Gram matrix embeds as a certificate on the
     squared-monomial basis.
     """
-    e3, e2, e1, e0 = map(as_fraction, (e3, e2, e1, e0))
-    if e3 == e2 == e1 == e0 == 0:
-        zero = Fraction(0)
-        return Verdict(
-            Definiteness.ZERO,
-            certificate=Sym3Matrix(zero, zero, zero, zero, zero, zero),
-        )
-    if e3 != 0:
-        return Verdict(
-            Definiteness.INDEFINITE, witnesses=_cubic_sign_witnesses(e3, e2, e1, e0)
-        )
-    disc = e1**2 - 4 * e2 * e0
-    gram = Sym3Matrix(Fraction(0), Fraction(0), Fraction(0), e2, e1 / 2, e0)
-    if e2 >= 0 and e0 >= 0 and disc <= 0:
-        return Verdict(Definiteness.POSITIVE_SEMIDEFINITE, certificate=gram)
-    if e2 <= 0 and e0 <= 0 and disc <= 0:
-        return Verdict(Definiteness.NEGATIVE_SEMIDEFINITE, certificate=gram.negated())
+    return _decide_degenerate((e3, e2, e1, e0), None)
+
+
+def _decide_degenerate(coeffs, record) -> Verdict:
+    """`decide_degenerate_leading` of coeffs = (e3, e2, e1, e0); `record` is
+    `clear_denominators(0, e3, e2, e1, e0)`, or None to clear them here."""
+    e3, e2, e1, e0 = map(as_fraction, coeffs)
+    if record is None:
+        record = clear_denominators(0, e3, e2, e1, e0)
+    # (L, 0, k3, k2, k1, k0) with L > 0 and ki = L ei: the ki have the signs
+    # of the ei, and k1^2 - 4 k2 k0 that of the discriminant e1^2 - 4 e2 e0
+    big, _, k3, k2, k1, k0 = record
+    if not (k3 or k2 or k1 or k0):
+        return Verdict(Definiteness.ZERO, certificate=Sym3Matrix(*[_ZERO] * 6))
+    if k3:
+        return Verdict(Definiteness.INDEFINITE, witnesses=_cubic_sign_witnesses(record))
+    if k1 * k1 <= 4 * k2 * k0:
+        if k2 >= 0 and k0 >= 0:
+            return Verdict(Definiteness.POSITIVE_SEMIDEFINITE, certificate=Sym3Matrix(
+                _ZERO, _ZERO, _ZERO, e2, Fraction(k1, 2 * big), e0))
+        if k2 <= 0 and k0 <= 0:
+            return Verdict(Definiteness.NEGATIVE_SEMIDEFINITE, certificate=Sym3Matrix(
+                _ZERO, _ZERO, _ZERO, -e2, Fraction(-k1, 2 * big), -e0))
     return Verdict(
         Definiteness.INDEFINITE, witnesses=_quadratic_sign_witnesses(e2, e1, e0)
     )
 
 
-def _cubic_sign_witnesses(e3, e2, e1, e0) -> tuple[Point, Point]:
+def _cubic_sign_witnesses(record) -> tuple[Point, Point]:
     # odd degree in x: f(t, 1) follows sign(e3 * t^3) for large |t|; the
-    # integer L f(t, 1) of the form cleared once has the sign of f(t, 1),
-    # and k3 = L e3 that of e3
-    _, _, k3, k2, k1, k0 = clear_denominators(0, e3, e2, e1, e0)
+    # integer L f(t, 1) of the form's record (L, 0, k3, k2, k1, k0) has the
+    # sign of f(t, 1), and k3 = L e3 that of e3
+    _, _, k3, k2, k1, k0 = record
 
     def value(t: int) -> int:
         return quartic_horner(0, k3, k2, k1, k0, t, 1)
@@ -226,7 +253,7 @@ def _cubic_sign_witnesses(e3, e2, e1, e0) -> tuple[Point, Point]:
     while value(s) * k3 >= 0:
         s *= 2
     pos, neg = ((Fraction(t), Fraction(1)), (Fraction(s), Fraction(1)))
-    if e3 < 0:
+    if k3 < 0:
         pos, neg = neg, pos
     return pos, neg
 
@@ -258,7 +285,7 @@ def decide_problem(problem: NormalizedProblem) -> Verdict:
     if problem.degenerate_leading:
         if problem.degenerate_coeffs is None:
             raise ValueError("degenerate-leading problem without its coefficients")
-        return decide_degenerate_leading(*problem.degenerate_coeffs)
+        return _decide_degenerate(problem.degenerate_coeffs, problem.input_record)
     if problem.form is None:
         raise ValueError("problem has neither a form nor degenerate coefficients")
     if problem.orientation is Orientation.NEGATIVE_SIDE:

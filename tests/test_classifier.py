@@ -467,15 +467,15 @@ class TestWitnessFallback:
         eps = F(1, 10**exponent)
         problem, verdict = certify(*(side * c for c in (1, 0, -4, 0, 4 - eps)))
         assert verdict.classification is Definiteness.INDEFINITE
+        pos, neg = verdict.witnesses  # the search runs on this first read
         assert len(sturm_calls) == fallbacks
-        pos, neg = verdict.witnesses
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
 
     def test_coefficient_beyond_float_range(self, sturm_calls):
         problem, verdict = certify(1, 0, 0, 0, -10**400)
         assert verdict.classification is Definiteness.INDEFINITE
-        assert len(sturm_calls) == 1
         pos, neg = verdict.witnesses
+        assert len(sturm_calls) == 1
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
 
     def test_corpus_needs_no_fallback(self, small_corpus, sturm_calls):

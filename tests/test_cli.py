@@ -145,28 +145,29 @@ class TestJsonReport:
 
     def test_each_exact_value_rendered_once(self, monkeypatch):
         # lam0 is irrational here, and the certificate's m22 is lam0 itself:
-        # lambda0, g_lambda0 and six certificate entries are seven values;
-        # the three irrational ones (lambda0, g_lambda0 and m13) are rendered
-        # from the kernel's integers, the four rational ones by to_decimal
+        # lambda0, g_lambda0 and six certificate entries are seven values,
+        # all rendered from the kernel's integers: the three irrational ones
+        # (lambda0, g_lambda0 and m13) by surd_decimal, the four rational
+        # ones by ratio_decimal
         import quartic_certify.cli as cli
 
         rational, irrational = [], []
-        real_rational, real_irrational = cli.to_decimal, cli.surd_decimal
+        real_rational, real_irrational = cli.ratio_decimal, cli.surd_decimal
 
-        def counting_rational(value, digits=12):
-            rational.append(value)
-            return real_rational(value, digits)
+        def counting_rational(*args):
+            rational.append(args)
+            return real_rational(*args)
 
         def counting_irrational(*args):
             irrational.append(args)
             return real_irrational(*args)
 
-        monkeypatch.setattr(cli, "to_decimal", counting_rational)
+        monkeypatch.setattr(cli, "ratio_decimal", counting_rational)
         monkeypatch.setattr(cli, "surd_decimal", counting_irrational)
         code, out = run_json(["1", "0", "0", "1", "1"])
         assert code == 0 and out["lambda0"]["q"] != "0"
         assert len(rational) == 4 and len(irrational) == 3
-        assert all(isinstance(value, Fraction) for value in rational)
+        assert all(type(arg) is int for args in rational + irrational for arg in args)
         assert out["certificate"][1][1] == out["lambda0"]
 
     def test_certificate_entries_are_scalars(self):
@@ -447,9 +448,9 @@ class TestFrontEnd:
 
     def test_pencil_invariants_taken_once_per_form(self, monkeypatch, tmp_path):
         # the verdict, the case, the case facts, the report and the Sylvester
-        # signs all read the invariants computed with the monic form; a
-        # degenerate-leading line with e0 != 0 has one form too, the swapped
-        # one that the oracle reads
+        # signs all read the invariants taken once for the monic form; the
+        # swapped form of a degenerate-leading line, which only the oracle
+        # reads, never takes them
         import quartic_certify.forms as forms
 
         calls = []
@@ -470,14 +471,16 @@ class TestFrontEnd:
             path.write_text(line + "\n")
             calls.clear()
             assert run(["--batch", str(path)])[0] == 0
-            assert len(calls) == (1 if e4 != 0 or e0 != 0 else 0), line
+            assert len(calls) == (1 if e4 != 0 else 0), line
             monic += e4 != 0
         assert monic >= 20
 
     def test_degenerate_leading_input_cleared_once(self, monkeypatch):
         # the cross-checks read 0 1 2 1 3 swapped, as 3 x^4 + x^3 y + 2 x^2 y^2
-        # + x y^3, normalised from the reversed input record
+        # + x y^3, normalised from the reversed input record, and its cubic
+        # witnesses are checked on the same record
         import quartic_certify.forms as forms
+        import quartic_certify.positivity as positivity
 
         oracle = discriminant_case(from_plain_coeffs(3, 1, 2, 1, 0).form)
         calls = []
@@ -488,10 +491,38 @@ class TestFrontEnd:
             return real(*coeffs)
 
         monkeypatch.setattr(forms, "clear_denominators", counting)
+        monkeypatch.setattr(positivity, "clear_denominators", counting)
         code, out = run_json(["0", "1", "2", "1", "3"])
         assert code == 2 and len(calls) == 1
         assert out["oracle"] == {"discriminant_case": oracle}
         assert out["agreement"]["oracle"] is True
+
+    def test_kernel_signs_taken_once_per_form(self, monkeypatch, tmp_path):
+        # the case facts read the verdict's kernel signs: the two surd signs
+        # of lam0 are taken once per monic line, by the decision
+        import quartic_certify.classifier as classifier
+        import quartic_certify.pencil as pencil
+
+        calls = []
+        real = pencil._lam0_signs
+
+        def counting(*invariants):
+            calls.append(invariants)
+            return real(*invariants)
+
+        monkeypatch.setattr(pencil, "_lam0_signs", counting)
+        monkeypatch.setattr(classifier, "_lam0_signs", counting)
+        path = tmp_path / "form.txt"
+        taken = 0
+        for line in GOLDEN_FORMS.read_text(encoding="utf-8").splitlines():
+            if not line.split("#", 1)[0].split():
+                continue
+            path.write_text(line + "\n")
+            calls.clear()
+            assert run(["--batch", str(path)])[0] == 0
+            assert len(calls) <= 1, line
+            taken += len(calls)
+        assert taken >= 15
 
     def test_parser_is_built_once(self, monkeypatch):
         import quartic_certify.cli as cli

@@ -12,8 +12,9 @@ from quartic_certify.exactnum import (
     MismatchedRadicandError,
     QuadExt,
     _context,
-    _decimal,
     parse_rational,
+    ratio_decimal,
+    ratio_text,
     sign_of,
     sqrt_exact,
     surd_decimal,
@@ -339,6 +340,11 @@ def test_parse_fallback_keeps_values_and_messages(text):
 # -- irrational decimals: surd_decimal against the Decimal algorithm ----------
 
 
+def _decimal(value: Fraction, ctx) -> Decimal:
+    """value rounded to ctx."""
+    return ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
+
+
 def reference_to_decimal(value: QuadExt, digits: int) -> str:
     """The Decimal rendering `to_decimal` used for an irrational value: the
     square root at a working precision of max(digits + 25, 50), doubled
@@ -462,3 +468,25 @@ def test_surd_decimal_examples(a, b, n, den, digits, text):
 def test_surd_decimal_rejects_no_digits():
     with pytest.raises(ValueError):
         surd_decimal(0, 1, 2, 1, 0)
+
+
+# -- rationals rendered from a ratio of integers -------------------------------
+
+_ratio_part = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**40, 10**40))
+
+
+@given(_ratio_part, _ratio_part.filter(bool), st.integers(1, 60))
+@settings(max_examples=400, deadline=None)
+def test_ratio_text_and_decimal_equal_the_fraction_renderings(num, den, digits):
+    # unreduced ratios, negative denominators and zero included
+    for n, d in ((num, den), (num * 6, den * 6), (-num, -den)):
+        assert ratio_text(n, d) == str(Fraction(n, d))
+        assert ratio_decimal(n, d, digits) == to_decimal(Fraction(n, d), digits)
+
+
+@pytest.mark.parametrize("num, den, text", [
+    (0, 1, "0"), (0, -7, "0"), (6, -4, "-3/2"), (-6, -4, "3/2"), (-8, 4, "-2"), (10**20, 10**20, "1"),
+])
+def test_ratio_text_examples(num, den, text):
+    assert ratio_text(num, den) == text == str(Fraction(num, den))
+    assert ratio_decimal(num, den, 12) == to_decimal(Fraction(num, den), 12)

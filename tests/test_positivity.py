@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from quartic_certify import (
     sylvester_psd,
 )
 
-from quartic_certify import positivity
+from quartic_certify import classifier, positivity
 from quartic_certify.pencil import lam0_minor_signs, lam0_test
 
 from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
@@ -330,3 +331,128 @@ def test_inconsistent_problem_raises():
                                          degenerate_leading=False))
     with pytest.raises(ValueError):
         positivity._quadratic_sign_witnesses(F(0), F(0), F(1))  # y^2: one sign
+
+
+# -- the decision builds integer records; the exact values are views ---------
+
+
+class TestViewsOnFirstRead:
+    """`decide_problem` computes the integer records and the two kernel signs
+    only; a3..a0, lam0, g(lam0), the certificate and the witnesses are built
+    when first read, equal in value and type to the eager references."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A list that gains one entry per Fraction or QuadExt built."""
+        calls = []
+        new, normalised, post_init = Fraction.__new__, QuadExt._normalised, QuadExt.__post_init__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(("Fraction", args))
+            return new(cls, *args, **kwargs)
+
+        def counting_normalised(cls, *args):
+            calls.append(("QuadExt", args))
+            return normalised(*args)
+
+        def counting_post_init(self):
+            calls.append(("QuadExt", ()))
+            post_init(self)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(QuadExt, "_normalised", classmethod(counting_normalised))
+        monkeypatch.setattr(QuadExt, "__post_init__", counting_post_init)
+        return calls
+
+    @pytest.mark.parametrize("coeffs, cls", [
+        ((1, 0, 0, 1, 1), D.POSITIVE_DEFINITE),  # lam0 irrational
+        ((-1, 0, 4, 0, -4), D.NEGATIVE_SEMIDEFINITE),  # -(x^2 - 2 y^2)^2
+        ((1, 0, -5, 0, 4), D.INDEFINITE),
+    ])
+    def test_decision_builds_no_fraction(self, built, coeffs, cls):
+        problem = from_plain_coeffs(*(F(c) for c in coeffs))
+        built.clear()
+        verdict = decide_problem(problem)
+        assert verdict.classification is cls
+        assert built == []
+        # the views are still there to read, and building them is counted
+        m = problem.form
+        kernel = verdict.kernel
+        assert kernel == lam0_test(m) and kernel.lam0.is_real
+        if cls is D.INDEFINITE:
+            assert verdict.certificate is None
+            pos, neg = verdict.witnesses
+            assert evaluate(m, *pos) > 0 > evaluate(m, *neg)
+        else:
+            assert verdict.witnesses is None
+            assert _entries(verdict.certificate) == _entries(pencil_matrix(m, kernel.lam0.value))
+        assert built
+
+    @given(st.tuples(*[st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))] * 5))
+    @settings(max_examples=200, deadline=None)
+    def test_views_equal_the_eager_references(self, coeffs):
+        problem = from_plain_coeffs(*coeffs)
+        if not problem.degenerate_leading:
+            assert_views_equal_the_eager_references(problem)
+
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_views_on_the_nine_case_strata(self, case_id, data):
+        # the strata reach the semidefinite verdicts that random forms miss
+        m = data.draw(configured_form(case_id))
+        lead = data.draw(st.builds(F, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6)))
+        assert_views_equal_the_eager_references(
+            from_plain_coeffs(lead, *(lead * a for a in (m.a3, m.a2, m.a1, m.a0))))
+
+    def test_witnesses_come_through_the_classifier_module(self, monkeypatch):
+        # the verdict looks witness_search up on the module when it is read
+        planted = ((F(1), F(0)), (F(1), F(1)))
+        monkeypatch.setattr(classifier, "witness_search", lambda m: planted)
+        assert decide_monic(MonicQuartic(0, -5, 0, 4)).witnesses is planted
+
+    def test_negative_side_verdict_is_the_flipped_monic_verdict(self):
+        m = MonicQuartic(0, -4, 0, 4)  # (x^2 - 2 y^2)^2
+        ours, monic = decide_negative_side(m), decide_monic(m)
+        assert ours.classification is monic.classification.flipped()
+        assert ours.kernel == monic.kernel
+        assert ours.certificate == monic.certificate and ours.witnesses is None
+
+
+def assert_views_equal_the_eager_references(problem):
+    m = problem.form
+    verdict = decide_problem(problem)
+    e4, *rest = m.cleared
+    # a3..a0, and the floats the critical-point witness proposes from them
+    coefficients = (m.a3, m.a2, m.a1, m.a0)
+    assert coefficients == tuple(Fraction(e, e4) for e in rest)
+    assert all(type(a) is Fraction for a in coefficients)
+    assert tuple(e / e4 for e in rest) == tuple(float(a) for a in coefficients)
+    with mock.patch.object(classifier, "_cubic_real_roots",
+                           wraps=classifier._cubic_real_roots) as proposed:
+        classifier._critical_point_witness(m)
+    assert proposed.call_args.args == (0.75 * float(m.a3), 0.5 * float(m.a2),
+                                       0.25 * float(m.a1))
+    # lam0 and g(lam0)
+    cubic = pencil_coeffs(m)
+    lam0 = critical_param(cubic)
+    kernel = verdict.kernel
+    assert type(kernel.lam0.radicand) is Fraction and kernel.lam0.radicand == lam0.radicand
+    if not lam0.is_real:
+        assert kernel.lam0.value is None and kernel.g_lam0 is None
+    else:
+        assert quad_parts(kernel.lam0.value) == quad_parts(lam0.value)
+        assert quad_parts(kernel.g_lam0) == quad_parts(g_eval(cubic, lam0.value))
+    # the certificate, or the witnesses
+    if verdict.classification is D.INDEFINITE:
+        assert verdict.certificate is None
+        assert verdict.witnesses == classifier.witness_search(m)
+        return
+    assert verdict.witnesses is None
+    reference = pencil_matrix(m, lam0.value)
+    for ours, theirs in zip(_entries(verdict.certificate), _entries(reference)):
+        assert type(ours) is type(theirs)
+        if isinstance(ours, QuadExt):
+            assert quad_parts(ours) == quad_parts(theirs)
+        else:
+            assert ours == theirs
