@@ -13,12 +13,14 @@ decision can be validated against an algebraically independent criterion.
 There is no semidefinite analogue here: boundary cases are cross-checked
 against the root-configuration oracle instead.
 
-The quantities are taken in integers.  `classical_quantities` clears a
-weighted `GeneralQuartic` with one lcm.  The command line's check,
+The quantities are taken in integers, as ratios (num, den) with den > 0.
+`classical_quantities` clears a weighted `GeneralQuartic` with one lcm
+and builds their `Fraction`s.  The command line's check,
 `_monic_quantities`, reads a `MonicQuartic` from its integer record
 `cleared` = (e4, e3, e2, e1, e0), whose weighted coefficients
 (1, a3/4, a2/6, a1/4, a0) are (12 e4, 3 e3, 2 e2, 3 e1, 12 e0) over 12 e4,
-with no clearing at all.  That record is the one the pencil kernel and the
+with no clearing and no `Fraction`; the criterion has one home,
+`_pd_criterion`.  That record is the one the pencil kernel and the
 discriminant-sequence oracle read, so this check confirms the decision on
 the normalised record, not the normalisation itself: a wrong record would
 pass every cross-check alike.  The test suite guards the normalisation
@@ -46,31 +48,35 @@ class ClassicalQuantities:
 
     def is_pd(self) -> bool:
         """The criterion of the module docstring, for a form with c0 > 0."""
-        if self.delta == 0 and self.G == 0 and self.aux == 0 and self.H > 0:
-            return True
-        if self.delta > 0 and self.H >= 0:
-            return True
-        if self.delta > 0 and self.H < 0 and self.aux < 0:
-            return True
-        return False
+        return _pd_criterion(self.G, self.H, self.delta, self.aux)
+
+
+def _pd_criterion(G, H, delta, aux) -> bool:
+    """The criterion (1)-(3) of the module docstring, for c0 > 0, on the
+    signs of G, H, Delta and aux: each is given as its value or as its
+    integer numerator over a positive denominator."""
+    return ((delta == 0 and G == 0 and aux == 0 and H > 0)
+            or (delta > 0 and H >= 0)
+            or (delta > 0 and H < 0 and aux < 0))
 
 
 def classical_quantities(v: GeneralQuartic) -> ClassicalQuantities:
     """G, H, I, J, Delta and aux of the weighted form v."""
-    return _integer_quantities(*clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4))
+    ratios = _integer_quantities(*clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4))
+    return ClassicalQuantities(*(Fraction(num, den) for num, den in ratios))
 
 
-def _monic_quantities(m: MonicQuartic) -> ClassicalQuantities:
-    """The quantities of `to_weighted(m)`, read from the record `m.cleared`."""
+def _monic_quantities(m: MonicQuartic) -> tuple[tuple[int, int], ...]:
+    """The ratios of `to_weighted(m)`, read from the record `m.cleared`."""
     e4, e3, e2, e1, e0 = m.cleared
     return _integer_quantities(12 * e4, 12 * e4, 3 * e3, 2 * e2, 3 * e1, 12 * e0)
 
 
 def _integer_quantities(den: int, c0: int, c1: int, c2: int, c3: int,
-                        c4: int) -> ClassicalQuantities:
-    """The quantities of the weighted form (c0, ..., c4)/den, den > 0, from
-    integers: each is homogeneous in the c_i, of degree n say, so it is its
-    integer value over den^n."""
+                        c4: int) -> tuple[tuple[int, int], ...]:
+    """G, H, I, J, Delta and aux of the weighted form (c0, ..., c4)/den,
+    den > 0, as ratios of integers: each is homogeneous in the c_i, of
+    degree n say, so it is its integer value over den^n."""
     G = (c0 * c3 - 3 * c1 * c2) * c0 + 2 * c1**3
     H = c0 * c2 - c1 * c1
     I = c0 * c4 - 4 * c1 * c3 + 3 * c2 * c2
@@ -81,14 +87,8 @@ def _integer_quantities(den: int, c0: int, c1: int, c2: int, c3: int,
     )
     den2 = den * den
     den3 = den2 * den
-    return ClassicalQuantities(
-        Fraction(G, den3),
-        Fraction(H, den2),
-        Fraction(I, den2),
-        Fraction(J, den3),
-        Fraction(I**3 - 27 * J * J, den3 * den3),
-        Fraction(12 * H * H - c0 * c0 * I, den2 * den2),
-    )
+    return ((G, den3), (H, den2), (I, den2), (J, den3),
+            (I**3 - 27 * J * J, den3 * den3), (12 * H * H - c0 * c0 * I, den2 * den2))
 
 
 def classical_is_pd(v: GeneralQuartic) -> bool:

@@ -18,9 +18,9 @@ code), and exits with
 
 Exact values come first in the JSON report; decimal fields are renderings
 of the exact values at --precision significant digits, rounded half-even
-from the exact value.  For a monic form, lam0, g(lam0), a3^2/4 and the
-certificate are rendered from the integers of the kernel that decided the
-form, without building the verdict's `Fraction`/`QuadExt` views.
+from the exact value.  For a monic form, lam0, g(lam0) and the certificate
+are rendered from the integers of their one home, `pencil.lam0_surds`
+(by `pencil.surd_parts`), without building the verdict's views.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ from fractions import Fraction
 
 # classical_quantities, classical_is_pd, circle_min_estimate_plain and
 # table3_facts_hold stay bound for bench/spans.py to wrap
-from .classical import _monic_quantities, classical_is_pd, classical_quantities  # noqa: F401
+from .classical import (  # noqa: F401
+    _monic_quantities,
+    _pd_criterion,
+    classical_is_pd,
+    classical_quantities,
+)
 from .classifier import (  # noqa: F401
     PD_CASES,
     PSD_CASES,
@@ -47,7 +52,9 @@ from .classifier import (  # noqa: F401
     discriminant_case,
     table3_facts_hold,
 )
-from .exactnum import parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal
+# to_decimal stays bound for bench/spans.py to wrap
+from .exactnum import (  # noqa: F401
+    parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal)
 from .forms import NormalizedProblem, Orientation, evaluate_cleared, from_plain_coeffs
 # pencil_coeffs, critical_param, g_eval and pencil_matrix stay bound for
 # bench/spans.py to wrap
@@ -55,8 +62,10 @@ from .pencil import (  # noqa: F401
     critical_param,
     g_eval,
     lam0_minor_signs,
+    lam0_surds,
     pencil_coeffs,
     pencil_matrix,
+    surd_parts,
 )
 # sylvester_pd and sylvester_psd stay bound for bench/spans.py to wrap
 from .positivity import (  # noqa: F401
@@ -101,26 +110,21 @@ class CoefficientError(InputError):
         self.position = position
 
 
-def _scalar_json(value: Fraction, digits: int) -> dict:
-    return {"p": str(value), "q": "0", "d": "0", "decimal": to_decimal(value, digits)}
-
-
 def _ratio_json(num: int, den: int, digits: int) -> dict:
-    """`_scalar_json` of Fraction(num, den), rendered from the integers."""
+    """The JSON of the rational num / den, rendered from the integers."""
     return {"p": ratio_text(num, den), "q": "0", "d": "0",
             "decimal": ratio_decimal(num, den, digits)}
 
 
-def _surd_json(a: int, b: int, den: int, form, digits: int) -> dict:
-    """The JSON of (a + b sqrt(D)) / den, for the invariant D of a monic
-    form with record (e4, ...): p + q sqrt(d) with p = a / den,
-    q = 2 b e4 / den and d = D / (4 e4^2), rational when D is a square."""
-    e4 = form.cleared[0]
-    _, _, disc, _, _, root = form.invariants
-    if root is not None:
-        return _ratio_json(a + b * root, den, digits)
-    return {"p": ratio_text(a, den), "q": ratio_text(2 * b * e4, den),
-            "d": ratio_text(disc, 4 * e4 * e4), "decimal": surd_decimal(a, b, disc, den, digits)}
+def _surd_json(form, surd, digits: int) -> dict:
+    """The JSON of a value (a, b, den) of `lam0_surds(form)`, with its
+    parts p, q and d from `surd_parts`, rendered from the integers."""
+    a, b, den = surd
+    p, q, d = surd_parts(form, a, b, den)
+    if not q[0]:
+        return _ratio_json(*p, digits)
+    return {"p": ratio_text(*p), "q": ratio_text(*q), "d": ratio_text(*d),
+            "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
 
 
 @dataclass
@@ -152,16 +156,15 @@ class Report:
 
         form = self.problem.form
         if form is not None:
-            e4, e3, _, e1, e0 = form.cleared
-            _, e2, disc, _, rn, _ = form.invariants
+            e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
-            if disc < 0:
+            lam0, g_lam0, entries = lam0_surds(form)
+            if form.invariants[2] < 0:
                 out["lambda0"] = {"p": None, "q": None,
-                                  "d": ratio_text(disc, 4 * e4 * e4), "decimal": None}
+                                  "d": ratio_text(*surd_parts(form, *lam0)[2]), "decimal": None}
             else:
-                # lam0 = (2 e2 + sqrt(D)) / (3 e4), g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3)
-                out["lambda0"] = _surd_json(2 * e2, 1, 3 * e4, form, self.digits)
-                out["g_lambda0"] = _surd_json(rn, 2 * disc, 108 * e4**3, form, self.digits)
+                out["lambda0"] = _surd_json(form, lam0, self.digits)
+                out["g_lambda0"] = _surd_json(form, g_lam0, self.digits)
             if self.include_case:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
@@ -173,15 +176,13 @@ class Report:
             if form is None:
                 mat = self.verdict.certificate
                 m11, m12, m13, m22, m23, m33 = (
-                    _scalar_json(entry, self.digits)
+                    _ratio_json(entry.numerator, entry.denominator, self.digits)
                     for entry in (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33))
-            else:  # M(lam0) from the integers, with m22 = lam0 itself
-                m11 = _ratio_json(1, 1, self.digits)
-                m12 = _ratio_json(e3, 2 * e4, self.digits)
-                m13 = _surd_json(e2, -1, 6 * e4, form, self.digits)  # (e2 - sqrt(D)) / (6 e4)
-                m22 = out["lambda0"]
-                m23 = _ratio_json(e1, 2 * e4, self.digits)
-                m33 = _ratio_json(e0, e4, self.digits)
+            else:  # m22 is lam0, rendered above; the rational entries share den
+                (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = entries
+                m11, m12, m23, m33 = (_ratio_json(a, den, self.digits)
+                                      for a in (a11, a12, a23, a33))
+                m13, m22 = _surd_json(form, m13, self.digits), out["lambda0"]
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
@@ -226,17 +227,11 @@ class Report:
 
         if form is not None:
             quantities = _monic_quantities(form)
-            pd = quantities.is_pd()
+            (G, _), (H, _), _, _, (delta, _), (aux, _) = quantities
+            pd = _pd_criterion(G, H, delta, aux)
             agreement["classical"] = pd == definite
-            out["classical"] = {
-                "G": str(quantities.G),
-                "H": str(quantities.H),
-                "I": str(quantities.I),
-                "J": str(quantities.J),
-                "Delta": str(quantities.delta),
-                "aux": str(quantities.aux),
-                "pd": pd,
-            }
+            out["classical"] = dict(zip(("G", "H", "I", "J", "Delta", "aux"),
+                                        (ratio_text(*q) for q in quantities)), pd=pd)
 
             # the principal minor signs of M(lam0), the certificate when there
             # is one, read off the integer matrix 6 e4 M(lam0) over Z[sqrt(D)]

@@ -5,11 +5,13 @@ number of the form p + q*sqrt(d) with rational p, q and rational d >= 0.
 Rationals are `fractions.Fraction`; the extension element is `QuadExt`.
 That sign has one home, `surd_sign`: `QuadExt.sign`, the integer lam0
 kernel of `pencil`, its nine-case table in `classifier` and the integer
-Sylvester minors all take it there.  No floating point enters any
-decision path; floats and decimal strings are converted to exact fractions
-at the boundary by `parse_rational`, and decimal output is rendered from
-the exact value on demand by `to_decimal`, a rational one from its
-integers by `ratio_decimal` and an irrational one by `surd_decimal`.
+Sylvester minors all take it there; clearing values of one Q(sqrt(d)) to
+integers of Z[sqrt(N)] has one home too, `clear_surds`.  No floating point
+enters any decision path; floats and decimal strings are converted to
+exact fractions at the boundary by `parse_rational`, and decimal output is
+rendered from the exact value on demand by `to_decimal`, a rational one
+from its integers by `ratio_decimal` and an irrational one by
+`surd_decimal`.
 `ratio_text` spells a ratio of integers as `str(Fraction)` does, so a
 value held as integers is rendered without building its `Fraction`.
 """
@@ -37,6 +39,7 @@ __all__ = [
     "sqrt_exact",
     "parse_rational",
     "to_decimal",
+    "clear_surds",
     "surd_decimal",
     "ratio_text",
     "ratio_decimal",
@@ -153,9 +156,7 @@ class QuadExt:
         """A value from Fraction parts already in normal form (d is 0 or not
         a rational square), without the checks of the constructor."""
         value = object.__new__(cls)
-        object.__setattr__(value, "p", p)
-        object.__setattr__(value, "q", q)
-        object.__setattr__(value, "d", d if q else _ZERO)
+        value.__dict__.update(p=p, q=q, d=d if q else _ZERO)
         return value
 
     # -- classification ------------------------------------------------
@@ -346,22 +347,39 @@ def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
 
     A rational value is divided out by `decimal`, at a working precision
     well above the requested digits.  An irrational value p + q sqrt(d) is
-    cleared to (a + b sqrt(N)) / L in integers and rendered by
-    `surd_decimal`, which rounds it once, exactly.  Every step runs in a
+    cleared to (a + b sqrt(N)) / L in integers (`clear_surds`) and rendered
+    by `surd_decimal`, which rounds it once, exactly.  Every step runs in a
     fixed context (`_context`), so the caller's decimal settings change
     neither the digits nor the traps.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if isinstance(value, QuadExt) and value.q != 0:
-        # sqrt(n/m) = sqrt(n m) / m
-        p, q, m = value.p, value.q, value.d.denominator
-        big = math.lcm(p.denominator, q.denominator * m)
-        return surd_decimal(p.numerator * (big // p.denominator),
-                            q.numerator * (big // (q.denominator * m)),
-                            value.d.numerator * m, big, digits)
+        ((a, b),), n, big = clear_surds(value)
+        return surd_decimal(a, b, n, big, digits)
     value = value.p if isinstance(value, QuadExt) else as_fraction(value)
     return ratio_decimal(value.numerator, value.denominator, digits)
+
+
+def clear_surds(*values: QuadExt | Fraction | int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """((a, b) per value, N, L) with L (p + q sqrt(d)) = a + b sqrt(N) for
+    each value p + q sqrt(d), all over one radicand d = n/m: N = n m and
+    L > 0 is the lcm of the denominators of every p and q/m.  Irrational
+    values over two radicands raise `MismatchedRadicandError`."""
+    radicand = _ZERO
+    for value in values:
+        if isinstance(value, QuadExt) and value.q:
+            if radicand and value.d != radicand:
+                raise MismatchedRadicandError(
+                    f"cannot combine sqrt({radicand}) with sqrt({value.d})")
+            radicand = value.d
+    parts = [(v.p, v.q) if isinstance(v, QuadExt) else (v, 0) for v in values]
+    m = radicand.denominator
+    big = math.lcm(*(p.denominator for p, _ in parts),
+                   *(q.denominator * m for _, q in parts if q))
+    return tuple((p.numerator * (big // p.denominator),
+                  q.numerator * (big // (q.denominator * m)) if q else 0)
+                 for p, q in parts), radicand.numerator * m, big
 
 
 def ratio_text(num: int, den: int) -> str:

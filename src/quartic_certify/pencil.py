@@ -19,25 +19,24 @@ definiteness question (see the positivity module).
 `lam0_test` is the decision kernel: it reads the form's integer pencil
 invariants (`MonicQuartic.invariants`, computed once per form) and settles
 the two sign tests on lam0 with two signs of the shape a + b sqrt(D), each
-taken by `exactnum.surd_sign`.  Its record (`Lam0Test`) holds the two
-signs and the invariants; lam0 and g(lam0) are views of them, built in
-Q(sqrt(d)) on first read.  `classifier.classify_case` reads the nine-case
-classification off the same integers, and `lam0_minor_signs` the
-principal minor signs of M(lam0).  The certificate M(lam0) is built from
-them too (`positivity`).  The Q(sqrt(d)) route (`critical_param`,
-`g_eval`, `pencil_matrix`) builds the same values by field arithmetic; it
-serves the tests, the demos and M(lam) at any other lam, and is the
-reference the integer route is tested against.
+taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
+nine-case classification off the same integers.  The closed forms of
+lam0, g(lam0) and M(lam0) over Z[sqrt(D)] have one home, `lam0_surds`,
+with one converter to Q(sqrt(d)), `surd_parts`: the kernel record's views
+lam0 and g(lam0), the certificate (`lam0_matrix`), `lam0_minor_signs` and
+the command line's report read them.  The Q(sqrt(d)) route
+(`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
+field arithmetic; it serves the tests, the demos and M(lam) at any other
+lam, and is the reference the integer route is tested against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import MismatchedRadicandError, QuadExt, as_fraction, sign_of, surd_sign
+from .exactnum import QuadExt, as_fraction, clear_surds, sign_of, surd_sign
 from .forms import MonicQuartic, _View
 
 __all__ = [
@@ -49,9 +48,11 @@ __all__ = [
     "base_matrices",
     "pencil_matrix",
     "g_eval",
-    "g_prime_eval",
     "critical_param",
+    "lam0_surds",
+    "surd_parts",
     "lam0_test",
+    "lam0_matrix",
     "lam0_minor_signs",
     "discriminant_g",
     "boundary_identity_check",
@@ -125,36 +126,11 @@ class Sym3Matrix:
 
     @cached_property
     def principal_minor_signs(self) -> tuple[int, ...]:
-        """Signs of the seven `principal_minors`, in their order, in integers.
-
-        The irrational entries share one radicand d = n/m, and
-        sqrt(d) = sqrt(N)/m with N = n m.  One lcm L of the denominators of
-        the twelve rationals p and q/m turns each entry p + q sqrt(d) into
-        L (p + q sqrt(d)) = a + b sqrt(N) with integers a and b; the minors
-        of that matrix are L, L^2 and L^3 times those of this one, so they
-        have the same signs (`_minor_signs`).
-        """
-        radicand = Fraction(0)
-        parts = []
-        for entry in (self.m11, self.m12, self.m13, self.m22, self.m23, self.m33):
-            if isinstance(entry, QuadExt):
-                if entry.q:
-                    if radicand and entry.d != radicand:
-                        raise MismatchedRadicandError(
-                            f"cannot combine sqrt({radicand}) with sqrt({entry.d})")
-                    radicand = entry.d
-                parts.append((entry.p, entry.q))
-            else:
-                parts.append((entry, 0))
-        m = radicand.denominator
-        n = radicand.numerator * m
-        big = math.lcm(*(p.denominator for p, _ in parts),
-                       *(q.denominator * m for _, q in parts if q))
-        return _minor_signs(*(
-            (p.numerator * (big // p.denominator),
-             q.numerator * (big // (q.denominator * m)) if q else 0)
-            for p, q in parts
-        ), n)
+        """Signs of the seven `principal_minors`, in their order, in integers:
+        the minors of the matrix L m_ij = a + b sqrt(N) of `clear_surds`,
+        L > 0, are L, L^2 and L^3 times these (`_minor_signs`)."""
+        parts, n, _ = clear_surds(self.m11, self.m12, self.m13, self.m22, self.m23, self.m33)
+        return _minor_signs(*parts, n)
 
     def two_by_two_minors(self) -> tuple[Scalar, ...]:
         """All nine 2x2 minors; rank <= 1 iff every one vanishes."""
@@ -263,10 +239,6 @@ def g_eval(p: PencilCubic, lam: Scalar) -> Scalar:
     return acc
 
 
-def g_prime_eval(p: PencilCubic, lam: Scalar) -> Scalar:
-    return (Fraction(-3, 4) * lam + 2 * p.b2) * lam + p.b1
-
-
 def critical_param(p: PencilCubic) -> CriticalParam:
     d = p.radicand
     if d < 0:
@@ -276,27 +248,55 @@ def critical_param(p: PencilCubic) -> CriticalParam:
     return CriticalParam(radicand=d, value=value)
 
 
-def _lam0_view(test: Lam0Test) -> CriticalParam:
-    """lam0 = (2 e2 + sqrt(D)) / (3 e4) in Q(sqrt(d)), d = D / (4 e4^2)."""
-    e4, e2, disc, _, _, root = test._invariants
-    d = Fraction(disc, 4 * e4 * e4)
-    if disc < 0:
-        return CriticalParam(d, None)
+# (a, b, den): the number (a + b sqrt(D)) / den, D the pencil invariant of a form
+Surd = tuple[int, int, int]
+
+
+def lam0_surds(m: MonicQuartic) -> tuple[Surd, Surd, tuple[Surd, ...]]:
+    """lam0, g(lam0) and the entries (m11, m12, m13, m22, m23, m33) of
+    M(lam0) from the form's `cleared` record and `invariants`, the one home
+    of these closed forms: lam0 = (4 e2 + 2 sqrt(D)) / (6 e4), which is m22
+    too, g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3), and the entries of
+    6 e4 M(lam0), 6 e4, 3 e3, e2 - sqrt(D), 4 e2 + 2 sqrt(D), 3 e1 and 6 e0,
+    over 6 e4.  When D < 0 only the radicand of lam0 is read."""
+    e4, e3, e2, e1, e0 = m.cleared
+    _, _, disc, _, rn, _ = m.invariants
+    den = 6 * e4
+    lam0 = (4 * e2, 2, den)
+    return lam0, (rn, 2 * disc, 108 * e4 * e4 * e4), (
+        (den, 0, den), (3 * e3, 0, den), (e2, -1, den), lam0, (3 * e1, 0, den), (6 * e0, 0, den))
+
+
+def surd_parts(m: MonicQuartic, a: int, b: int,
+               den: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The parts of (a + b sqrt(D)) / den = p + q sqrt(d) as integer ratios:
+    p = a / den, q = 2 b e4 / den and d = D / (4 e4^2), as sqrt(D) =
+    2 e4 sqrt(d).  When D is a square the value folds to the rational p
+    and q = 0; d is the form's radicand either way."""
+    e4 = m.cleared[0]
+    _, _, disc, _, _, root = m.invariants
+    d = (disc, 4 * e4 * e4)
     if root is not None:
-        return CriticalParam(d, QuadExt._normalised(Fraction(2 * e2 + root, 3 * e4)))
-    return CriticalParam(d, QuadExt._normalised(Fraction(2 * e2, 3 * e4), Fraction(2, 3), d))
+        return (a + b * root, den), (0, 1), d
+    return (a, den), (2 * b * e4, den), d
+
+
+def _lam0_view(test: Lam0Test) -> CriticalParam:
+    p, q, d = surd_parts(test._form, *test._surds[0])
+    radicand = Fraction(*d)
+    if d[0] < 0:
+        return CriticalParam(radicand, None)
+    return CriticalParam(radicand, QuadExt._normalised(Fraction(*p), Fraction(*q), radicand))
+
+
+def _in_field(test: Lam0Test, a: int, b: int, den: int) -> QuadExt:
+    """(a + b sqrt(D)) / den over the radicand of a real `test.lam0`."""
+    p, q, _ = surd_parts(test._form, a, b, den)
+    return QuadExt._normalised(Fraction(*p), Fraction(*q), test.lam0.radicand)
 
 
 def _g_lam0_view(test: Lam0Test) -> QuadExt | None:
-    """g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3) in Q(sqrt(d))."""
-    e4, _, disc, _, rn, root = test._invariants
-    if disc < 0:
-        return None
-    g_den = 108 * e4**3
-    if root is not None:
-        return QuadExt._normalised(Fraction(rn + 2 * disc * root, g_den))
-    return QuadExt._normalised(Fraction(rn, g_den), Fraction(disc, 27 * e4 * e4),
-                               test.lam0.radicand)
+    return None if test.lam0.value is None else _in_field(test, *test._surds[1])
 
 
 @dataclass(frozen=True)
@@ -305,14 +305,15 @@ class Lam0Test:
 
     `slack` is the sign of lam0 - a3^2/4 and `value` that of g(lam0); with
     `g_lam0` they are None when lam0 is not real (d < 0).  A record of
-    `lam0_test` holds the signs and the form's invariants, and builds
-    `lam0` and `g_lam0` from them on first read.
+    `lam0_test` holds the signs and the form, and builds `lam0` and
+    `g_lam0` from `lam0_surds` on first read.
     """
 
     lam0: CriticalParam = _View(_lam0_view)
     g_lam0: QuadExt | None = _View(_g_lam0_view, None)
     slack: int | None = None
     value: int | None = None
+    _surds = _View(lambda test: lam0_surds(test._form))  # read by every view
 
 
 def lam0_test(m: MonicQuartic) -> Lam0Test:
@@ -321,7 +322,6 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     With e4 the lcm of the denominators of m and ei = e4 ai integers,
 
         d = D / (4 e4^2),    D = 12 e0 e4 - 3 e1 e3 + e2^2,
-        lam0 = (2 e2 + sqrt(D)) / (3 e4),
         lam0 - a3^2/4 = ((8 e2 e4 - 3 e3^2) + 4 e4 sqrt(D)) / (12 e4^2),
         g(lam0) = (R + 4 d sqrt(d)) / 27 = (Rn + 2 D sqrt(D)) / (108 e4^3),
 
@@ -331,15 +331,13 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     b0 = N0 / (4 e4^3)).  Since e4 > 0 both signs are signs of integers
     a + b sqrt(D).  These integers (e4, e2, D, A = 8 e2 e4 - 3 e3^2, Rn)
     are the form's `invariants`, computed once per form.  The record's
-    lam0 and g(lam0), built on first read, equal `critical_param` and
-    `g_eval` part for part; they fold to rationals when D is a perfect
-    square.
+    lam0 and g(lam0), built from `lam0_surds` on first read, equal
+    `critical_param` and `g_eval` part for part.
     """
-    invariants = m.invariants
-    e4, _, disc, a, rn, _ = invariants
+    e4, _, disc, a, rn, _ = m.invariants
     slack, value = _lam0_signs(e4, disc, a, rn) if disc >= 0 else (None, None)
     test = object.__new__(Lam0Test)
-    test.__dict__.update(slack=slack, value=value, _invariants=invariants)
+    test.__dict__.update(slack=slack, value=value, _form=m)
     return test
 
 
@@ -348,20 +346,23 @@ def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
     return surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc)
 
 
+def lam0_matrix(test: Lam0Test) -> Sym3Matrix:
+    """M(lam0) of the form of a record with real lam0, from `lam0_surds`,
+    equal to `pencil_matrix` at lam0 in value and type: m13 and m22 (the
+    view lam0) are QuadExt, the four rational entries (b = 0) Fraction."""
+    (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = test._surds[2]
+    return Sym3Matrix(Fraction(a11, den), Fraction(a12, den), _in_field(test, *m13),
+                      test.lam0.value, Fraction(a23, den), Fraction(a33, den))
+
+
 def lam0_minor_signs(m: MonicQuartic) -> tuple[int, ...]:
     """Signs of the seven principal minors of M(lam0), in the order of
-    `Sym3Matrix.principal_minors`, for a form with real lam0.
-
-    They are read off 6 e4 M(lam0), a positive multiple whose entries are
-    integers of Z[sqrt(D)]: 6 e4, 3 e3, e2 - sqrt(D), 4 e2 + 2 sqrt(D), 3 e1
-    and 6 e0, so no denominator is cleared.
-    """
-    e4, e3, e2, e1, e0 = m.cleared
+    `Sym3Matrix.principal_minors`, for a form with real lam0, read off the
+    integer matrix 6 e4 M(lam0) over Z[sqrt(D)] of `lam0_surds`."""
     disc = m.invariants[2]
     if disc < 0:
         raise ValueError("lam0 is not real")
-    return _minor_signs((6 * e4, 0), (3 * e3, 0), (e2, -1), (4 * e2, 2), (3 * e1, 0),
-                        (6 * e0, 0), disc)
+    return _minor_signs(*((a, b) for a, b, _ in lam0_surds(m)[2]), disc)
 
 
 def discriminant_g(p: PencilCubic) -> Fraction:

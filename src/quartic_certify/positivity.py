@@ -12,9 +12,8 @@ verdict carries that kernel record (the two signs, with lam0 and g(lam0)
 as views) for the report.  The integers and the two signs are all the
 decision computes: the verdict's exact values are views of them, built on
 first read.  Whenever the verdict is PSD or PD the matrix M(lam0) is its
-certificate, built from the same integers (m12 = e3 / (2 e4),
-m13 = (e2 - sqrt(D)) / (6 e4), m22 = lam0 and m23 = e1 / (2 e4)), equal
-entry for entry to `pencil.pencil_matrix` at lam0: it is positive
+certificate, `pencil.lam0_matrix`, read from `pencil.lam0_surds`, the one
+home of the closed forms of lam0, g(lam0) and M(lam0).  It is positive
 (semi)definite exactly when the form is, and it reproduces the form
 through the Veronese representation, so a verifier needs nothing but
 Sylvester's criterion and a matrix-vector product.  Otherwise the verdict's
@@ -44,7 +43,7 @@ from fractions import Fraction
 
 from . import classifier
 # sign_of stays bound for bench/spans.py to wrap
-from .exactnum import QuadExt, as_fraction, sign_of  # noqa: F401
+from .exactnum import as_fraction, sign_of  # noqa: F401
 from .forms import (
     MonicQuartic,
     NormalizedProblem,
@@ -56,11 +55,11 @@ from .forms import (
 # critical_param, g_eval, pencil_coeffs and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
-    CriticalParam,
     Lam0Test,
     Sym3Matrix,
     critical_param,
     g_eval,
+    lam0_matrix,
     lam0_test,
     pencil_coeffs,
     pencil_matrix,
@@ -122,7 +121,7 @@ class Verdict:
     """
 
     classification: Definiteness
-    certificate: Sym3Matrix | None = _View(lambda v: _certificate(v._form, v.kernel.lam0), None)
+    certificate: Sym3Matrix | None = _View(lambda v: lam0_matrix(v.kernel), None)
     witnesses: tuple[Point, Point] | None = _View(
         lambda v: classifier.witness_search(v._form), None)
     kernel: Lam0Test | None = None
@@ -184,20 +183,6 @@ def _decide_monic(m: MonicQuartic, flip: bool) -> Verdict:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_THIRD = Fraction(-1, 3)
-
-
-def _certificate(m: MonicQuartic, lam0: CriticalParam) -> Sym3Matrix:
-    """M(lam0) of m for a real lam0, from the form's integers: the entries
-    equal those of `pencil_matrix(m, lam0.value)` in value and type."""
-    e4, e3, e2, e1, _ = m.cleared
-    root = m.invariants[5]
-    if root is None:  # m13 = e2 / (6 e4) - sqrt(d) / 3, with sqrt(D) = 2 e4 sqrt(d)
-        m13 = QuadExt._normalised(Fraction(e2, 6 * e4), _MINUS_THIRD, lam0.radicand)
-    else:
-        m13 = QuadExt._normalised(Fraction(e2 - root, 6 * e4))
-    return Sym3Matrix(_ONE, Fraction(e3, 2 * e4), m13, lam0.value, Fraction(e1, 2 * e4), m.a0)
 
 
 def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:

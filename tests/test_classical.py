@@ -15,7 +15,8 @@ from quartic_certify import (
     sign_of,
     to_weighted,
 )
-from quartic_certify.classical import _monic_quantities
+from quartic_certify.classical import _monic_quantities, _pd_criterion
+from quartic_certify.exactnum import ratio_text
 
 F = Fraction
 
@@ -117,18 +118,23 @@ def test_integer_quantities_equal_the_fraction_formulas(coeffs):
         )
 
 
+def _values(q):
+    return q.G, q.H, q.I, q.J, q.delta, q.aux
+
+
 @given(st.tuples(_coefficient, _coefficient, _coefficient, _coefficient))
 @settings(max_examples=300, deadline=None)
 def test_monic_record_quantities_equal_the_weighted_ones(coeffs):
-    # a MonicQuartic is read from its integer record, with no clearing;
-    # every quantity, its printed form and the criterion are those of the
-    # weighted form of to_weighted
+    # a MonicQuartic is read from its integer record, with no clearing, as
+    # integer ratios over positive denominators; every printed quantity and
+    # the criterion on their numerators are those of the weighted form of
+    # to_weighted
     m = MonicQuartic(*coeffs)
     got, expected = _monic_quantities(m), classical_quantities(to_weighted(m))
-    assert got == expected
-    assert [str(getattr(got, f)) for f in ("G", "H", "I", "J", "delta", "aux")] == [
-        str(getattr(expected, f)) for f in ("G", "H", "I", "J", "delta", "aux")]
-    assert got.is_pd() == classical_is_pd(to_weighted(m))
+    assert all(den > 0 for _, den in got)
+    assert [ratio_text(*q) for q in got] == [str(value) for value in _values(expected)]
+    (G, _), (H, _), _, _, (delta, _), (aux, _) = got
+    assert _pd_criterion(G, H, delta, aux) == classical_is_pd(to_weighted(m))
 
 
 def test_monic_record_is_not_cleared_again(monkeypatch):
@@ -141,4 +147,4 @@ def test_monic_record_is_not_cleared_again(monkeypatch):
         raise AssertionError("cleared again")
 
     monkeypatch.setattr(classical, "clear_denominators", forbidden)
-    assert _monic_quantities(m) == expected
+    assert tuple(F(*q) for q in _monic_quantities(m)) == _values(expected)

@@ -9,16 +9,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic_certify import (
-    ClassicalQuantities,
     Definiteness,
+    QuadExt,
+    critical_param,
+    decide_problem,
     discriminant_case,
     evaluate_plain,
     from_plain_coeffs,
+    g_eval,
     parse_rational,
+    pencil_coeffs,
+    pencil_matrix,
+    to_decimal,
 )
-from quartic_certify.cli import MAX_PRECISION, main
+from quartic_certify.cli import MAX_PRECISION, Report, main
+
+from conftest import configured_form
 
 F = Fraction
 
@@ -235,6 +245,59 @@ class TestJsonReport:
     def test_no_case_flag(self):
         _, out = run_json(["--no-case", "1", "0", "0", "1", "1"])
         assert out["case"] is None
+
+
+def _reference_json(value, digits):
+    """The JSON of an exact value, from its Fraction or QuadExt parts."""
+    p, q, d = (value.p, value.q, value.d) if isinstance(value, QuadExt) else (value, 0, 0)
+    return {"p": str(p), "q": str(q), "d": str(d), "decimal": to_decimal(value, digits)}
+
+
+def assert_report_equals_the_reference(coeffs, digits):
+    """lambda0, g_lambda0 and the nine certificate cells of the report, which
+    are rendered from the integers of `pencil.lam0_surds`, against the
+    Q(sqrt(d)) route: `critical_param`, `g_eval` and `pencil_matrix`."""
+    problem = from_plain_coeffs(*coeffs)
+    verdict = decide_problem(problem)
+    out, _ = Report(coeffs, problem, verdict, digits, include_case=False,
+                    crosscheck=False).build()
+    m = problem.form
+    cubic = pencil_coeffs(m)
+    lam0 = critical_param(cubic)
+    if not lam0.is_real:
+        assert out["lambda0"] == {"p": None, "q": None, "d": str(lam0.radicand), "decimal": None}
+        assert out["g_lambda0"] is None
+        return
+    assert out["lambda0"] == _reference_json(lam0.value, digits)
+    assert out["g_lambda0"] == _reference_json(g_eval(cubic, lam0.value), digits)
+    if verdict.classification is Definiteness.INDEFINITE:
+        assert out["certificate"] is None
+        return
+    rows = pencil_matrix(m, lam0.value).rows()
+    assert out["certificate"] == [[_reference_json(entry, digits) for entry in row]
+                                  for row in rows]
+
+
+_huge = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))
+
+
+class TestReportAgainstTheReference:
+    @pytest.mark.parametrize("case_id", range(1, 10))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_nine_case_strata(self, case_id, data):
+        # the strata reach the semidefinite verdicts, which carry a
+        # certificate; a lead of either sign reaches both sides
+        m = data.draw(configured_form(case_id))
+        lead = data.draw(st.builds(F, st.integers(-10**6, 10**6).filter(bool),
+                                   st.integers(1, 10**6)))
+        coeffs = (lead, *(lead * a for a in (m.a3, m.a2, m.a1, m.a0)))
+        assert_report_equals_the_reference(coeffs, data.draw(st.integers(1, 45)))
+
+    @given(st.tuples(_huge.filter(bool), _huge, _huge, _huge, _huge), st.integers(1, 45))
+    @settings(max_examples=150, deadline=None)
+    def test_random_forms(self, coeffs, digits):
+        assert_report_equals_the_reference(coeffs, digits)
 
 
 class TestBatch:
@@ -551,13 +614,17 @@ class TestFrontEnd:
 
 class TestDisagreementPath:
     def test_forced_crosscheck_failure_exits_70(self, monkeypatch):
-        monkeypatch.setattr(ClassicalQuantities, "is_pd", lambda self: True)
+        import quartic_certify.cli as cli
+
+        monkeypatch.setattr(cli, "_pd_criterion", lambda *signs: True)
         code, out = run_json(["1", "0", "-5", "0", "4"])  # indefinite form
         assert code == 70
         assert out["agreement"]["classical"] is False
 
     def test_batch_propagates_disagreement(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(ClassicalQuantities, "is_pd", lambda self: True)
+        import quartic_certify.cli as cli
+
+        monkeypatch.setattr(cli, "_pd_criterion", lambda *signs: True)
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 1 1\n1 0 -5 0 4\n")
         code, _ = run(["--batch", str(path)])

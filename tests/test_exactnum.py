@@ -465,6 +465,31 @@ def test_surd_decimal_examples(a, b, n, den, digits, text):
     assert str(Decimal(text)) == text
 
 
+def _near_cancellation(b, n, offset):
+    """a with a + b sqrt(n) about offset: a Pell-style cancellation."""
+    root = math.isqrt(b * b * n)
+    return (-root if b > 0 else root) + offset
+
+
+@given(st.integers(-10**30, 10**30).filter(bool),
+       st.integers(2, 10**12).filter(lambda n: math.isqrt(n) ** 2 != n),
+       st.one_of(_numerator, st.integers(-3, 3)), st.booleans(),
+       st.integers(-10**12, 10**12).filter(bool), st.integers(1, 10**6), st.integers(2, 10**6),
+       st.integers(1, 60))
+@settings(max_examples=400, deadline=None)
+def test_decimals_are_scale_invariant(b, n, a, cancel, den, k, s, digits):
+    # one value spelled over other integers renders alike: (a, b, den) times
+    # k, as the report re-denominates lam0 = (2 e2 + sqrt(D)) / (3 e4) to
+    # (4 e2 + 2 sqrt(D)) / (6 e4), and b s sqrt(n) = b sqrt(n s^2)
+    if cancel:
+        a = _near_cancellation(b, n, a)
+    text = surd_decimal(a, b, n, den, digits)
+    assert surd_decimal(k * a, k * b, n, k * den, digits) == text
+    assert surd_decimal(a, b * s, n, den, digits) == surd_decimal(a, b, n * s * s, den, digits)
+    assert ratio_text(k * a, k * den) == ratio_text(a, den)
+    assert ratio_decimal(k * a, k * den, digits) == ratio_decimal(a, den, digits)
+
+
 def test_surd_decimal_rejects_no_digits():
     with pytest.raises(ValueError):
         surd_decimal(0, 1, 2, 1, 0)

@@ -30,7 +30,7 @@ from quartic_certify import (
 )
 
 from quartic_certify import classifier, positivity
-from quartic_certify.pencil import lam0_minor_signs, lam0_test
+from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_test
 
 from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
                       random_monic)
@@ -278,11 +278,12 @@ class TestIntegerCertificate:
 
     def check(self, m) -> bool:
         """Whether m has a real lam0 and an indefinite verdict."""
-        lam0 = lam0_test(m).lam0
+        kernel = lam0_test(m)
+        lam0 = kernel.lam0
         if not lam0.is_real:
             return False
         reference = pencil_matrix(m, lam0.value)
-        built = positivity._certificate(m, lam0)
+        built = lam0_matrix(kernel)
         for ours, theirs in zip(_entries(built), _entries(reference)):
             assert type(ours) is type(theirs)
             if isinstance(ours, QuadExt):
