@@ -16,11 +16,11 @@ code), and exits with
     70  an internal cross-check disagreed, or a batch line raised an
         internal error (never expected in a release)
 
-Exact values come first in the JSON report; decimal fields are renderings
-of the exact values at --precision significant digits, rounded half-even
-from the exact value.  For a monic form, lam0, g(lam0) and the certificate
-are rendered from the integers of their one home, `pencil.lam0_surds`
-(by `pencil.surd_parts`), without building the verdict's views.
+Exact values come first in the JSON report; a decimal field is the exact
+value rounded half-even once to --precision significant digits (no guard
+digits, no second rounding).  For a monic form, lam0, g(lam0) and the
+certificate are rendered from the integers of their one home,
+`pencil.lam0_surds` (by `pencil.surd_parts`), without the verdict's views.
 """
 
 from __future__ import annotations
@@ -116,14 +116,14 @@ def _ratio_json(num: int, den: int, digits: int) -> dict:
             "decimal": ratio_decimal(num, den, digits)}
 
 
-def _surd_json(form, surd, digits: int) -> dict:
-    """The JSON of a value (a, b, den) of `lam0_surds(form)`, with its
-    parts p, q and d from `surd_parts`, rendered from the integers."""
+def _surd_json(form, surd, d_text: str, digits: int) -> dict:
+    """The JSON of a value (a, b, den) of `lam0_surds(form)`: p and q from
+    `surd_parts`, d the form's radicand as spelled once, d_text."""
     a, b, den = surd
-    p, q, d = surd_parts(form, a, b, den)
+    p, q, _ = surd_parts(form, a, b, den)
     if not q[0]:
         return _ratio_json(*p, digits)
-    return {"p": ratio_text(*p), "q": ratio_text(*q), "d": ratio_text(*d),
+    return {"p": ratio_text(*p), "q": ratio_text(*q), "d": d_text,
             "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
 
 
@@ -159,12 +159,12 @@ class Report:
             e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
             lam0, g_lam0, entries = lam0_surds(form)
+            d_text = ratio_text(*surd_parts(form, *lam0)[2])  # one spelling per line
             if form.invariants[2] < 0:
-                out["lambda0"] = {"p": None, "q": None,
-                                  "d": ratio_text(*surd_parts(form, *lam0)[2]), "decimal": None}
+                out["lambda0"] = {"p": None, "q": None, "d": d_text, "decimal": None}
             else:
-                out["lambda0"] = _surd_json(form, lam0, self.digits)
-                out["g_lambda0"] = _surd_json(form, g_lam0, self.digits)
+                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits)
+                out["g_lambda0"] = _surd_json(form, g_lam0, d_text, self.digits)
             if self.include_case:
                 case = classify_case(form)
                 out["case"] = {"id": case.case_id, "description": case.description}
@@ -182,7 +182,7 @@ class Report:
                 (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = entries
                 m11, m12, m23, m33 = (_ratio_json(a, den, self.digits)
                                       for a in (a11, a12, a23, a33))
-                m13, m22 = _surd_json(form, m13, self.digits), out["lambda0"]
+                m13, m22 = _surd_json(form, m13, d_text, self.digits), out["lambda0"]
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:

@@ -11,7 +11,8 @@ enters any decision path; floats and decimal strings are converted to
 exact fractions at the boundary by `parse_rational`, and decimal output is
 rendered from the exact value on demand by `to_decimal`, a rational one
 from its integers by `ratio_decimal` and an irrational one by
-`surd_decimal`.
+`surd_decimal`.  Each rounds once, half-even, from the exact value: one
+correctly rounded division, or exact integer floors of the scaled value.
 `ratio_text` spells a ratio of integers as `str(Fraction)` does, so a
 value held as integers is rendered without building its `Fraction`.
 """
@@ -345,12 +346,12 @@ def sign_of(value: QuadExt | Fraction | int) -> int:
 def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
     """Render an exact scalar to `digits` significant decimal digits.
 
-    A rational value is divided out by `decimal`, at a working precision
-    well above the requested digits.  An irrational value p + q sqrt(d) is
-    cleared to (a + b sqrt(N)) / L in integers (`clear_surds`) and rendered
-    by `surd_decimal`, which rounds it once, exactly.  Every step runs in a
-    fixed context (`_context`), so the caller's decimal settings change
-    neither the digits nor the traps.
+    Either way the value is rounded half-even once, from the exact value.
+    A rational value is one correctly rounded division (`ratio_decimal`).
+    An irrational value p + q sqrt(d) is cleared to (a + b sqrt(N)) / L in
+    integers (`clear_surds`) and rendered by `surd_decimal`, from exact
+    integer floors.  Every step runs in a fixed context (`_context`), so
+    the caller's decimal settings change neither the digits nor the traps.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -394,14 +395,13 @@ def ratio_text(num: int, den: int) -> str:
 
 def ratio_decimal(num: int, den: int, digits: int) -> str:
     """num / den, for integers num and den != 0, to `digits` significant
-    decimal digits, rounded half-even, as `to_decimal(Fraction(num, den))`:
-    the quotient is rounded from the exact value at a working precision
-    well above the requested digits, then to `digits`."""
+    decimal digits, rounded half-even once, from the exact value: one
+    `Context.divide` at `digits`, which is correctly rounded and spells an
+    exact quotient at its ideal exponent ("0.25", "1000")."""
     if den < 0:
         num, den = -num, -den
-    total = _context(max(digits + 25, 50)).divide(Decimal(num), Decimal(den))
     out = _context(digits)
-    return out.to_sci_string(out.plus(total))
+    return out.to_sci_string(out.divide(Decimal(num), Decimal(den)))
 
 
 def surd_decimal(a: int, b: int, n: int, den: int, digits: int) -> str:
@@ -409,69 +409,54 @@ def surd_decimal(a: int, b: int, n: int, den: int, digits: int) -> str:
     `digits` significant decimal digits, rounded half-even, spelled as
     `Decimal.__str__` spells a result of that many digits (0 as "0").
 
-    The value is rounded once, from the exact value: one `math.isqrt` at a
-    scale with guard digits places the decimal point and proposes the
-    digits, and when the guard digits leave the rounding in doubt,
-    `surd_sign` settles it exactly (a tie is possible only for a rational
-    value).  When a and b sqrt(n) cancel so far that the guard digits do
-    not survive, the scale widens.
+    The value v is rounded once, from the exact value, by one identity: for
+    real y and an integer u > 0, floor(y / u) = floor(floor(y) / u).  So one
+    `math.isqrt` gives t = floor(2 |v| 10^w) at a scale w, each coarser
+    scale s takes floor(2 |v| 10^s) = t // 10^(w - s), and the rounding of
+    |v| 10^s is (that + 1) // 2, save on a tie, which only a rational value
+    reaches.  The scale widens when a and b sqrt(n) cancel beyond the size
+    estimate.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if den < 0:
         a, b, den = -a, -b, -den
-    # y = a 10^w + b isqrt(n 10^2w) is within |b| of (a + b sqrt(n)) 10^w;
-    # start from a w at which that is a relative error of 10^-(digits + 2)
-    # unless a and b sqrt(n) cancel
+    root = math.isqrt(n)
+    if root * root == n:  # fold a square n into a: b = 0 marks a rational value
+        a, b = a + b * root, 0
+    sign = surd_sign(a, b, n)
+    if not sign:
+        return "0"
+    a, b = sign * a, sign * b  # v = (a + b sqrt(n)) / den > 0 from here
     low = 10 ** (digits - 1)
     high = 10 * low
-    guard = abs(b) * low * 1000
-    lead = max((n.bit_length() - 1) // 2, abs(a).bit_length() - abs(b).bit_length() - 1)
-    w = max(0, digits + 3 - lead * 3 // 10)
+    lead = max(a.bit_length(), b.bit_length() + (n.bit_length() - 1) // 2 if b else 0)
+    lead -= den.bit_length() + 1  # v >= 2^lead unless a and b sqrt(n) cancel
+    # floor(v 10^w) has a spare digit or more at this w; 1233/4096 < log10(2)
+    w = max(0, digits + 1 - (lead * 1233 >> 12))
     while True:
         scale = 10**w
-        y = a * scale + b * math.isqrt(n * scale * scale)
-        if y and abs(y) >= guard:
+        x = 2 * b * scale
+        root = math.isqrt(x * x * n)  # floor(|x| sqrt(n)); x sqrt(n) is irrational unless x = 0
+        t = (2 * a * scale + (root if x >= 0 else -root - 1)) // den  # floor(2 v 10^w)
+        if t >> 1 >= low:
             break
-        if surd_sign(a, b, n) == 0:
-            return "0"
         w += max(w, digits)
-    sign = 1 if y > 0 else -1
-
-    def nearest(s: int) -> tuple[int, bool]:
-        # x = y 10^(s - w) / den is within 0.0102 of value 10^s; k = round(x),
-        # sure when x lies more than 1/32 from k +- 1/2
-        num, div = (y * 10 ** (s - w), den) if s >= w else (y, den * 10 ** (w - s))
-        k, r = divmod(2 * num + div, 2 * div)
-        return k, div < 16 * r < 31 * div
-
-    def exact_sign(s: int, twice: int) -> int:  # sign of value 10^s - twice / 2
-        up, down = (10**s, 1) if s >= 0 else (1, 10**-s)
-        return surd_sign(2 * up * a - twice * den * down, 2 * up * b, n)
-
-    # the scale s with 10^(digits-1) <= |value| 10^s < 10^digits
-    s = digits - 1 - ((abs(y).bit_length() - den.bit_length()) * 30103 // 100000 - w)
-    k, sure = nearest(s)
-    while not low <= abs(k) < high:
-        s += 1 if abs(k) < low else -1
-        k, sure = nearest(s)
-    if abs(k) == low and sign * exact_sign(s, 2 * sign * low) < 0:
-        s += 1  # |value| 10^s lies just below 10^(digits-1)
-        k, sure = nearest(s)
-    while not sure:  # k is within one of the rounding: settle it, ties to even
-        below = exact_sign(s, 2 * k - 1)
-        above = exact_sign(s, 2 * k + 1)
-        if below < 0 or (below == 0 and k & 1):
-            k -= 1
-        elif above > 0 or (above == 0 and k & 1):
-            k += 1
-        else:
-            sure = True
-    if abs(k) == high:  # rounded up to a power of ten: one digit fewer after the point
-        k //= 10
-        s -= 1
+    # the scale s with 10^(digits-1) <= v 10^s < 10^digits, from an
+    # underestimate of the digits of floor(v 10^w) beyond `digits`
+    drop = max(0, (((t >> 1).bit_length() - 1) * 1233 >> 12) + 1 - digits)
+    t //= 10**drop
+    while t >> 1 >= high:
+        t //= 10
+        drop += 1
+    s = w - drop
+    k = (t + 1) >> 1
+    if not b and t & k & 1 and 2 * a * 10 ** max(s, 0) == t * den * 10 ** max(-s, 0):
+        k -= 1  # 2 v 10^s = t exactly, t odd: a tie, and k is odd, so to k - 1
+    if k == high:  # rounded up to a power of ten: one digit fewer after the point
+        k, s = low, s - 1
     out = _context(digits)
-    return out.to_sci_string(Decimal(k).scaleb(-s, out))
+    return out.to_sci_string(Decimal(sign * k).scaleb(-s, out))
 
 
 @functools.lru_cache(maxsize=64)

@@ -250,8 +250,7 @@ def _quadratic_sign_witnesses(e2, e1, e0) -> tuple[Point, Point]:
 
     one = Fraction(1)
     if e2 != 0:
-        vertex = -e1 / (2 * e2)
-        extreme = value(vertex)  # opposite sign to e2 since disc > 0
+        vertex = -e1 / (2 * e2)  # q(vertex) has the sign opposite to e2: disc > 0
         far = vertex + max(Fraction(1), abs(vertex)) * 4
         while value(far) * e2 <= 0:
             far *= 2

@@ -142,6 +142,16 @@ class TestJsonReport:
         approx = float(p) + float(q) * math.sqrt(float(d))
         assert abs(float(lam["decimal"]) - approx) < 1e-11
 
+    def test_certificate_decimal_next_to_a_tie(self):
+        # m33 = e0 = 0.1234567890125 + 10^-70 lies just above a tie at 12
+        # digits; a quotient first rounded to 50 digits lands on the tie
+        # and then rounds to even, ...012
+        e0 = F(1234567890125, 10**13) + F(1, 10**70)
+        code, out = run_json(["1", "0", "0", "0", str(e0)])
+        assert code == 0
+        assert out["certificate"][2][2]["p"] == str(e0)
+        assert out["certificate"][2][2]["decimal"] == "0.123456789013"
+
     def test_witness_values_check_out(self):
         _, out = run_json(["-2", "0", "10", "0", "-8"])
         w = out["witnesses"]

@@ -4,8 +4,8 @@
 class on both sides, the degenerate-leading cubic and quadratic forms, a
 non-real lam0, a large and a fractional form, and the zero form.  The
 expected output of each CLI mode, and of the default mode at
-`--precision 40`, is checked in beside it; a refactor that changes one
-byte of any report fails here.  To regenerate after an
+`--precision 40` and `--precision 1`, is checked in beside it; a refactor
+that changes one byte of any report fails here.  To regenerate after an
 intended output change, run each mode with `--batch` and write its stdout
 to the matching file.
 """
@@ -27,6 +27,8 @@ FORMS = DATA / "golden_forms.txt"
     (["--no-crosscheck", "--no-case"], "golden_verdict.jsonl"),
     # 40 digits widen surd_decimal's scale on the line whose m13 is about -1e-30
     (["--precision", "40"], "golden_p40.jsonl"),
+    # at one digit three rational renders on the file are exact ties, to even
+    (["--precision", "1"], "golden_p1.jsonl"),
 ])
 def test_batch_output_is_byte_identical(flags, expected):
     buf = io.StringIO()
