@@ -483,6 +483,9 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]
 
 # -- witness search: floats propose, exact arithmetic decides ----------------
 
+# the coordinates 0 and 1 of the witnesses (1, 0) and (t, 1), shared
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Two rational points with f > 0 and f < 0, for an indefinite form.
@@ -500,7 +503,7 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
     t = _critical_point_witness(m)
     if t is None:
         t = _sturm_witness(m)
-    return (Fraction(1), Fraction(0)), (t, Fraction(1))
+    return (_ONE, _ZERO), (t, _ONE)
 
 
 def _critical_point_witness(m: MonicQuartic) -> Fraction | None:

@@ -21,6 +21,15 @@ value rounded half-even once to --precision significant digits (no guard
 digits, no second rounding).  For a monic form, lam0, g(lam0) and the
 certificate are rendered from the integers of their one home,
 `pencil.lam0_surds` (by `pencil.surd_parts`), without the verdict's views.
+
+A form goes from its tokens to its report as integers: each token is
+parsed to a reduced ratio (num, den) by `exactnum.parse_ratio`, the five
+are cleared once into the problem's `input_record` (`forms.from_ratios`),
+the report prints `input` from that record and each witness value by
+integer Horner (`forms.evaluate_ratio`), both with `exactnum.ratio_text`.
+A monic line of integer or p/q tokens builds no `Fraction`, save the
+witness abscissa t of an indefinite one.  Each `--batch` output line, an error line too, is
+written with one `write` call, as `json.dumps` would spell it.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import json
 import sys
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
 # classical_quantities, classical_is_pd, circle_min_estimate_plain and
 # table3_facts_hold stay bound for bench/spans.py to wrap
@@ -52,10 +60,12 @@ from .classifier import (  # noqa: F401
     discriminant_case,
     table3_facts_hold,
 )
-# to_decimal stays bound for bench/spans.py to wrap
+# parse_rational, from_plain_coeffs and to_decimal stay bound for
+# bench/spans.py to wrap
 from .exactnum import (  # noqa: F401
-    parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal)
-from .forms import NormalizedProblem, Orientation, evaluate_cleared, from_plain_coeffs
+    parse_ratio, parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal)
+from .forms import (  # noqa: F401
+    NormalizedProblem, Orientation, evaluate_ratio, from_plain_coeffs, from_ratios)
 # pencil_coeffs, critical_param, g_eval and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -116,11 +126,12 @@ def _ratio_json(num: int, den: int, digits: int) -> dict:
             "decimal": ratio_decimal(num, den, digits)}
 
 
-def _surd_json(form, surd, d_text: str, digits: int) -> dict:
+def _surd_json(form, surd, d_text: str, digits: int, parts=None) -> dict:
     """The JSON of a value (a, b, den) of `lam0_surds(form)`: p and q from
-    `surd_parts`, d the form's radicand as spelled once, d_text."""
+    its `surd_parts` (parts, when the caller took them already), d the
+    form's radicand as spelled once, d_text."""
     a, b, den = surd
-    p, q, _ = surd_parts(form, a, b, den)
+    p, q, _ = parts or surd_parts(form, a, b, den)
     if not q[0]:
         return _ratio_json(*p, digits)
     return {"p": ratio_text(*p), "q": ratio_text(*q), "d": d_text,
@@ -129,7 +140,6 @@ def _surd_json(form, surd, d_text: str, digits: int) -> dict:
 
 @dataclass
 class Report:
-    coefficients: tuple[Fraction, ...]
     problem: NormalizedProblem
     verdict: Verdict
     digits: int
@@ -139,8 +149,9 @@ class Report:
     def build(self) -> tuple[dict, int]:
         """Assemble the JSON-ready dict and the process exit code."""
         cls = self.verdict.classification
+        big, *cleared = self.problem.input_record
         out: dict = {
-            "input": [str(c) for c in self.coefficients],
+            "input": [ratio_text(k, big) for k in cleared],
             "orientation": self.problem.orientation.value if self.problem.orientation else None,
             "verdict": cls.value,
             "lambda0": None,
@@ -159,11 +170,12 @@ class Report:
             e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
             lam0, g_lam0, entries = lam0_surds(form)
-            d_text = ratio_text(*surd_parts(form, *lam0)[2])  # one spelling per line
+            lam0_parts = surd_parts(form, *lam0)
+            d_text = ratio_text(*lam0_parts[2])  # one spelling per line
             if form.invariants[2] < 0:
                 out["lambda0"] = {"p": None, "q": None, "d": d_text, "decimal": None}
             else:
-                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits)
+                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits, lam0_parts)
                 out["g_lambda0"] = _surd_json(form, g_lam0, d_text, self.digits)
             if self.include_case:
                 case = classify_case(form)
@@ -198,7 +210,7 @@ class Report:
     def _witnesses_json(self) -> dict:
         # witnesses certify the decided (normalised) form; report them
         # against the original input coefficients, from the input's integer
-        # record, so they stand alone
+        # record, so they stand alone, each value an integer ratio
         record = self.problem.input_record
         flip = self.problem.orientation is Orientation.NEGATIVE_SIDE
         pos, neg = self.verdict.witnesses
@@ -206,8 +218,9 @@ class Report:
             pos, neg = neg, pos
         out = {}
         for label, (x, y) in (("positive", pos), ("negative", neg)):
-            value = evaluate_cleared(record, x, y)
-            out[label] = {"x": str(x), "y": str(y), "value": str(value)}
+            value = evaluate_ratio(record, (x.numerator, x.denominator),
+                                   (y.numerator, y.denominator))
+            out[label] = {"x": str(x), "y": str(y), "value": ratio_text(*value)}
         return out
 
     def _run_crosschecks(self, out: dict, form) -> bool:
@@ -216,7 +229,7 @@ class Report:
         # is read swapped, as f(y, x), which is as definite as f and has
         # leading coefficient e0
         problem = self.problem
-        if problem.degenerate_leading and self.coefficients[4] != 0:
+        if problem.degenerate_leading and problem.input_record[5] != 0:
             problem = problem.swapped()
         # the verdict as a class of that positive-side form
         cls = self.verdict.classification
@@ -317,25 +330,25 @@ def _render_text(out: dict) -> str:
     return "\n".join(lines)
 
 
-def _parse_coefficients(raw: list[str]) -> tuple[Fraction, ...]:
-    coeffs = []
+def _parse_coefficients(raw: list[str]) -> list[tuple[int, int]]:
+    """The five coefficients as reduced integer ratios (num, den), den > 0."""
+    ratios = []
     for i, text in enumerate(raw, start=1):
         try:
-            coeffs.append(parse_rational(text))
+            ratios.append(parse_ratio(text))
         except ValueError as exc:
             raise CoefficientError(i, str(exc)) from None
-    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coeffs)
+    bits = sum(num.bit_length() + den.bit_length() for num, den in ratios)
     if bits > MAX_FORM_BITS:
         raise InputError(f"form too large: its numerators and denominators take {bits} bits, "
                          f"more than {MAX_FORM_BITS}")
-    return tuple(coeffs)
+    return ratios
 
 
-def _run_one(coeffs: tuple[Fraction, ...], args) -> tuple[dict, int]:
-    problem = from_plain_coeffs(*coeffs)
+def _run_one(ratios: list[tuple[int, int]], args) -> tuple[dict, int]:
+    problem = from_ratios(*ratios)
     verdict = decide_problem(problem)
     report = Report(
-        coefficients=coeffs,
         problem=problem,
         verdict=verdict,
         digits=args.precision,
@@ -359,10 +372,18 @@ def _stdin_lines():
         lines.detach()  # leaves stdin open
 
 
+# the encoder of json.dumps(obj), but with no check for circular
+# references, which the report's fresh dicts cannot hold
+_encode_line = json.JSONEncoder(check_circular=False).encode
+
+
 def _run_batch(args, stdout) -> int:
     """Process the forms of args.batch ("-" for stdin), one per line, as
     the file is read.  A line that fails, for bad input (exit 64) or an
     internal error (exit 70), gives an error line and the batch goes on."""
+    def write(obj: dict) -> None:  # one JSON line, in one call
+        stdout.write(_encode_line(obj) + "\n")
+
     counts: dict[str, int] = {}
     worst = 0
     parse_failed = False
@@ -380,8 +401,7 @@ def _run_batch(args, stdout) -> int:
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:  # a lone surrogate: an undecodable byte
-                    print(json.dumps({"line": lineno, "error": "not valid UTF-8"}),
-                          file=stdout)
+                    write({"line": lineno, "error": "not valid UTF-8"})
                     parse_failed = True
                     continue
             body = line.split("#", 1)[0].strip()
@@ -390,28 +410,28 @@ def _run_batch(args, stdout) -> int:
             fields = body.split()
             if len(fields) != 5:
                 error = f"expected 5 coefficients, got {len(fields)}"
-                print(json.dumps({"line": lineno, "error": error}), file=stdout)
+                write({"line": lineno, "error": error})
                 parse_failed = True
                 continue
             try:
                 out, code = _run_one(_parse_coefficients(fields), args)
             except InputError as exc:
-                print(json.dumps({"line": lineno, "error": str(exc)}), file=stdout)
+                write({"line": lineno, "error": str(exc)})
                 parse_failed = True
                 continue
             except Exception as exc:  # a defect: report it and go on
                 print(f"internal error on line {lineno}:", file=sys.stderr)
                 traceback.print_exc(file=sys.stderr)
                 error = f"internal error: {type(exc).__name__}: {exc}"
-                print(json.dumps({"line": lineno, "error": error}), file=stdout)
+                write({"line": lineno, "error": error})
                 worst = EXIT_DISAGREEMENT
                 continue
             out["line"] = lineno
-            print(json.dumps(out), file=stdout)
+            write(out)
             counts[out["verdict"]] = counts.get(out["verdict"], 0) + 1
             if code == EXIT_DISAGREEMENT:
                 worst = EXIT_DISAGREEMENT
-    print(json.dumps({"summary": counts}), file=stdout)
+    write({"summary": counts})
     if worst == EXIT_DISAGREEMENT:
         return EXIT_DISAGREEMENT
     if parse_failed:
@@ -493,12 +513,12 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     try:
-        coeffs = _parse_coefficients(args.coefficients)
+        ratios = _parse_coefficients(args.coefficients)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    out, code = _run_one(coeffs, args)
+    out, code = _run_one(ratios, args)
     if args.json:
         print(json.dumps(out, indent=2), file=stdout)
     else:

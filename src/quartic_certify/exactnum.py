@@ -7,8 +7,10 @@ That sign has one home, `surd_sign`: `QuadExt.sign`, the integer lam0
 kernel of `pencil`, its nine-case table in `classifier` and the integer
 Sylvester minors all take it there; clearing values of one Q(sqrt(d)) to
 integers of Z[sqrt(N)] has one home too, `clear_surds`.  No floating point
-enters any decision path; floats and decimal strings are converted to
-exact fractions at the boundary by `parse_rational`, and decimal output is
+enters any decision path; input text is parsed at the boundary by
+`parse_ratio`, the one parsing rule, to a reduced integer ratio
+(num, den) that the command line clears without building a `Fraction`
+(`parse_rational` is the `Fraction` of that ratio), and decimal output is
 rendered from the exact value on demand by `to_decimal`, a rational one
 from its integers by `ratio_decimal` and an irrational one by
 `surd_decimal`.  Each rounds once, half-even, from the exact value: one
@@ -38,6 +40,7 @@ __all__ = [
     "as_fraction",
     "sign_of",
     "sqrt_exact",
+    "parse_ratio",
     "parse_rational",
     "to_decimal",
     "clear_surds",
@@ -79,25 +82,32 @@ MAX_EXPONENT = 1000
 _ZERO = Fraction(0)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p/q", an integer, or a finite decimal ("0.25", "-1e-2") exactly,
+    to its reduced integer ratio (num, den) with den > 0.
 
-    ASCII "[+-]digits" and "[+-]digits/digits" with a nonzero denominator
-    take a fast path through int(); every other text (decimals, exponents,
-    whitespace, underscores, other digits, a zero denominator) goes to
-    Fraction(), with the same values and errors.  A decimal exponent beyond
-    +-MAX_EXPONENT is rejected before any digits are built: "1e200000"
-    alone would make a 200001-digit integer.  The ValueError says which of
-    the two rejected the text.
+    This is the one parsing rule of the package.  ASCII "[+-]digits" and
+    "[+-]digits/digits" with a nonzero denominator take a fast path through
+    int(); every other text (decimals, exponents, whitespace, underscores,
+    other digits, a zero denominator) goes to Fraction(), with the same
+    values and errors.  A decimal exponent beyond +-MAX_EXPONENT is
+    rejected before any digits are built: "1e200000" alone would make a
+    200001-digit integer.  The ValueError says which of the two rejected
+    the text.
     """
     if text.isascii():
         num, slash, den = text.partition("/")
         body = num[1:] if num[:1] in ("+", "-") else num
         if body.isdigit() and (not slash or (den.isdigit() and den.strip("0"))):
             try:
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+                if not slash:
+                    return int(num), 1
+                num, den = int(num), int(den)
             except ValueError:  # beyond int()'s digit limit: Fraction() says so
                 pass
+            else:
+                g = math.gcd(num, den)
+                return num // g, den // g
     text = text.strip()
     _, marker, exponent = text.lower().partition("e")
     try:
@@ -107,9 +117,15 @@ def parse_rational(text: str) -> Fraction:
     if too_large:
         raise ValueError(f"decimal exponent of {text!r} beyond +-{MAX_EXPONENT}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+    return value.numerator, value.denominator
+
+
+def parse_rational(text: str) -> Fraction:
+    """`parse_ratio` of text as a `Fraction`."""
+    return Fraction(*parse_ratio(text))
 
 
 @dataclass(frozen=True)

@@ -10,31 +10,38 @@ leading coefficients are scaled to monic, negative ones are additionally
 sign-flipped so that negativity questions become positivity questions, and
 e4 = 0 inputs are flagged for the dedicated degenerate path.
 
-Each input is cleared to integers once, in `from_plain_coeffs`: the
-problem keeps that input record (L, k4, k3, k2, k1, k0), and its
-`MonicQuartic` is built from the same integers.  Every `MonicQuartic`
-carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of
-the denominators and ei = e4 ai.  The integer kernels of `pencil` and
-`classifier`, the certificate, the report and the classical cross-check
-read that record, and the integer pencil invariants of it (`invariants`),
-instead of clearing the form again.
+Each input is cleared to integers once, in `from_ratios`, which takes
+the five coefficients as integer ratios (num, den), as the command line
+parses them, so that a monic input builds no `Fraction` on the way in,
+or in `from_plain_coeffs`, which takes rationals and keeps them as the
+`degenerate_coeffs` of an e4 = 0 input; both clear by `clear_ratios`
+(`clear_denominators` is its view for `Fraction`s).  The problem keeps that
+input record (L, k4, k3, k2, k1, k0), and its `MonicQuartic` is built
+from the same integers.  Every `MonicQuartic` carries the record
+`cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the denominators
+and ei = e4 ai.  The integer kernels of `pencil` and `classifier`, the
+certificate, the report and the classical cross-check read that record,
+and the integer pencil invariants of it (`invariants`), instead of
+clearing the form again.
 
 The integer records are what the decision computes; the rational values
 are views of them, built on first read and then kept (`_View`).  A form
-built from a record (every form of `from_plain_coeffs`) builds a3..a0 as
-`Fraction(ei, e4)` only when they are read, a form built from a3..a0
-clears them at once, and either takes its `invariants` on first read.
+built from a record (every form of `from_ratios` and `from_plain_coeffs`)
+builds a3..a0 as `Fraction(ei, e4)` only when they are read, a form built
+from a3..a0 clears them at once, and either takes its `invariants` on
+first read.
 `NormalizedProblem.scale` = |e4| is a view of the input record in the same
 way.  A view is built on ==, hash and repr too, which see the same values
 as before, whichever way the object was built.
 
-Three integer rules live here and nowhere else: `clear_denominators`
-clears five rationals with one lcm, `quartic_horner` evaluates a cleared
-form at an integer point (both witness searches of `classifier` and the
-degenerate-leading witnesses of `positivity` use it), and
-`evaluate_cleared` takes a cleared form at a rational point by that Horner,
-building one `Fraction` at the end (`evaluate_plain` is "clear, then
-`evaluate_cleared`").
+Three integer rules live here and nowhere else: `clear_ratios` clears
+five rationals with one lcm (`clear_denominators` is its view for
+`Fraction`s), `quartic_horner` evaluates a cleared form at an integer
+point (both witness searches of `classifier` and the degenerate-leading
+witnesses of `positivity` use it), and `evaluate_ratio` takes a cleared
+form at a rational point by that Horner, as an integer ratio that the
+report prints with `exactnum.ratio_text`; `evaluate_cleared` is its
+`Fraction` (`evaluate_plain` is "clear, then `evaluate_cleared`").
 """
 
 from __future__ import annotations
@@ -52,10 +59,12 @@ __all__ = [
     "Orientation",
     "NormalizedProblem",
     "from_plain_coeffs",
+    "from_ratios",
     "to_weighted",
     "evaluate",
     "evaluate_plain",
     "evaluate_cleared",
+    "evaluate_ratio",
 ]
 
 
@@ -167,9 +176,9 @@ class NormalizedProblem:
     coefficient vanishes and `degenerate_leading` is set; then `form` is
     None and the lower coefficients live in `degenerate_coeffs`).
     `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
-    `clear_denominators(e4, e3, e2, e1, e0)`, set by `from_plain_coeffs`
-    on both paths; it takes no part in == or repr.  A problem of
-    `from_plain_coeffs` builds `scale` = Fraction(|k4|, L) on first read.
+    `clear_ratios` of (e4, e3, e2, e1, e0), set by `from_ratios` and
+    `from_plain_coeffs` on both paths; it takes no part in == or repr.  A
+    problem of either builds `scale` = Fraction(|k4|, L) on first read.
     """
 
     form: MonicQuartic | None
@@ -195,6 +204,18 @@ def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
     record = clear_denominators(e4, e3, e2, e1, e0)
     if record[1] == 0:
         return _problem(record, None, None, (e3, e2, e1, e0))
+    return _monic_problem(record)
+
+
+def from_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],
+                r1: tuple[int, int], r0: tuple[int, int]) -> NormalizedProblem:
+    """`from_plain_coeffs` of five rationals given as integer ratios
+    (num, den) with den > 0, such as `exactnum.parse_ratio` returns: they
+    are cleared once, by `clear_ratios`, and only a degenerate-leading
+    input builds `Fraction`s, its `degenerate_coeffs`."""
+    record = clear_ratios(r4, r3, r2, r1, r0)
+    if record[1] == 0:
+        return _problem(record, None, None, tuple(Fraction(*r) for r in (r3, r2, r1, r0)))
     return _monic_problem(record)
 
 
@@ -259,32 +280,42 @@ def evaluate_plain(e4, e3, e2, e1, e0, x, y) -> Fraction:
 
 def evaluate_cleared(record: tuple[int, int, int, int, int, int],
                      x: Fraction, y: Fraction) -> Fraction:
-    """f(x, y) exactly, for f given by its record (L, k4, k3, k2, k1, k0) =
-    `clear_denominators(e4, e3, e2, e1, e0)` and rationals x, y.
+    """`evaluate_ratio` at rationals x, y, as a `Fraction`."""
+    return Fraction(*evaluate_ratio(record, x.as_integer_ratio(), y.as_integer_ratio()))
 
-    With x = a/b and y = c/e, the integer L (b e)^4 f = sum ki u^(4-i) w^i
-    with u = a e and w = c b is taken by `quartic_horner`, and divided out
-    once.
+
+def evaluate_ratio(record: tuple[int, int, int, int, int, int], x: tuple[int, int],
+                   y: tuple[int, int]) -> tuple[int, int]:
+    """f(x, y) exactly, as an integer ratio (num, den) with den > 0, for f
+    given by its record (L, k4, k3, k2, k1, k0) = `clear_ratios` of its
+    coefficients and x = a/b, y = c/e given as integer ratios with b, e > 0.
+
+    The integer L (b e)^4 f = sum ki u^(4-i) w^i with u = a e and w = c b
+    is taken by `quartic_horner`; the ratio is not reduced.
     """
     big, k4, k3, k2, k1, k0 = record
-    total = quartic_horner(k4, k3, k2, k1, k0,
-                           x.numerator * y.denominator, y.numerator * x.denominator)
-    scale = x.denominator * y.denominator
+    (a, b), (c, e) = x, y
+    scale = b * e
     scale *= scale
-    return Fraction(total, big * scale * scale)
+    return quartic_horner(k4, k3, k2, k1, k0, a * e, c * b), big * scale * scale
 
 
 def clear_denominators(c4, c3, c2, c1, c0) -> tuple[int, int, int, int, int, int]:
-    """(L, L c4, L c3, L c2, L c1, L c0), all integers, for rationals (or
-    integers) c4..c0 with L > 0 the lcm of their denominators."""
-    big = math.lcm(c4.denominator, c3.denominator, c2.denominator,
-                   c1.denominator, c0.denominator)
-    return (big,
-            c4.numerator * (big // c4.denominator),
-            c3.numerator * (big // c3.denominator),
-            c2.numerator * (big // c2.denominator),
-            c1.numerator * (big // c1.denominator),
-            c0.numerator * (big // c0.denominator))
+    """`clear_ratios` of rationals (or integers) c4..c0."""
+    return clear_ratios((c4.numerator, c4.denominator), (c3.numerator, c3.denominator),
+                        (c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
+                        (c0.numerator, c0.denominator))
+
+
+def clear_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],
+                 r1: tuple[int, int], r0: tuple[int, int]) -> tuple[int, int, int, int, int, int]:
+    """(L, L c4, L c3, L c2, L c1, L c0), all integers, for the rationals
+    ci = ni / di given as integer ratios ri = (ni, di) with di > 0, L > 0
+    the lcm of the di: the one lcm clearing of five rationals."""
+    (n4, d4), (n3, d3), (n2, d2), (n1, d1), (n0, d0) = r4, r3, r2, r1, r0
+    big = math.lcm(d4, d3, d2, d1, d0)
+    return (big, n4 * (big // d4), n3 * (big // d3), n2 * (big // d2), n1 * (big // d1),
+            n0 * (big // d0))
 
 
 def quartic_horner(k4: int, k3: int, k2: int, k1: int, k0: int, u: int, w: int) -> int:

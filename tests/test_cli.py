@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -269,8 +270,9 @@ def assert_report_equals_the_reference(coeffs, digits):
     Q(sqrt(d)) route: `critical_param`, `g_eval` and `pencil_matrix`."""
     problem = from_plain_coeffs(*coeffs)
     verdict = decide_problem(problem)
-    out, _ = Report(coeffs, problem, verdict, digits, include_case=False,
-                    crosscheck=False).build()
+    out, _ = Report(problem, verdict, digits, include_case=False, crosscheck=False).build()
+    # the input, rendered from the problem's integer record
+    assert out["input"] == [str(c) for c in coeffs]
     m = problem.form
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
@@ -491,6 +493,27 @@ class TestBatch:
         path.write_text(forms)
         assert run(["--batch", str(path)]) == (code, text)
 
+    def test_each_line_is_one_write(self, tmp_path):
+        # form lines, error lines of every kind and the summary: each is one
+        # write call, spelled as json.dumps spells it
+        class Writes(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def write(self, text):
+                self.calls.append(text)
+                return super().write(text)
+
+        path = tmp_path / "forms.txt"
+        path.write_bytes(b"1 0 0 1 1\n1 2\nx 0 0 0 1\n\xff 0 0 0 1\n1 0 -5 0 4\n"
+                         b"0 1 0 0 1\n")
+        out = Writes()
+        assert main(["--batch", str(path)], stdout=out) == 64
+        lines = out.getvalue().splitlines(keepends=True)
+        assert out.calls == lines and len(lines) == 7
+        assert all(line == json.dumps(json.loads(line)) + "\n" for line in lines)
+
     def test_batch_rejects_positional_coefficients(self, tmp_path):
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 1 1\n")
@@ -551,22 +574,21 @@ class TestFrontEnd:
     def test_degenerate_leading_input_cleared_once(self, monkeypatch):
         # the cross-checks read 0 1 2 1 3 swapped, as 3 x^4 + x^3 y + 2 x^2 y^2
         # + x y^3, normalised from the reversed input record, and its cubic
-        # witnesses are checked on the same record
+        # witnesses are checked on the same record.  Every clearing of five
+        # rationals, clear_denominators' too, goes through forms.clear_ratios
         import quartic_certify.forms as forms
-        import quartic_certify.positivity as positivity
 
         oracle = discriminant_case(from_plain_coeffs(3, 1, 2, 1, 0).form)
         calls = []
-        real = forms.clear_denominators
+        real = forms.clear_ratios
 
-        def counting(*coeffs):
-            calls.append(coeffs)
-            return real(*coeffs)
+        def counting(*ratios):
+            calls.append(ratios)
+            return real(*ratios)
 
-        monkeypatch.setattr(forms, "clear_denominators", counting)
-        monkeypatch.setattr(positivity, "clear_denominators", counting)
+        monkeypatch.setattr(forms, "clear_ratios", counting)
         code, out = run_json(["0", "1", "2", "1", "3"])
-        assert code == 2 and len(calls) == 1
+        assert code == 2 and calls == [((0, 1), (1, 1), (2, 1), (1, 1), (3, 1))]
         assert out["oracle"] == {"discriminant_case": oracle}
         assert out["agreement"]["oracle"] is True
 
@@ -620,6 +642,58 @@ class TestFrontEnd:
             assert len(built) == 1
         finally:
             cli._parser.cache_clear()
+
+
+_FAST_TOKEN = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+class TestBatchLineBuildsNoFraction:
+    """A monic `--batch` line goes from its tokens to its JSON line as
+    integers: parsed to ratios, cleared once, decided and reported from the
+    records.  The one `Fraction` it builds is the witness abscissa t of an
+    indefinite verdict; a decimal token, or a degenerate-leading line,
+    builds more."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A list that gains one entry per Fraction built."""
+        calls = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        return calls
+
+    @pytest.mark.parametrize("flags", [[], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"]])
+    def test_monic_line(self, built, flags, tmp_path):
+        path = tmp_path / "form.txt"
+        seen = set()
+        for line in GOLDEN_FORMS.read_text(encoding="utf-8").splitlines():
+            fields = line.split("#", 1)[0].split()
+            if not fields or not all(_FAST_TOKEN.fullmatch(f) for f in fields):
+                continue
+            if parse_rational(fields[0]) == 0:
+                continue
+            path.write_text(line + "\n")
+            built.clear()
+            code, text = run(["--batch", str(path), *flags])
+            row = json.loads(text.splitlines()[0])
+            assert code == 0 and "error" not in row, line
+            if row["verdict"] == "indefinite":
+                # t itself: the abscissa of the negative point of the
+                # decided form, which is the positive one on the negative side
+                side = "negative" if row["orientation"] == "positive-side" else "positive"
+                assert len(built) == 1, line
+                assert str(Fraction(*built[0])) == row["witnesses"][side]["x"]
+            else:
+                assert built == [], line
+            seen.add((row["verdict"], row["orientation"]))
+        # every class a monic form takes, and indefinite on both sides
+        assert len({verdict for verdict, _ in seen}) == 5
+        assert {("indefinite", "positive-side"), ("indefinite", "negative-side")} <= seen
 
 
 class TestDisagreementPath:

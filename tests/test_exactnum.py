@@ -12,6 +12,7 @@ from quartic_certify.exactnum import (
     MismatchedRadicandError,
     QuadExt,
     _context,
+    parse_ratio,
     parse_rational,
     ratio_decimal,
     ratio_text,
@@ -337,6 +338,47 @@ def test_parse_fallback_keeps_values_and_messages(text):
         assert parse_rational(text) == expected
 
 
+_ws = st.sampled_from(["", " ", "\t", " \n"])
+_plain = st.builds(lambda sign, zeros, digits: sign + "0" * zeros + digits,
+                   _sign, st.integers(0, 3), _digits)
+_exponent = st.one_of(st.sampled_from(["1000", "-1000", "+1000", "1001", "-1001", "+1001"]),
+                      st.integers(-1100, 1100).map(str))
+_token = st.one_of(
+    _plain,
+    st.builds(lambda p, q: f"{p}/{q}", _plain, _digits),
+    st.sampled_from(["1/0", "1/00", "-3/000", "0/00"]),
+    st.builds(lambda p, f: f"{p}.{f}", _plain, _digits),
+    st.builds(lambda m, e, x: f"{m}{e}{x}", st.one_of(_plain, st.builds(
+        lambda p, f: f"{p}.{f}", _plain, _digits)), st.sampled_from("eE"), _exponent),
+    st.sampled_from(["1_000", "-1_0/2_0", "1__0", "_1", "1_", "1.2_5", "1e1_0"]),
+    st.sampled_from(["\u0661\u0662", "-\u0663/\u0664", "\uff11\uff12", "\u0661.5", "1e\u0661"]),
+    st.builds(lambda sign, n, tail: sign + "7" * n + tail, _sign, st.integers(4290, 4400),
+              st.sampled_from(["", "/3", ".5"])),
+    st.builds(lambda p, n: f"{p}/{'3' * n}", _plain, st.integers(4290, 4400)),
+    st.sampled_from(["seven", "-", "/2", "2/", "+-1", "1/-2", "1/+2", "", "1e", "inf", "nan"]),
+)
+
+
+@given(st.builds(lambda a, token, b: a + token + b, _ws, _token, _ws))
+@settings(max_examples=600, deadline=None)
+def test_parse_ratio_equals_parse_rational(text):
+    # the integer parser is the parsing rule: a reduced ratio with den > 0
+    # of parse_rational's value, or the same ValueError and text
+    try:
+        expected = parse_rational(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse_ratio(text)
+        assert str(info.value) == str(exc)
+        assert str(exc).startswith(("not a rational number: ", "decimal exponent of "))
+        return
+    num, den = parse_ratio(text)
+    assert type(num) is int and type(den) is int
+    assert den > 0 and math.gcd(num, den) == 1
+    assert (num, den) == (expected.numerator, expected.denominator)
+    assert expected == Fraction(text)
+
+
 # -- irrational decimals: surd_decimal against the Decimal algorithm ----------
 
 
@@ -393,7 +435,7 @@ _rational = st.builds(F, _numerator, _denominator)
 def test_to_decimal_against_the_decimal_reference(p, q, d, digits):
     value = QuadExt(p, q, d)
     text = to_decimal(value, digits)
-    if value.is_rational:  # the rational branch is unchanged
+    if value.is_rational:  # test_ratio_decimal_is_the_exact_rounding checks rationals
         return
     reference = reference_to_decimal(value, digits)
     assert is_exact_rounding(value, text, digits)
