@@ -45,11 +45,13 @@ search that backs indefinite verdicts.
 Witnesses follow "floats propose, exact arithmetic decides".  The critical
 points of f(t, 1) come from a closed-form float cubic solve, lowest float
 value first; each is rounded to a few short dyadic rationals, and a
-candidate is accepted only if its exact value f(t, 1) is negative.  Only
-when every candidate fails (a negative dip narrower than float resolution,
-a near-double critical point, or coefficients beyond the float range) does
-the exact Sturm search run: it isolates the real roots of f(t, 1) and
-samples every gap between them.  A float never decides a witness.
+candidate is accepted only if its exact value f(t, 1) is negative, first
+at t = s, then at t = 2^k s for the scales k of the form's Newton polygon,
+which bring coefficients beyond the float range into it.  Only when every
+candidate fails (a negative dip narrower than float resolution, or a
+near-double critical point) does the exact Sturm search run: it isolates
+the real roots of f(t, 1) and samples every gap between them.  A float
+never decides a witness.
 """
 
 from __future__ import annotations
@@ -495,10 +497,10 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
     monic form has a negative global minimum of p(t) = f(t, 1), attained at
     a real critical point, so `_critical_point_witness` rounds those points
     to short dyadic rationals and keeps the first one whose exact value is
-    negative.  When none is (a dip narrower than float resolution, a
-    near-double critical point, coefficients beyond the float range),
-    `_sturm_witness` finds the point by exact root isolation.  Raises
-    ValueError if the form is not indefinite.
+    negative, rescaling t when the coefficients leave the float range.  When
+    none is (a dip narrower than float resolution, a near-double critical
+    point), `_sturm_witness` finds the point by exact root isolation.
+    Raises ValueError if the form is not indefinite.
     """
     t = _critical_point_witness(m)
     if t is None:
@@ -508,10 +510,33 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
 
 def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
     """A rational t with exact f(t, 1) < 0 near a float critical point, or
-    None.  The sign is taken in integers, from the form's record `m.cleared`."""
-    e4, e3, e2, e1, e0 = m.cleared
+    None.  When the floats of f propose none, t = 2^k s is tried for each
+    k = round((bitlen |ei| - bitlen e4) / (4 - i)) of the record's Newton
+    polygon, which brings coefficients beyond the float range into it."""
+    record = m.cleared
+    found = _proposed_witness(record)
+    if found is not None:
+        return Fraction(*found)
+    e4 = record[0]
+    for k in dict.fromkeys(round((abs(e).bit_length() - e4.bit_length()) / (4 - i))
+                           for i, e in enumerate(reversed(record[1:])) if e):
+        if not k:
+            continue
+        # the record of f(2^k x, y), times 2^(-4k) when k < 0 to keep it integral
+        found = _proposed_witness(tuple(e << i * k if k > 0 else e << (i - 4) * k
+                                        for i, e in zip(range(4, -1, -1), record)))
+        if found is not None:
+            n, den = found
+            return Fraction(n << k, den) if k > 0 else Fraction(n, den << -k)
+    return None
+
+
+def _proposed_witness(record: tuple[int, int, int, int, int]) -> tuple[int, int] | None:
+    """(n, den) with exact f(n / den, 1) < 0, the sign taken in integers,
+    near a float critical point of the form of the record, or None."""
+    e4, e3, e2, e1, e0 = record
     try:
-        # int / int is correctly rounded: these are float(m.a3) .. float(m.a0)
+        # int / int is correctly rounded: these are the floats of ai = ei / e4
         a3, a2, a1, a0 = e3 / e4, e2 / e4, e1 / e4, e0 / e4
         # p'(t) / 4 = t^3 + (3/4) a3 t^2 + (1/2) a2 t + (1/4) a1
         points = _cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1)
@@ -529,7 +554,7 @@ def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
     for _, x in ranked:
         for n, den in _dyadic_ratios(x):
             if quartic_horner(e4, e3, e2, e1, e0, n, den) < 0:
-                return Fraction(n, den)
+                return n, den
     return None
 
 

@@ -21,15 +21,19 @@ value rounded half-even once to --precision significant digits (no guard
 digits, no second rounding).  For a monic form, lam0, g(lam0) and the
 certificate are rendered from the integers of their one home,
 `pencil.lam0_surds` (by `pencil.surd_parts`), without the verdict's views.
+A form with e4 = 0 is decided as f(y, x), whose `lam0_surds` give its
+certificate (`positivity.degenerate_entries`); its lam0, g(lam0), a3^2/4,
+case, classical and Sylvester checks, which would describe f(y, x), are null.
 
 A form goes from its tokens to its report as integers: each token is
 parsed to a reduced ratio (num, den) by `exactnum.parse_ratio`, the five
 are cleared once into the problem's `input_record` (`forms.from_ratios`),
 the report prints `input` from that record and each witness value by
 integer Horner (`forms.evaluate_ratio`), both with `exactnum.ratio_text`.
-A monic line of integer or p/q tokens builds no `Fraction`, save the
-witness abscissa t of an indefinite one.  Each `--batch` output line, an error line too, is
-written with one `write` call, as `json.dumps` would spell it.
+A line of integer or p/q tokens builds no `Fraction`, save the witness
+coordinates that an indefinite one prints.  Each `--batch` output line,
+an error line too, is written with one `write` call, as `json.dumps`
+would spell it.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ from .positivity import (  # noqa: F401
     Definiteness,
     Verdict,
     decide_problem,
+    degenerate_entries,
     signs_pd,
     signs_psd,
     sylvester_pd,
@@ -185,11 +190,9 @@ class Report:
         # the verdict for it would build the matrix of a monic form
         if cls is not Definiteness.INDEFINITE:
             # six distinct entries, each rendered once, laid out as the rows
-            if form is None:
-                mat = self.verdict.certificate
-                m11, m12, m13, m22, m23, m33 = (
-                    _ratio_json(entry.numerator, entry.denominator, self.digits)
-                    for entry in (mat.m11, mat.m12, mat.m13, mat.m22, mat.m23, mat.m33))
+            if form is None:  # e4 = 0: six rational entries, from integers
+                m11, m12, m13, m22, m23, m33 = (_ratio_json(*entry, self.digits)
+                                                for entry in degenerate_entries(self.problem))
             else:  # m22 is lam0, rendered above; the rational entries share den
                 (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = entries
                 m11, m12, m23, m33 = (_ratio_json(a, den, self.digits)
@@ -227,7 +230,7 @@ class Report:
         agreement = out["agreement"]
         # every check reads the decided monic form; a degenerate-leading form
         # is read swapped, as f(y, x), which is as definite as f and has
-        # leading coefficient e0
+        # leading coefficient e0: the problem the decision built
         problem = self.problem
         if problem.degenerate_leading and problem.input_record[5] != 0:
             problem = problem.swapped()

@@ -8,13 +8,13 @@ which the classical criterion is stated (`to_weighted`).
 coefficients (e4, e3, e2, e1, e0) into a `NormalizedProblem`: positive
 leading coefficients are scaled to monic, negative ones are additionally
 sign-flipped so that negativity questions become positivity questions, and
-e4 = 0 inputs are flagged for the dedicated degenerate path.
+e4 = 0 inputs are flagged: they are decided as f(y, x), the problem's
+`swapped()`, normalised from the same record.
 
 Each input is cleared to integers once, in `from_ratios`, which takes
 the five coefficients as integer ratios (num, den), as the command line
-parses them, so that a monic input builds no `Fraction` on the way in,
-or in `from_plain_coeffs`, which takes rationals and keeps them as the
-`degenerate_coeffs` of an e4 = 0 input; both clear by `clear_ratios`
+parses them, so that no input builds a `Fraction` on the way in, or in
+`from_plain_coeffs`, which takes rationals; both clear by `clear_ratios`
 (`clear_denominators` is its view for `Fraction`s).  The problem keeps that
 input record (L, k4, k3, k2, k1, k0), and its `MonicQuartic` is built
 from the same integers.  Every `MonicQuartic` carries the record
@@ -37,11 +37,11 @@ as before, whichever way the object was built.
 Three integer rules live here and nowhere else: `clear_ratios` clears
 five rationals with one lcm (`clear_denominators` is its view for
 `Fraction`s), `quartic_horner` evaluates a cleared form at an integer
-point (both witness searches of `classifier` and the degenerate-leading
-witnesses of `positivity` use it), and `evaluate_ratio` takes a cleared
-form at a rational point by that Horner, as an integer ratio that the
-report prints with `exactnum.ratio_text`; `evaluate_cleared` is its
-`Fraction` (`evaluate_plain` is "clear, then `evaluate_cleared`").
+point (both witness searches of `classifier` use it), and `evaluate_ratio`
+takes a cleared form at a rational point by that Horner, as an integer
+ratio that the report prints with `exactnum.ratio_text`;
+`evaluate_cleared` is its `Fraction` (`evaluate_plain` is "clear, then
+`evaluate_cleared`").
 """
 
 from __future__ import annotations
@@ -173,75 +173,66 @@ class NormalizedProblem:
     `form` is the monic quartic actually decided; for negative-side inputs
     it is the monic form of -f/|e4|, so its positivity classes map back to
     the original's negativity classes.  `scale` is |e4| (0 when the leading
-    coefficient vanishes and `degenerate_leading` is set; then `form` is
-    None and the lower coefficients live in `degenerate_coeffs`).
+    coefficient vanishes and `degenerate_leading` is set; then `form` and
+    `orientation` are None, and f(y, x) is decided, `swapped()`).
     `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
     `clear_ratios` of (e4, e3, e2, e1, e0), set by `from_ratios` and
-    `from_plain_coeffs` on both paths; it takes no part in == or repr.  A
-    problem of either builds `scale` = Fraction(|k4|, L) on first read.
+    `from_plain_coeffs`; it takes no part in == or repr.  A problem of
+    either builds `scale` = Fraction(|k4|, L) on first read.
     """
 
     form: MonicQuartic | None
     orientation: Orientation | None
     scale: Fraction = _View(lambda p: Fraction(abs(p.input_record[1]), p.input_record[0]))
     degenerate_leading: bool
-    degenerate_coeffs: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
     input_record: tuple[int, int, int, int, int, int] | None = field(
         default=None, repr=False, compare=False)
 
     def swapped(self) -> NormalizedProblem:
         """The problem of f(y, x), which is as definite as f, normalised from
         the reversed input record without clearing the input again; f must
-        have e0 != 0."""
-        big, k4, k3, k2, k1, k0 = self.input_record
-        if k0 == 0:
-            raise ValueError("f(y, x) has a vanishing leading coefficient")
-        return _monic_problem((big, k0, k1, k2, k3, k4))
+        have e0 != 0.  It is built on the first call and then kept, so the
+        decision and the report read one swapped problem."""
+        swapped = self.__dict__.get("_swapped")
+        if swapped is None:
+            big, k4, k3, k2, k1, k0 = self.input_record
+            if k0 == 0:
+                raise ValueError("f(y, x) has a vanishing leading coefficient")
+            swapped = self.__dict__["_swapped"] = _normalised((big, k0, k1, k2, k3, k4))
+        return swapped
 
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
-    e4, e3, e2, e1, e0 = map(as_fraction, (e4, e3, e2, e1, e0))
-    record = clear_denominators(e4, e3, e2, e1, e0)
-    if record[1] == 0:
-        return _problem(record, None, None, (e3, e2, e1, e0))
-    return _monic_problem(record)
+    return _normalised(clear_denominators(*map(as_fraction, (e4, e3, e2, e1, e0))))
 
 
 def from_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],
                 r1: tuple[int, int], r0: tuple[int, int]) -> NormalizedProblem:
     """`from_plain_coeffs` of five rationals given as integer ratios
     (num, den) with den > 0, such as `exactnum.parse_ratio` returns: they
-    are cleared once, by `clear_ratios`, and only a degenerate-leading
-    input builds `Fraction`s, its `degenerate_coeffs`."""
-    record = clear_ratios(r4, r3, r2, r1, r0)
-    if record[1] == 0:
-        return _problem(record, None, None, tuple(Fraction(*r) for r in (r3, r2, r1, r0)))
-    return _monic_problem(record)
+    are cleared once, by `clear_ratios`, and no `Fraction` is built."""
+    return _normalised(clear_ratios(r4, r3, r2, r1, r0))
 
 
-def _problem(record: tuple[int, int, int, int, int, int], form: MonicQuartic | None,
-             orientation: Orientation | None,
-             degenerate_coeffs: tuple | None = None) -> NormalizedProblem:
-    """The problem of the input record, with `scale` left to its view."""
+def _normalised(record: tuple[int, int, int, int, int, int]) -> NormalizedProblem:
+    """The problem of the input with record (L, k4, ..., k0), with `scale`
+    left to its view: degenerate-leading when k4 = 0, else monic."""
+    _, k4, k3, k2, k1, k0 = record
+    form = orientation = None
+    if k4:
+        # dividing by g = +-gcd(k4, ..., k0), with the sign of k4, leaves the
+        # primitive integers of f/e4 with a positive lead: the lcm record of
+        # the monic form.  When e4 < 0 it negates the lower coefficients,
+        # which swaps the negative-side question for the positive-side one.
+        g = math.gcd(k4, k3, k2, k1, k0)
+        if k4 < 0:
+            g = -g
+        form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
+        orientation = Orientation.POSITIVE_SIDE if k4 > 0 else Orientation.NEGATIVE_SIDE
     problem = object.__new__(NormalizedProblem)
     problem.__dict__.update(form=form, orientation=orientation, degenerate_leading=form is None,
-                            degenerate_coeffs=degenerate_coeffs, input_record=record)
+                            input_record=record)
     return problem
-
-
-def _monic_problem(record: tuple[int, int, int, int, int, int]) -> NormalizedProblem:
-    """The problem of the input with record (L, k4, ..., k0), k4 != 0."""
-    _, k4, k3, k2, k1, k0 = record
-    # dividing by g = +-gcd(k4, ..., k0), with the sign of k4, leaves the
-    # primitive integers of f/e4 with a positive lead: the lcm record of the
-    # monic form.  When e4 < 0 it negates the lower coefficients, which
-    # swaps the negative-side question for the positive-side one.
-    g = math.gcd(k4, k3, k2, k1, k0)
-    if k4 < 0:
-        g = -g
-    form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
-    return _problem(record, form, Orientation.POSITIVE_SIDE if k4 > 0
-                    else Orientation.NEGATIVE_SIDE)
 
 
 def _pencil_invariants(e4: int, e3: int, e2: int, e1: int,

@@ -23,8 +23,9 @@ taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
 nine-case classification off the same integers.  The closed forms of
 lam0, g(lam0) and M(lam0) over Z[sqrt(D)] have one home, `lam0_surds`,
 with one converter to Q(sqrt(d)), `surd_parts`: the kernel record's views
-lam0 and g(lam0), the certificate (`lam0_matrix`), `lam0_minor_signs` and
-the command line's report read them.  The Q(sqrt(d)) route
+lam0 and g(lam0), the certificate (`lam0_matrix`, or of a form with e4 = 0
+`positivity.degenerate_entries`), `lam0_minor_signs` and the command
+line's report read them.  The Q(sqrt(d)) route
 (`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
 field arithmetic; it serves the tests, the demos and M(lam) at any other
 lam, and is the reference the integer route is tested against.

@@ -27,12 +27,10 @@ and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
-back by `Definiteness.flipped`, the one map between the two sides.  Forms
-with vanishing leading coefficient get the dedicated
-`decide_degenerate_leading` treatment since they can never be PD but may
-still be semidefinite; its cubic witnesses are checked on the input record
-(`NormalizedProblem.input_record`, or the form cleared once), by the
-integer Horner of `forms`.
+back by `Definiteness.flipped`, the one map between the two sides.  A form
+with e4 = 0 is decided by the same kernel on f(y, x), as definite as f and
+led by e0 (the problem's `swapped()`), whose certificate and witnesses are
+mapped back to f; when e0 = 0 too, a closed integer rule decides.
 """
 
 from __future__ import annotations
@@ -43,15 +41,8 @@ from fractions import Fraction
 
 from . import classifier
 # sign_of stays bound for bench/spans.py to wrap
-from .exactnum import as_fraction, sign_of  # noqa: F401
-from .forms import (
-    MonicQuartic,
-    NormalizedProblem,
-    Orientation,
-    _View,
-    clear_denominators,
-    quartic_horner,
-)
+from .exactnum import sign_of  # noqa: F401
+from .forms import MonicQuartic, NormalizedProblem, Orientation, _View, from_plain_coeffs
 # critical_param, g_eval, pencil_coeffs and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -60,9 +51,11 @@ from .pencil import (  # noqa: F401
     critical_param,
     g_eval,
     lam0_matrix,
+    lam0_surds,
     lam0_test,
     pencil_coeffs,
     pencil_matrix,
+    surd_parts,
 )
 
 __all__ = [
@@ -103,6 +96,20 @@ _FLIPPED = {
 Point = tuple[Fraction, Fraction]
 
 
+# the views of a verdict on a form with e4 = 0, which has no kernel record,
+# read its problem
+def _certificate(v: Verdict) -> Sym3Matrix:
+    if v.kernel is None:
+        return Sym3Matrix(*(Fraction(*entry) for entry in degenerate_entries(v._problem)))
+    return lam0_matrix(v.kernel)
+
+
+def _witnesses(v: Verdict) -> tuple[Point, Point]:
+    if v.kernel is None:
+        return _degenerate_witnesses(v._problem)
+    return classifier.witness_search(v._form)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a definiteness decision.
@@ -112,18 +119,19 @@ class Verdict:
     (positive-side) problem, so for negative-side classes the certified
     matrix of the original form is its negation.  `witnesses` accompanies
     every indefinite verdict: two rational points where the decided form is
-    exactly positive and exactly negative.
+    exactly positive and exactly negative.  A form with e4 = 0 has no side:
+    its certificate is the Gram matrix of f, or of -f, its witnesses of f.
 
     `kernel` is the record of `pencil.lam0_test` that made the decision:
-    lam0, g(lam0) and the two signs, for reports and cross-checks to reuse;
-    a degenerate-leading form has no pencil and leaves it None.  A verdict
-    on a monic form builds its certificate, or its witnesses, on first read.
+    lam0, g(lam0) and the two signs, for reports and cross-checks to reuse.
+    A form with e4 = 0 leaves it None: the kernel decides f(y, x) then, and
+    its record describes that form, not f.  A verdict of `decide_problem`
+    builds its certificate, or its witnesses, on first read.
     """
 
     classification: Definiteness
-    certificate: Sym3Matrix | None = _View(lambda v: lam0_matrix(v.kernel), None)
-    witnesses: tuple[Point, Point] | None = _View(
-        lambda v: classifier.witness_search(v._form), None)
+    certificate: Sym3Matrix | None = _View(_certificate, None)
+    witnesses: tuple[Point, Point] | None = _View(_witnesses, None)
     kernel: Lam0Test | None = None
 
 
@@ -167,111 +175,80 @@ def _decide_monic(m: MonicQuartic, flip: bool) -> Verdict:
     """The verdict on m, its class flipped when `flip` is set, from the
     kernel's two signs alone."""
     kernel = lam0_test(m)
-    semidefinite = m.invariants[2] >= 0 and kernel.slack >= 0 and kernel.value >= 0
-    if semidefinite:
+    if m.invariants[2] >= 0 and kernel.slack >= 0 and kernel.value >= 0:
         cls = (Definiteness.POSITIVE_DEFINITE if kernel.slack > 0 and kernel.value > 0
                else Definiteness.POSITIVE_SEMIDEFINITE)
     else:
         cls = Definiteness.INDEFINITE
+    return _lazy_verdict(cls.flipped() if flip else cls, kernel, _form=m)
+
+
+def _lazy_verdict(cls: Definiteness, kernel: Lam0Test | None, **private) -> Verdict:
+    """A verdict of class cls that builds its certificate, or its witnesses,
+    on first read, from `_form` or `_problem` in `private`."""
     verdict = object.__new__(Verdict)
-    # the certificate of a semidefinite form, or the witnesses of an
-    # indefinite one, is built on first read
-    verdict.__dict__.update({"witnesses" if semidefinite else "certificate": None},
-                            classification=cls.flipped() if flip else cls,
-                            kernel=kernel, _form=m)
+    verdict.__dict__.update(
+        {"certificate" if cls is Definiteness.INDEFINITE else "witnesses": None},
+        classification=cls, kernel=kernel, **private)
     return verdict
 
 
-_ZERO = Fraction(0)
-
-
 def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:
-    """Decide f = y * (e3 x^3 + e2 x^2 y + e1 x y^2 + e0 y^3).
-
-    f(1, 0) = 0 rules out PD and ND.  A cubic factor in x forces a sign
-    change, so semidefiniteness requires e3 = 0, in which case f = y^2 * q
-    with q = e2 x^2 + e1 x y + e0 y^2 and the verdict is that of the
-    quadratic form q; its Gram matrix embeds as a certificate on the
-    squared-monomial basis.
-    """
-    return _decide_degenerate((e3, e2, e1, e0), None)
+    """Decide f = y * (e3 x^3 + e2 x^2 y + e1 x y^2 + e0 y^3), as
+    `decide_problem` decides the problem of (0, e3, e2, e1, e0)."""
+    return decide_problem(from_plain_coeffs(0, e3, e2, e1, e0))
 
 
-def _decide_degenerate(coeffs, record) -> Verdict:
-    """`decide_degenerate_leading` of coeffs = (e3, e2, e1, e0); `record` is
-    `clear_denominators(0, e3, e2, e1, e0)`, or None to clear them here."""
-    e3, e2, e1, e0 = map(as_fraction, coeffs)
-    if record is None:
-        record = clear_denominators(0, e3, e2, e1, e0)
-    # (L, 0, k3, k2, k1, k0) with L > 0 and ki = L ei: the ki have the signs
-    # of the ei, and k1^2 - 4 k2 k0 that of the discriminant e1^2 - 4 e2 e0
-    big, _, k3, k2, k1, k0 = record
-    if not (k3 or k2 or k1 or k0):
-        return Verdict(Definiteness.ZERO, certificate=Sym3Matrix(*[_ZERO] * 6))
+def degenerate_entries(problem: NormalizedProblem) -> tuple[tuple[int, int], ...]:
+    """The Gram matrix entries (m11, m12, m13, m22, m23, m33) of f, or -f,
+    semidefinite with e4 = 0, as integer ratios: diag(0, |e2|, 0) if e0 = 0,
+    else M(lam0) of the swapped monic form m, f(x, y) = +-|e0| m(y, x), with
+    the basis reversed, times |e0|.  A semidefinite m with m(0, 1) = 0 has
+    e1 = 0 and D = e2^2, a square, so `surd_parts` leaves no surd part."""
+    big, _, _, k2, _, k0 = problem.input_record
+    if not k0:
+        return (0, 1), (0, 1), (0, 1), (abs(k2), big), (0, 1), (0, 1)
+    form = problem.swapped().form
+    (m11, _, den), (m12, _, _), m13, m22, (m23, _, _), (m33, _, _) = lam0_surds(form)[2]
+    (m13, _), (m22, _) = surd_parts(form, *m13)[0], surd_parts(form, *m22)[0]
+    scale, den = abs(k0), den * big  # the six share den
+    return tuple((num * scale, den) for num in (m33, m23, m13, m22, m12, m11))
+
+
+def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
+    """Points where an indefinite form with e4 = 0 is positive and negative."""
+    _, _, k3, k2, k1, k0 = problem.input_record
+    if k0:  # the swapped form's, with x and y exchanged back
+        swapped = problem.swapped()
+        (px, py), (nx, ny) = classifier.witness_search(swapped.form)
+        if swapped.orientation is Orientation.NEGATIVE_SIDE:  # that form is -f(y, x) / |e0|
+            return (ny, nx), (py, px)
+        return (py, px), (ny, nx)
+    # f = x y (k3 x^2 + k2 x y + k1 y^2) / L: for s = +-1, f(n, s) has the
+    # sign of s k3 once |k3| n > |k2| + |k1|, and f(s, n) that of s k1 when
+    # k3 = 0 and |k1| n > |k2|
     if k3:
-        return Verdict(Definiteness.INDEFINITE, witnesses=_cubic_sign_witnesses(record))
-    if k1 * k1 <= 4 * k2 * k0:
-        if k2 >= 0 and k0 >= 0:
-            return Verdict(Definiteness.POSITIVE_SEMIDEFINITE, certificate=Sym3Matrix(
-                _ZERO, _ZERO, _ZERO, e2, Fraction(k1, 2 * big), e0))
-        if k2 <= 0 and k0 <= 0:
-            return Verdict(Definiteness.NEGATIVE_SEMIDEFINITE, certificate=Sym3Matrix(
-                _ZERO, _ZERO, _ZERO, -e2, Fraction(-k1, 2 * big), -e0))
-    return Verdict(
-        Definiteness.INDEFINITE, witnesses=_quadratic_sign_witnesses(e2, e1, e0)
-    )
-
-
-def _cubic_sign_witnesses(record) -> tuple[Point, Point]:
-    # odd degree in x: f(t, 1) follows sign(e3 * t^3) for large |t|; the
-    # integer L f(t, 1) of the form's record (L, 0, k3, k2, k1, k0) has the
-    # sign of f(t, 1), and k3 = L e3 that of e3
-    _, _, k3, k2, k1, k0 = record
-
-    def value(t: int) -> int:
-        return quartic_horner(0, k3, k2, k1, k0, t, 1)
-
-    t = 1
-    while value(t) * k3 <= 0:
-        t *= 2
-    s = -1
-    while value(s) * k3 >= 0:
-        s *= 2
-    pos, neg = ((Fraction(t), Fraction(1)), (Fraction(s), Fraction(1)))
-    if k3 < 0:
-        pos, neg = neg, pos
-    return pos, neg
-
-
-def _quadratic_sign_witnesses(e2, e1, e0) -> tuple[Point, Point]:
-    # q = e2 x^2 + e1 xy + e0 y^2 indefinite; f = y^2 q shares signs at y = 1
-    def value(t: Fraction) -> Fraction:
-        return e2 * t**2 + e1 * t + e0
-
-    one = Fraction(1)
-    if e2 != 0:
-        vertex = -e1 / (2 * e2)  # q(vertex) has the sign opposite to e2: disc > 0
-        far = vertex + max(Fraction(1), abs(vertex)) * 4
-        while value(far) * e2 <= 0:
-            far *= 2
-        if e2 > 0:
-            return (far, one), (vertex, one)
-        return (vertex, one), (far, one)
-    if e1 == 0:  # q = e0 y^2 has one sign
-        raise ValueError("quadratic form is not indefinite")
-    # e2 = 0: linear in t, and |e1 t| = |e0| + 1 outweighs e0
-    t = (abs(e0) + 1) / e1
-    return (t, one), (-t, one)
+        n, s = Fraction((abs(k2) + abs(k1)) // abs(k3) + 1), Fraction(1 if k3 > 0 else -1)
+        return (n, s), (n, -s)
+    n, s = Fraction(abs(k2) // abs(k1) + 1), Fraction(1 if k1 > 0 else -1)
+    return (s, n), (-s, n)
 
 
 def decide_problem(problem: NormalizedProblem) -> Verdict:
-    """Route a normalised problem to the right decision procedure."""
-    if problem.degenerate_leading:
-        if problem.degenerate_coeffs is None:
-            raise ValueError("degenerate-leading problem without its coefficients")
-        return _decide_degenerate(problem.degenerate_coeffs, problem.input_record)
-    if problem.form is None:
-        raise ValueError("problem has neither a form nor degenerate coefficients")
-    if problem.orientation is Orientation.NEGATIVE_SIDE:
-        return decide_negative_side(problem.form)
-    return decide_monic(problem.form)
+    """Route a normalised problem to the right decision procedure.  With
+    e4 = 0 it takes the class of f(y, x) if e0 != 0; else f = x y (e3 x^2 +
+    e2 x y + e1 y^2) is e2 x^2 y^2 when e3 = e1 = 0, and else indefinite."""
+    if problem.form is not None:
+        return _decide_monic(problem.form, problem.orientation is Orientation.NEGATIVE_SIDE)
+    if not problem.degenerate_leading or problem.input_record is None:
+        raise ValueError("problem with neither a form nor the input record of e4 = 0")
+    _, _, k3, k2, k1, k0 = problem.input_record
+    if k0:
+        cls = decide_problem(problem.swapped()).classification
+    elif k3 or k1:
+        cls = Definiteness.INDEFINITE
+    elif k2:
+        cls = Definiteness.POSITIVE_SEMIDEFINITE if k2 > 0 else Definiteness.NEGATIVE_SEMIDEFINITE
+    else:
+        cls = Definiteness.ZERO
+    return _lazy_verdict(cls, None, _problem=problem)

@@ -11,6 +11,7 @@ from quartic_certify import (
     PSD_CASES,
     Definiteness,
     MonicQuartic,
+    Orientation,
     PencilCubic,
     QuadExt,
     Sym3Matrix,
@@ -22,6 +23,7 @@ from quartic_certify import (
     degenerate_conic_type,
     discriminant_case,
     evaluate,
+    evaluate_plain,
     pencil_coeffs,
     pencil_matrix,
     quartic_root_nature,
@@ -472,11 +474,32 @@ class TestWitnessFallback:
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
 
     def test_coefficient_beyond_float_range(self, sturm_calls):
+        # the float proposal is rescaled, t = 2^k s, instead of falling back
         problem, verdict = certify(1, 0, 0, 0, -10**400)
         assert verdict.classification is Definiteness.INDEFINITE
         pos, neg = verdict.witnesses
-        assert len(sturm_calls) == 1
+        assert len(sturm_calls) == 0
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
+
+    @pytest.mark.parametrize("coeffs", [
+        (0, 0, 1, 0, -F(10**590)),
+        (0, 0, -F(10**590), 0, 1),
+        (0, 0, 1, 0, -F(1, 10**590)),
+        (0, 1, 0, 0, -F(10**590)),
+        (-F(10**590), 0, 1, 0, 0),
+        (1, 0, -F(10**590), 0, 0),
+    ])
+    def test_dip_beyond_float_range(self, sturm_calls, coeffs):
+        # each form, or f(y, x) when e4 = 0, dips below 0 near |t| = 2^k with
+        # |k| from 650 to 980, where its unscaled float coefficients
+        # overflow or vanish
+        problem, verdict = certify(*coeffs)
+        assert verdict.classification is Definiteness.INDEFINITE
+        (px, py), (nx, ny) = verdict.witnesses
+        assert sturm_calls == []
+        if problem.orientation is Orientation.NEGATIVE_SIDE:
+            (px, py), (nx, ny) = (nx, ny), (px, py)
+        assert evaluate_plain(*coeffs, px, py) > 0 > evaluate_plain(*coeffs, nx, ny)
 
     def test_corpus_needs_no_fallback(self, small_corpus, sturm_calls):
         indefinite = 0

@@ -544,9 +544,9 @@ class TestFrontEnd:
 
     def test_pencil_invariants_taken_once_per_form(self, monkeypatch, tmp_path):
         # the verdict, the case, the case facts, the report and the Sylvester
-        # signs all read the invariants taken once for the monic form; the
-        # swapped form of a degenerate-leading line, which only the oracle
-        # reads, never takes them
+        # signs all read the invariants taken once for the monic form; a
+        # degenerate-leading line takes them once, for the swapped form that
+        # decides it and renders its certificate, unless e0 = 0 as well
         import quartic_certify.forms as forms
 
         calls = []
@@ -567,7 +567,7 @@ class TestFrontEnd:
             path.write_text(line + "\n")
             calls.clear()
             assert run(["--batch", str(path)])[0] == 0
-            assert len(calls) == (1 if e4 != 0 else 0), line
+            assert len(calls) == (1 if e4 != 0 or e0 != 0 else 0), line
             monic += e4 != 0
         assert monic >= 20
 
@@ -591,6 +591,27 @@ class TestFrontEnd:
         assert code == 2 and calls == [((0, 1), (1, 1), (2, 1), (1, 1), (3, 1))]
         assert out["oracle"] == {"discriminant_case": oracle}
         assert out["agreement"]["oracle"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--no-crosscheck"]])
+    def test_degenerate_leading_line_builds_one_swapped_problem(self, monkeypatch, flags):
+        # the decision, the certificate or witnesses and the oracle all read
+        # the one problem of f(y, x) that the decision normalised
+        import quartic_certify.forms as forms
+
+        calls = []
+        real = forms._normalised
+
+        def counting(record):
+            calls.append(record)
+            return real(record)
+
+        monkeypatch.setattr(forms, "_normalised", counting)
+        for coeffs in (["0", "1", "2", "1", "3"], ["0", "0", "1", "2", "1"]):
+            calls.clear()
+            code, out = run_json([*flags, *coeffs])
+            assert (out["witnesses"] if code == 2 else out["certificate"]) is not None
+            big, *record = calls[0]
+            assert calls == [(big, *record), (big, *record[::-1])]
 
     def test_kernel_signs_taken_once_per_form(self, monkeypatch, tmp_path):
         # the case facts read the verdict's kernel signs: the two surd signs
@@ -648,11 +669,11 @@ _FAST_TOKEN = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class TestBatchLineBuildsNoFraction:
-    """A monic `--batch` line goes from its tokens to its JSON line as
-    integers: parsed to ratios, cleared once, decided and reported from the
-    records.  The one `Fraction` it builds is the witness abscissa t of an
-    indefinite verdict; a decimal token, or a degenerate-leading line,
-    builds more."""
+    """A `--batch` line goes from its tokens to its JSON line as integers:
+    parsed to ratios, cleared once, decided and reported from the records.
+    The one `Fraction` a monic line builds is the witness abscissa t of an
+    indefinite verdict; a degenerate-leading line builds none but the
+    witness coordinates that it prints.  A decimal token builds more."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -694,6 +715,35 @@ class TestBatchLineBuildsNoFraction:
         # every class a monic form takes, and indefinite on both sides
         assert len({verdict for verdict, _ in seen}) == 5
         assert {("indefinite", "positive-side"), ("indefinite", "negative-side")} <= seen
+
+    @pytest.mark.parametrize("flags", [[], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"]])
+    def test_degenerate_leading_line(self, built, flags, tmp_path):
+        path = tmp_path / "form.txt"
+        lines = ["0 1 0 1 0", "0 0 -3 0 0", "0 2 -7 5 0"]  # e4 = e0 = 0 as well
+        lines += GOLDEN_FORMS.read_text(encoding="utf-8").splitlines()
+        seen = set()
+        for line in lines:
+            fields = line.split("#", 1)[0].split()
+            if not fields or not all(_FAST_TOKEN.fullmatch(f) for f in fields):
+                continue
+            if parse_rational(fields[0]) != 0:
+                continue
+            path.write_text(line + "\n")
+            built.clear()
+            code, text = run(["--batch", str(path), *flags])
+            made = built[:]  # before the checks below build their own
+            row = json.loads(text.splitlines()[0])
+            assert code == 0 and "error" not in row, line
+            printed = set()
+            if row["verdict"] == "indefinite":
+                printed = {parse_rational(w[axis]) for w in row["witnesses"].values()
+                           for axis in ("x", "y")}
+            assert {Fraction(*args) for args in made} <= printed, line
+            seen.add((row["verdict"], parse_rational(fields[4]) == 0))
+        # the swapped route and the closed rule, each semidefinite and indefinite
+        assert {("indefinite", False), ("positive-semidefinite-not-definite", False),
+                ("negative-semidefinite-not-definite", False), ("indefinite", True),
+                ("negative-semidefinite-not-definite", True), ("identically-zero", True)} <= seen
 
 
 class TestDisagreementPath:

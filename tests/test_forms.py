@@ -42,7 +42,7 @@ def test_from_plain_degenerate_leading():
     p = from_plain_coeffs(0, 1, 2, 3, 4)
     assert p.degenerate_leading
     assert p.form is None and p.orientation is None
-    assert p.degenerate_coeffs == (F(1), F(2), F(3), F(4))
+    assert p.input_record == (1, 0, 1, 2, 3, 4)
 
 
 def test_to_weighted_examples():
@@ -219,7 +219,8 @@ def test_from_plain_record_is_the_lcm_record(coeffs):
     assert all(type(k) is int for k in p.input_record)
     if e4 == 0:
         assert p.degenerate_leading and p.form is None
-        assert p.degenerate_coeffs == (e3, e2, e1, e0)
+        big = p.input_record[0]
+        assert tuple(Fraction(k, big) for k in p.input_record[2:]) == (e3, e2, e1, e0)
         return
     monic = (e3 / e4, e2 / e4, e1 / e4, e0 / e4)
     m = p.form

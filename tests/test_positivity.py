@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import (
+    PD_CASES,
+    PSD_CASES,
     Definiteness,
     MonicQuartic,
     QuadExt,
@@ -16,6 +19,7 @@ from quartic_certify import (
     decide_monic,
     decide_negative_side,
     decide_problem,
+    discriminant_case,
     evaluate,
     evaluate_plain,
     NormalizedProblem,
@@ -29,7 +33,7 @@ from quartic_certify import (
     sylvester_psd,
 )
 
-from quartic_certify import classifier, positivity
+from quartic_certify import classifier
 from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_test
 
 from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
@@ -137,34 +141,35 @@ class TestDegenerateLeading:
         assert evaluate_plain(0, 1, 0, 0, 0, px, py) > 0
         assert evaluate_plain(0, 1, 0, 0, 0, nx, ny) < 0
 
-    def test_negative_cubic_needs_doubling(self):
-        # y (-x^3 + 5 y^3): f(1, 1) = 4 has the sign of -e3 t^3 at t = 1, so
-        # the search doubles to t = 2, and e3 < 0 swaps the two witnesses
-        v = decide_degenerate_leading(F(-1), F(0), F(0), F(5))
-        assert v.classification is D.INDEFINITE
-        assert v.witnesses == ((F(-1), F(1)), (F(2), F(1)))
-        assert evaluate_plain(0, -1, 0, 0, 5, F(-1), F(1)) == 6
-        assert evaluate_plain(0, -1, 0, 0, 5, F(2), F(1)) == -3
+    def test_negative_cubic(self):
+        # y (-x^3 + 5 y^3) is decided as f(y, x) = 5 x^4 - x y^3, and its
+        # witnesses are exchanged back to points of f
+        e = (F(-1), F(0), F(0), F(5))
+        v = decide_degenerate_leading(*e)
+        assert v.classification is D.INDEFINITE and v.kernel is None
+        (px, py), (nx, ny) = v.witnesses
+        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
 
     def test_large_cubic_clears_once(self, monkeypatch):
-        # y (x^3 - 10^30 y^3): the search doubles t from 1 to 2^34, the first
-        # power of two past 10^10, on the form cleared once
-        import quartic_certify.positivity as positivity
+        # y (x^3 - 10^30 y^3): the input is cleared once, and f(y, x), which
+        # decides it and gives its witnesses, is normalised from that record.
+        # Every clearing of five rationals goes through forms.clear_ratios
+        import quartic_certify.forms as forms
 
         calls = []
-        real = positivity.clear_denominators
+        real = forms.clear_ratios
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(*ratios):
+            calls.append(ratios)
+            return real(*ratios)
 
-        monkeypatch.setattr(positivity, "clear_denominators", counting)
+        monkeypatch.setattr(forms, "clear_ratios", counting)
         e = (F(1), F(0), F(0), F(-10**30))
         v = decide_degenerate_leading(*e)
         assert v.classification is D.INDEFINITE
-        assert v.witnesses == ((F(2**34), F(1)), (F(-1), F(1)))
-        assert len(calls) == 1
-        assert evaluate_plain(0, *e, F(2**33), F(1)) < 0 < evaluate_plain(0, *e, F(2**34), F(1))
+        (px, py), (nx, ny) = v.witnesses
+        assert calls == [((0, 1), (1, 1), (0, 1), (0, 1), (-10**30, 1))]
+        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
 
     def test_perfect_square(self):
         v = decide_degenerate_leading(F(0), F(1), F(2), F(1))
@@ -197,6 +202,61 @@ class TestDegenerateLeading:
                 continue
             x, y = random_fraction(rng, 9, 3), random_fraction(rng, 9, 3)
             assert v.certificate.form_value(x, y) == evaluate_plain(0, *e, x, y)
+
+    @given(st.tuples(*[st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))] * 3),
+           st.one_of(st.just(F(0)),
+                     st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_is_proven_and_is_the_swapped_oracle(self, e321, e0):
+        e = (*e321, e0)
+        problem = from_plain_coeffs(0, *e)
+        v = decide_problem(problem)
+        assert_degenerate_verdict_proven(e, v)
+        if e0 != 0:
+            # the class of f(y, x) read off its discriminant sequence
+            swapped = problem.swapped()
+            case_id = discriminant_case(swapped.form)
+            cls = D.POSITIVE_SEMIDEFINITE if case_id in PSD_CASES else D.INDEFINITE
+            if swapped.orientation is Orientation.NEGATIVE_SIDE:
+                cls = cls.flipped()
+            assert case_id not in PD_CASES and v.classification is cls
+
+    def test_vanishing_end_coefficients_grid(self):
+        # e4 = e0 = 0: f = x y (e3 x^2 + e2 x y + e1 y^2)
+        for e3, e2, e1 in itertools.product(range(-2, 3), repeat=3):
+            e = (F(e3), F(e2), F(e1), F(0))
+            v = decide_degenerate_leading(*e)
+            if e3 or e1:
+                assert v.classification is D.INDEFINITE
+            elif e2:
+                assert v.classification is (D.POSITIVE_SEMIDEFINITE if e2 > 0
+                                            else D.NEGATIVE_SEMIDEFINITE)
+            else:
+                assert v.classification is D.ZERO
+            assert_degenerate_verdict_proven(e, v)
+
+
+def assert_degenerate_verdict_proven(e, verdict):
+    """The verdict on f = (0, *e) is proven by what it carries: two points
+    of opposite exact sign, or a PSD Gram matrix of f, or of -f for the
+    negative class, equal to f at five distinct projective points, which
+    pins a binary quartic."""
+    cls = verdict.classification
+    assert verdict.kernel is None
+    if cls is D.INDEFINITE:
+        assert verdict.certificate is None
+        (px, py), (nx, ny) = verdict.witnesses
+        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
+        return
+    assert verdict.witnesses is None
+    assert cls in (D.POSITIVE_SEMIDEFINITE, D.NEGATIVE_SEMIDEFINITE, D.ZERO)
+    assert (cls is D.ZERO) == (not any(e))
+    mat = verdict.certificate
+    assert sylvester_psd(mat)
+    sign = -1 if cls is D.NEGATIVE_SEMIDEFINITE else 1
+    for x, y in ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(-2, 3), F(5, 7)),
+                 (F(3), F(-1, 2))):
+        assert sign * mat.form_value(x, y) == evaluate_plain(0, *e, x, y)
 
 
 class TestCrossProperties:
@@ -330,8 +390,6 @@ def test_inconsistent_problem_raises():
     with pytest.raises(ValueError):
         decide_problem(NormalizedProblem(None, Orientation.POSITIVE_SIDE, F(1),
                                          degenerate_leading=False))
-    with pytest.raises(ValueError):
-        positivity._quadratic_sign_witnesses(F(0), F(0), F(1))  # y^2: one sign
 
 
 # -- the decision builds integer records; the exact values are views ---------
@@ -424,7 +482,8 @@ def assert_views_equal_the_eager_references(problem):
     m = problem.form
     verdict = decide_problem(problem)
     e4, *rest = m.cleared
-    # a3..a0, and the floats the critical-point witness proposes from them
+    # a3..a0, and the floats the critical-point witness first proposes from
+    # them, unscaled (a failed proposal is retried at rescaled coefficients)
     coefficients = (m.a3, m.a2, m.a1, m.a0)
     assert coefficients == tuple(Fraction(e, e4) for e in rest)
     assert all(type(a) is Fraction for a in coefficients)
@@ -432,8 +491,8 @@ def assert_views_equal_the_eager_references(problem):
     with mock.patch.object(classifier, "_cubic_real_roots",
                            wraps=classifier._cubic_real_roots) as proposed:
         classifier._critical_point_witness(m)
-    assert proposed.call_args.args == (0.75 * float(m.a3), 0.5 * float(m.a2),
-                                       0.25 * float(m.a1))
+    assert proposed.call_args_list[0].args == (0.75 * float(m.a3), 0.5 * float(m.a2),
+                                               0.25 * float(m.a1))
     # lam0 and g(lam0)
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
