@@ -1,10 +1,11 @@
 """Exact univariate polynomial utilities over the rationals.
 
-Everything here is internal plumbing for the root classifiers: Horner
-evaluation, euclidean division, monic gcd, Yun square-free decomposition,
-Sturm chains, and real-root isolation with exact rational interval
-endpoints.  Polynomials are tuples of Fractions, low degree first, with no
-trailing zero coefficients (the zero polynomial is the empty tuple).
+Everything here is internal plumbing for the root classifiers and the
+exact witness fallback: Horner evaluation, euclidean division, monic gcd,
+Yun square-free decomposition, Sturm chains, and real-root isolation with
+exact rational interval endpoints.  Polynomials are tuples of Fractions,
+low degree first, with no trailing zero coefficients (the zero polynomial
+is the empty tuple).
 
 There is one isolation routine, `isolate_real_roots`: Sturm bisection from
 the Cauchy bound, where a midpoint that lands exactly on a (necessarily
@@ -58,19 +59,11 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
     rem = list(num)
     dn = degree(den)
-    lc = den[-1]
-    while len(rem) - 1 >= dn and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dn:
-            break
-        shift = len(rem) - 1 - dn
-        factor = rem[-1] / lc
-        quot[shift] = factor
+    for shift in range(len(num) - 1 - dn, -1, -1):  # clear rem[shift + dn]
+        factor = quot[shift] = rem[shift + dn] / den[-1]
         for i, c in enumerate(den):
             rem[shift + i] -= factor * c
-        rem.pop()
-    return make_poly(quot), make_poly(rem)
+    return make_poly(quot), make_poly(rem[:dn])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -230,10 +223,6 @@ class IsolatedRoot:
                 hi = mid
         return IsolatedRoot(self.poly, lo, hi)
 
-    def __float__(self) -> float:
-        r = self.refined(Fraction(1, 10**17))
-        return float((r.lo + r.hi) / 2)
-
 
 def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[IsolatedRoot]]:
     """All distinct real roots of a squarefree p, in increasing order.
@@ -242,7 +231,7 @@ def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[IsolatedRoot]]:
     each deflated away before isolation restarts, and isolating intervals
     of the deflated polynomial for the others.  The intervals, leaves of
     one bisection, are disjoint, and are refined until their closures hold
-    no exact root, so midpoints between neighbouring roots are sound samples.
+    no exact root, so no endpoint is a root of p.
     """
     exact: list[Fraction] = []
     while degree(p) >= 1:

@@ -38,9 +38,8 @@ reads it off the signs of the quartic's own discriminant sequence, in
 integers (it backs the command line's `oracle` flag), and
 `quartic_root_nature` from the real roots of f(x, 1), by square-free
 decomposition and Sturm counts (used by the test suite).  The module also
-provides a float minimum-on-the-circle estimate, which is advisory only
-and the one user of numpy (imported when it is called), and the witness
-search that backs indefinite verdicts.
+provides a float minimum-on-the-circle estimate, which is advisory only,
+and the witness search that backs indefinite verdicts.
 
 Witnesses follow "floats propose, exact arithmetic decides".  The critical
 points of f(t, 1) come from a closed-form float cubic solve, lowest float
@@ -50,12 +49,14 @@ at t = s, then at t = 2^k s for the scales k of the form's Newton polygon,
 which bring coefficients beyond the float range into it.  Only when every
 candidate fails (a negative dip narrower than float resolution, or a
 near-double critical point) does the exact Sturm search run: it isolates
-the real roots of f(t, 1) and samples every gap between them.  A float
-never decides a witness.
+the real roots of the derivative of f(t, 1) and bisects each interval
+holding a local minimum, on the exact sign of the derivative, until a
+midpoint has f(t, 1) < 0.  A float never decides a witness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -405,19 +406,12 @@ def degenerate_conic_type(mat: Sym3Matrix) -> str:
 
 # -- numeric circle oracle (advisory only) ----------------------------------
 
-_BASIS_CACHE: dict[int, tuple] = {}
-
-
-def _circle_basis(n: int) -> tuple:
-    basis = _BASIS_CACHE.get(n)
-    if basis is None:
-        import numpy as np
-
-        theta = np.linspace(0.0, math.pi, n, endpoint=False)
-        c, s = np.cos(theta), np.sin(theta)
-        basis = (theta, c**4, c**3 * s, c**2 * s**2, c * s**3, s**4)
-        _BASIS_CACHE[n] = basis
-    return basis
+@functools.cache
+def _circle_basis(n: int) -> tuple[tuple[float, ...], ...]:
+    """(c^4, c^3 s, c^2 s^2, c s^3, s^4) at c, s = cos, sin of pi i / n,
+    one row per sample, built on the first call for each n."""
+    cos_sin = ((math.cos(i * (math.pi / n)), math.sin(i * (math.pi / n))) for i in range(n))
+    return tuple((c**4, c**3 * s, (c * c) * (s * s), c * s**3, s**4) for c, s in cos_sin)
 
 
 def circle_min_estimate_plain(coeffs, n: int) -> tuple[float, float]:
@@ -425,34 +419,34 @@ def circle_min_estimate_plain(coeffs, n: int) -> tuple[float, float]:
 
     Float-only sanity oracle: minima living in dips narrower than the
     sample spacing can be missed, which is why it never decides anything.
+    The form is sampled at theta_i = pi i / n; the lowest eight local
+    minima (with wrap-around, ties broken by index) and the first global
+    argmin are each refined by golden-section search.
     Returns (min value, argmin angle).
     """
-    import numpy as np
-
     if n < 8:
         raise ValueError("need at least 8 samples")
     e4, e3, e2, e1, e0 = (float(c) for c in coeffs)
-    theta, p40, p31, p22, p13, p04 = _circle_basis(n)
-    vals = e4 * p40 + e3 * p31 + e2 * p22 + e1 * p13 + e0 * p04
+    vals = [e4 * p40 + e3 * p31 + e2 * p22 + e1 * p13 + e0 * p04
+            for p40, p31, p22, p13, p04 in _circle_basis(n)]
 
     def f(t: float) -> float:
         c, s = math.cos(t), math.sin(t)
         c2, s2 = c * c, s * s
         return e4 * c2 * c2 + e3 * c2 * c * s + e2 * c2 * s2 + e1 * c * s2 * s + e0 * s2 * s2
 
-    left = np.roll(vals, 1)  # f has period pi, so the wrap-around is valid
-    right = np.roll(vals, -1)
-    local = np.nonzero((vals <= left) & (vals <= right))[0]
-    order = local[np.argsort(vals[local])]
-    candidates = list(order[:8])
-    gmin = int(np.argmin(vals))
+    # f has period pi, so the wrap-around is valid
+    local = [i for i, (left, v, right) in enumerate(zip(vals[-1:] + vals[:-1], vals, vals[1:] + vals[:1]))
+             if v <= left and v <= right]
+    candidates = sorted(local, key=vals.__getitem__)[:8]
+    gmin = vals.index(min(vals))
     if gmin not in candidates:
         candidates.append(gmin)
 
     spacing = math.pi / n
     best_val, best_arg = math.inf, 0.0
     for idx in candidates:
-        t0 = float(theta[idx])
+        t0 = idx * spacing
         val, arg = _golden_min(f, t0 - spacing, t0 + spacing)
         if val < best_val:
             best_val, best_arg = val, arg
@@ -499,8 +493,9 @@ def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fr
     to short dyadic rationals and keeps the first one whose exact value is
     negative, rescaling t when the coefficients leave the float range.  When
     none is (a dip narrower than float resolution, a near-double critical
-    point), `_sturm_witness` finds the point by exact root isolation.
-    Raises ValueError if the form is not indefinite.
+    point), `_sturm_witness` refines the exact critical points of f(t, 1)
+    until one of its bisection midpoints is negative.  Raises ValueError if
+    the form is not indefinite.
     """
     t = _critical_point_witness(m)
     if t is None:
@@ -599,27 +594,42 @@ def _cubic_real_roots(b: float, c: float, d: float) -> list[float]:
 
 
 def _sturm_witness(m: MonicQuartic) -> Fraction:
-    """Exact fallback: a negative point of f(t, 1) found by sampling every
-    gap between its Sturm-isolated real roots (the negative set is a union
-    of such gaps).  Each sample's sign is taken in integers, as in
-    `_critical_point_witness`."""
-    for t in _root_gap_samples(pr.make_poly(m.dehomogenized())):
-        if quartic_horner(*m.cleared, t.numerator, t.denominator) < 0:
+    """Exact fallback: a rational t with p(t) = f(t, 1) < 0 at or beside a
+    critical point of p, every sign taken in integers.
+
+    It stops on every indefinite form.  p tends to +inf both ways and takes
+    a negative value, so its minimum is negative, at a root r of p' of odd
+    multiplicity: p' changes sign across r, from - to +.  r is either an
+    exact root of the Sturm isolation of p', or inside one isolating
+    interval with p' < 0 at its left end and p' > 0 at its right end.
+    Those intervals are bisected in turn, one step each per round, on the
+    exact sign of p' at the midpoint.  The one holding r shrinks onto it,
+    and p is continuous, so some midpoint has p < 0.  The kernel signs are
+    read first: a form that is not indefinite raises ValueError.
+    """
+    e4, _, disc, a, rn, _ = m.invariants
+    if disc >= 0 and min(_lam0_signs(e4, disc, a, rn)) >= 0:
+        raise ValueError("form takes no negative value: not indefinite")
+    record = m.cleared
+    _, e3, e2, e1, _ = record
+    slope = (0, 4 * e4, 3 * e3, 2 * e2, e1)  # e4 p'(t) as a quartic record
+
+    def sign(k: tuple[int, ...], t: Fraction) -> int:  # the sign of record k at (t, 1)
+        return quartic_horner(*k, t.numerator, t.denominator)
+
+    exact, isolated = pr.isolate_real_roots(pr.squarefree_part(pr.make_poly((e1, 2 * e2, 3 * e3, 4 * e4))))
+    for t in exact:
+        if sign(record, t) < 0:
             return t
-    raise ValueError("form takes no negative value: not indefinite")
-
-
-def _root_gap_samples(poly: pr.Poly) -> list[Fraction]:
-    """Rational sample points: one strictly between each pair of consecutive
-    real roots of poly, plus one beyond each extreme root."""
-    exact, isolated = pr.isolate_real_roots(pr.squarefree_part(poly))
-    # brackets (lo, hi) per root, degenerate for the exactly-hit roots
-    brackets = [(r, r) for r in exact] + [(iso.lo, iso.hi) for iso in isolated]
-    brackets.sort()
-    if not brackets:
-        return [Fraction(0)]
-    samples = [brackets[0][0] - 1]
-    for (_, hi), (lo2, _) in zip(brackets, brackets[1:]):
-        samples.append((hi + lo2) / 2)
-    samples.append(brackets[-1][1] + 1)
-    return samples
+    brackets = [[iso.lo, iso.hi] for iso in isolated if sign(slope, iso.lo) < 0 < sign(slope, iso.hi)]
+    while brackets:
+        for bracket in list(brackets):
+            mid = (bracket[0] + bracket[1]) / 2
+            if sign(record, mid) < 0:
+                return mid
+            at_mid = sign(slope, mid)
+            if at_mid:
+                bracket[at_mid > 0] = mid  # p' < 0 moves the left end, p' > 0 the right
+            else:  # the local minimum is p(mid) >= 0
+                brackets.remove(bracket)
+    raise ArithmeticError("an indefinite form with no negative critical value")

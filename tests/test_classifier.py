@@ -461,7 +461,8 @@ def sturm_calls(monkeypatch):
 
 
 class TestWitnessFallback:
-    @pytest.mark.parametrize("exponent, fallbacks", [(20, 0), (40, 1), (60, 1), (100, 1)])
+    @pytest.mark.parametrize("exponent, fallbacks",
+                             [(20, 0), (40, 1), (60, 1), (100, 1), (200, 1), (290, 1)])
     @pytest.mark.parametrize("side", [1, -1])
     def test_tiny_dip(self, sturm_calls, exponent, fallbacks, side):
         # (x^2 - 2y^2)^2 - eps y^4 dips below 0 only within ~eps^(1/2) of
@@ -500,6 +501,42 @@ class TestWitnessFallback:
         if problem.orientation is Orientation.NEGATIVE_SIDE:
             (px, py), (nx, ny) = (nx, ny), (px, py)
         assert evaluate_plain(*coeffs, px, py) > 0 > evaluate_plain(*coeffs, nx, ny)
+
+    def test_definite_dip_raises(self, sturm_calls):
+        # (x^2 - 2y^2)^2 + eps y^4 is positive definite: every float proposal
+        # fails, and the fallback's kernel-sign guard raises before its loop
+        with pytest.raises(ValueError):
+            witness_search(MonicQuartic(0, -4, 0, 4 + F(1, 10**100)))
+        assert len(sturm_calls) == 1
+
+    @pytest.mark.parametrize("m", [
+        MonicQuartic(0, -4, 0, 4),      # (x^2 - 2y^2)^2: zeros at irrational minima
+        MonicQuartic(4, 6, 4, 1),       # (x + y)^4: p' has a triple root
+    ])
+    def test_fallback_rejects_semidefinite(self, m):
+        # bisection would never find p < 0 here; the guard keeps it total
+        with pytest.raises(ValueError):
+            classifier._sturm_witness(m)
+
+    @pytest.mark.parametrize("m", [
+        MonicQuartic(0, -2, 0, 0),      # x^4 - 2x^2y^2: p' = 4t(t^2 - 1), rational roots
+        MonicQuartic(0, -6, 8, -3),     # (x - y)^3 (x + 3y): p' = 4(t - 1)^2 (t + 2)
+        MonicQuartic(-4, 6, -4, 0),     # (x - y)^4 - y^4: p' = 4(t - 1)^3
+    ])
+    def test_fallback_on_structured_forms(self, m):
+        t = classifier._sturm_witness(m)
+        assert evaluate(m, t, 1) < 0
+
+    def test_fallback_on_random_indefinite_forms(self):
+        rng = random.Random(18)
+        seen = 0
+        while seen < 300:
+            m = random_monic(rng)
+            if decide_monic(m).classification is not Definiteness.INDEFINITE:
+                continue
+            seen += 1
+            t = classifier._sturm_witness(m)
+            assert evaluate(m, t, 1) < 0
 
     def test_corpus_needs_no_fallback(self, small_corpus, sturm_calls):
         indefinite = 0

@@ -797,17 +797,23 @@ class TestDisagreementPath:
 
 
 class TestWithoutNumpy:
-    def test_default_batch_imports_no_numpy(self):
-        # only the advisory circle minimum needs numpy; the exact cross-checks
-        # of a default --batch must run without it
-        path = GOLDEN_FORMS
+    def test_batch_and_circle_oracle_with_numpy_blocked(self):
+        # the package runs on the standard library alone: with numpy made
+        # unimportable, a default --batch (every cross-check) prints the
+        # golden expectation, and the advisory circle minimum still runs
         src = Path(__file__).resolve().parents[1] / "src"
         script = ("import io, sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "from quartic_certify import MonicQuartic, circle_min_estimate\n"
                   "from quartic_certify.cli import main\n"
-                  "code = main(['--batch', sys.argv[1]], stdout=io.StringIO())\n"
+                  "out = io.StringIO()\n"
+                  "code = main(['--batch', sys.argv[1]], stdout=out)\n"
                   "assert code == 0, code\n"
-                  "assert 'numpy' not in sys.modules\n")
-        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                  "assert out.getvalue() == open(sys.argv[2], encoding='utf-8').read()\n"
+                  "value, _ = circle_min_estimate(MonicQuartic(0, -5, 0, 4), 4096)\n"
+                  "assert abs(value + 9 / 40) < 1e-9, value\n")
+        golden = GOLDEN_FORMS.parent / "golden_full.jsonl"
+        proc = subprocess.run([sys.executable, "-c", script, str(GOLDEN_FORMS), str(golden)],
                               env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
