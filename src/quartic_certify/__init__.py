@@ -59,9 +59,7 @@ from .pencil import (
 from .positivity import (
     Definiteness,
     Verdict,
-    decide_degenerate_leading,
     decide_monic,
-    decide_negative_side,
     decide_problem,
     sylvester_pd,
     sylvester_psd,

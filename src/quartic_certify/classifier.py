@@ -60,8 +60,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import _polyroots as pr
 from .exactnum import rational_sign, surd_sign
 from .forms import MonicQuartic, quartic_horner
 # pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
@@ -73,6 +73,10 @@ from .pencil import (  # noqa: F401
     g_eval,
     pencil_coeffs,
 )
+
+# its users import _polyroots on call: no typical --batch line runs them
+if TYPE_CHECKING:
+    from . import _polyroots as pr
 
 __all__ = [
     "CubicRootProfile",
@@ -157,6 +161,7 @@ class CubicRootProfile:
         conjugate carrier may coincide with an isolated root's polynomial
         (an irreducible cubic holding one real root and the pair).
         """
+        from . import _polyroots as pr
         acc = pr.make_poly([Fraction(1)])
         for root, mult in self.rational_roots:
             linear = pr.make_poly([-root, Fraction(1)])
@@ -174,6 +179,7 @@ class CubicRootProfile:
 
 
 def cubic_root_profile(p: PencilCubic) -> CubicRootProfile:
+    from . import _polyroots as pr
     poly = pr.make_poly(p.as_poly())
     rational: list[tuple[Fraction, int]] = []
     irrational: list[pr.IsolatedRoot] = []
@@ -339,6 +345,7 @@ class QuarticRootNature:
 
 
 def quartic_root_nature(m: MonicQuartic) -> QuarticRootNature:
+    from . import _polyroots as pr
     # monic in x, so no projective root at (1:0): f(x, 1) carries all four
     poly = pr.make_poly(m.dehomogenized())
     counts = {1: [0, 0], 2: [0, 0], 3: [0, 0], 4: [0, 0]}  # mult -> [real, pairs]
@@ -607,6 +614,7 @@ def _sturm_witness(m: MonicQuartic) -> Fraction:
     and p is continuous, so some midpoint has p < 0.  The kernel signs are
     read first: a form that is not indefinite raises ValueError.
     """
+    from . import _polyroots as pr
     e4, _, disc, a, rn, _ = m.invariants
     if disc >= 0 and min(_lam0_signs(e4, disc, a, rn)) >= 0:
         raise ValueError("form takes no negative value: not indefinite")

@@ -20,10 +20,11 @@ Exact values come first in the JSON report; a decimal field is the exact
 value rounded half-even once to --precision significant digits (no guard
 digits, no second rounding).  For a monic form, lam0, g(lam0) and the
 certificate are rendered from the integers of their one home,
-`pencil.lam0_surds` (by `pencil.surd_parts`), without the verdict's views.
-A form with e4 = 0 is decided as f(y, x), whose `lam0_surds` give its
-certificate (`positivity.degenerate_entries`); its lam0, g(lam0), a3^2/4,
-case, classical and Sylvester checks, which would describe f(y, x), are null.
+`pencil.lam0_surds` (by `pencil.surd_parts`), one tuple per form, which
+the Sylvester check reads too.  A form with e4 = 0 is decided as f(y, x);
+its certificate entries (`positivity.degenerate_entries`) have the same
+shape, and its lam0, g(lam0), a3^2/4, case, classical and Sylvester
+checks, which would describe f(y, x), are null.
 
 A form goes from its tokens to its report as integers: each token is
 parsed to a reduced ratio (num, den) by `exactnum.parse_ratio`, the five
@@ -44,7 +45,6 @@ import functools
 import io
 import json
 import sys
-import traceback
 from dataclasses import dataclass
 
 # classical_quantities, classical_is_pd, circle_min_estimate_plain and
@@ -125,22 +125,18 @@ class CoefficientError(InputError):
         self.position = position
 
 
-def _ratio_json(num: int, den: int, digits: int) -> dict:
-    """The JSON of the rational num / den, rendered from the integers."""
-    return {"p": ratio_text(num, den), "q": "0", "d": "0",
-            "decimal": ratio_decimal(num, den, digits)}
-
-
-def _surd_json(form, surd, d_text: str, digits: int, parts=None) -> dict:
+def _surd_json(form, surd, d_text: str, digits: int) -> dict:
     """The JSON of a value (a, b, den) of `lam0_surds(form)`: p and q from
-    its `surd_parts` (parts, when the caller took them already), d the
-    form's radicand as spelled once, d_text."""
+    its `surd_parts`, d the form's radicand as spelled once, d_text.  A
+    rational value is rendered from its integers, b = 0 without the form."""
     a, b, den = surd
-    p, q, _ = parts or surd_parts(form, a, b, den)
-    if not q[0]:
-        return _ratio_json(*p, digits)
-    return {"p": ratio_text(*p), "q": ratio_text(*q), "d": d_text,
-            "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
+    if b:
+        p, q, _ = surd_parts(form, a, b, den)
+        if q[0]:
+            return {"p": ratio_text(*p), "q": ratio_text(*q), "d": d_text,
+                    "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
+        a, den = p
+    return {"p": ratio_text(a, den), "q": "0", "d": "0", "decimal": ratio_decimal(a, den, digits)}
 
 
 @dataclass
@@ -171,16 +167,16 @@ class Report:
         }
 
         form = self.problem.form
+        lam0 = d_text = None
         if form is not None:
             e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
             lam0, g_lam0, entries = lam0_surds(form)
-            lam0_parts = surd_parts(form, *lam0)
-            d_text = ratio_text(*lam0_parts[2])  # one spelling per line
+            d_text = ratio_text(form.invariants[2], 4 * e4 * e4)  # d, spelled once per line
             if form.invariants[2] < 0:
                 out["lambda0"] = {"p": None, "q": None, "d": d_text, "decimal": None}
             else:
-                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits, lam0_parts)
+                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits)
                 out["g_lambda0"] = _surd_json(form, g_lam0, d_text, self.digits)
             if self.include_case:
                 case = classify_case(form)
@@ -189,15 +185,13 @@ class Report:
         # every verdict but an indefinite one carries a certificate; asking
         # the verdict for it would build the matrix of a monic form
         if cls is not Definiteness.INDEFINITE:
-            # six distinct entries, each rendered once, laid out as the rows
-            if form is None:  # e4 = 0: six rational entries, from integers
-                m11, m12, m13, m22, m23, m33 = (_ratio_json(*entry, self.digits)
-                                                for entry in degenerate_entries(self.problem))
-            else:  # m22 is lam0, rendered above; the rational entries share den
-                (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = entries
-                m11, m12, m23, m33 = (_ratio_json(a, den, self.digits)
-                                      for a in (a11, a12, a23, a33))
-                m13, m22 = _surd_json(form, m13, d_text, self.digits), out["lambda0"]
+            if form is None:  # e4 = 0: six entries of the same shape, all rational
+                entries = degenerate_entries(self.problem)
+            # six distinct entries, each rendered once, laid out as the rows;
+            # a monic form's m22 is its lam0, rendered above
+            m11, m12, m13, m22, m23, m33 = (
+                out["lambda0"] if entry is lam0 else _surd_json(form, entry, d_text, self.digits)
+                for entry in entries)
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
@@ -423,6 +417,8 @@ def _run_batch(args, stdout) -> int:
                 parse_failed = True
                 continue
             except Exception as exc:  # a defect: report it and go on
+                import traceback  # only a defect reaches here
+
                 print(f"internal error on line {lineno}:", file=sys.stderr)
                 traceback.print_exc(file=sys.stderr)
                 error = f"internal error: {type(exc).__name__}: {exc}"

@@ -22,7 +22,7 @@ from the same integers.  Every `MonicQuartic` carries the record
 and ei = e4 ai.  The integer kernels of `pencil` and `classifier`, the
 certificate, the report and the classical cross-check read that record,
 and the integer pencil invariants of it (`invariants`), instead of
-clearing the form again.
+clearing the form again; `pencil.lam0_surds` keeps its tuple on the form.
 
 The integer records are what the decision computes; the rational values
 are views of them, built on first read and then kept (`_View`).  A form

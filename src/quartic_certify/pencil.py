@@ -22,10 +22,12 @@ the two sign tests on lam0 with two signs of the shape a + b sqrt(D), each
 taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
 nine-case classification off the same integers.  The closed forms of
 lam0, g(lam0) and M(lam0) over Z[sqrt(D)] have one home, `lam0_surds`,
-with one converter to Q(sqrt(d)), `surd_parts`: the kernel record's views
-lam0 and g(lam0), the certificate (`lam0_matrix`, or of a form with e4 = 0
-`positivity.degenerate_entries`), `lam0_minor_signs` and the command
-line's report read them.  The Q(sqrt(d)) route
+taken once per form and kept on it, with one converter to Q(sqrt(d)),
+`surd_parts`: the kernel record's views lam0 and g(lam0),
+`lam0_minor_signs` and the command line's report read that tuple, and
+`lam0_matrix` builds a certificate from six of its entries, or from six
+entries of the same shape of a form with e4 = 0
+(`positivity.degenerate_entries`).  The Q(sqrt(d)) route
 (`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
 field arithmetic; it serves the tests, the demos and M(lam) at any other
 lam, and is the reference the integer route is tested against.
@@ -259,13 +261,18 @@ def lam0_surds(m: MonicQuartic) -> tuple[Surd, Surd, tuple[Surd, ...]]:
     of these closed forms: lam0 = (4 e2 + 2 sqrt(D)) / (6 e4), which is m22
     too, g(lam0) = (Rn + 2 D sqrt(D)) / (108 e4^3), and the entries of
     6 e4 M(lam0), 6 e4, 3 e3, e2 - sqrt(D), 4 e2 + 2 sqrt(D), 3 e1 and 6 e0,
-    over 6 e4.  When D < 0 only the radicand of lam0 is read."""
-    e4, e3, e2, e1, e0 = m.cleared
-    _, _, disc, _, rn, _ = m.invariants
-    den = 6 * e4
-    lam0 = (4 * e2, 2, den)
-    return lam0, (rn, 2 * disc, 108 * e4 * e4 * e4), (
-        (den, 0, den), (3 * e3, 0, den), (e2, -1, den), lam0, (3 * e1, 0, den), (6 * e0, 0, den))
+    over 6 e4.  When D < 0 only the radicand of lam0 is read.  The tuple of
+    the first call is kept on the form, and every later call returns it."""
+    surds = m.__dict__.get("_lam0_surds")
+    if surds is None:
+        e4, e3, e2, e1, e0 = m.cleared
+        _, _, disc, _, rn, _ = m.invariants
+        den = 6 * e4
+        lam0 = (4 * e2, 2, den)
+        surds = m.__dict__["_lam0_surds"] = lam0, (rn, 2 * disc, 108 * e4 * e4 * e4), (
+            (den, 0, den), (3 * e3, 0, den), (e2, -1, den), lam0, (3 * e1, 0, den),
+            (6 * e0, 0, den))
+    return surds
 
 
 def surd_parts(m: MonicQuartic, a: int, b: int,
@@ -283,21 +290,19 @@ def surd_parts(m: MonicQuartic, a: int, b: int,
 
 
 def _lam0_view(test: Lam0Test) -> CriticalParam:
-    p, q, d = surd_parts(test._form, *test._surds[0])
-    radicand = Fraction(*d)
-    if d[0] < 0:
-        return CriticalParam(radicand, None)
-    return CriticalParam(radicand, QuadExt._normalised(Fraction(*p), Fraction(*q), radicand))
+    m = test._form
+    lam0 = lam0_surds(m)[0]
+    return CriticalParam(Fraction(*surd_parts(m, *lam0)[2]), _in_field(m, *lam0))
 
 
-def _in_field(test: Lam0Test, a: int, b: int, den: int) -> QuadExt:
-    """(a + b sqrt(D)) / den over the radicand of a real `test.lam0`."""
-    p, q, _ = surd_parts(test._form, a, b, den)
-    return QuadExt._normalised(Fraction(*p), Fraction(*q), test.lam0.radicand)
+def _in_field(m: MonicQuartic, a: int, b: int, den: int) -> QuadExt | None:
+    """(a + b sqrt(D)) / den of m over its radicand d, None when D < 0."""
+    p, q, d = surd_parts(m, a, b, den)
+    return None if d[0] < 0 else QuadExt._normalised(Fraction(*p), Fraction(*q), Fraction(*d))
 
 
 def _g_lam0_view(test: Lam0Test) -> QuadExt | None:
-    return None if test.lam0.value is None else _in_field(test, *test._surds[1])
+    return _in_field(test._form, *lam0_surds(test._form)[1])
 
 
 @dataclass(frozen=True)
@@ -307,14 +312,13 @@ class Lam0Test:
     `slack` is the sign of lam0 - a3^2/4 and `value` that of g(lam0); with
     `g_lam0` they are None when lam0 is not real (d < 0).  A record of
     `lam0_test` holds the signs and the form, and builds `lam0` and
-    `g_lam0` from `lam0_surds` on first read.
+    `g_lam0` on first read from the form's `lam0_surds`.
     """
 
     lam0: CriticalParam = _View(_lam0_view)
     g_lam0: QuadExt | None = _View(_g_lam0_view, None)
     slack: int | None = None
     value: int | None = None
-    _surds = _View(lambda test: lam0_surds(test._form))  # read by every view
 
 
 def lam0_test(m: MonicQuartic) -> Lam0Test:
@@ -347,13 +351,13 @@ def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
     return surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc)
 
 
-def lam0_matrix(test: Lam0Test) -> Sym3Matrix:
-    """M(lam0) of the form of a record with real lam0, from `lam0_surds`,
-    equal to `pencil_matrix` at lam0 in value and type: m13 and m22 (the
-    view lam0) are QuadExt, the four rational entries (b = 0) Fraction."""
-    (a11, _, den), (a12, _, _), m13, _, (a23, _, _), (a33, _, _) = test._surds[2]
-    return Sym3Matrix(Fraction(a11, den), Fraction(a12, den), _in_field(test, *m13),
-                      test.lam0.value, Fraction(a23, den), Fraction(a33, den))
+def lam0_matrix(entries: tuple[Surd, ...], m: MonicQuartic | None = None) -> Sym3Matrix:
+    """The matrix of six entries (a, b, den) of m, as `lam0_surds` gives
+    them: Fraction(a, den) where b = 0 (m is then not read), else the
+    QuadExt of `surd_parts`.  M(lam0) so built equals `pencil_matrix` at
+    lam0 in value and type."""
+    return Sym3Matrix(*(_in_field(m, a, b, den) if b else Fraction(a, den)
+                        for a, b, den in entries))
 
 
 def lam0_minor_signs(m: MonicQuartic) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ verdict carries that kernel record (the two signs, with lam0 and g(lam0)
 as views) for the report.  The integers and the two signs are all the
 decision computes: the verdict's exact values are views of them, built on
 first read.  Whenever the verdict is PSD or PD the matrix M(lam0) is its
-certificate, `pencil.lam0_matrix`, read from `pencil.lam0_surds`, the one
-home of the closed forms of lam0, g(lam0) and M(lam0).  It is positive
+certificate, built by `pencil.lam0_matrix` from the entries of
+`pencil.lam0_surds`, the one home of the closed forms of lam0, g(lam0)
+and M(lam0), taken once per form and kept on it.  It is positive
 (semi)definite exactly when the form is, and it reproduces the form
 through the Veronese representation, so a verifier needs nothing but
 Sylvester's criterion and a matrix-vector product.  Otherwise the verdict's
@@ -26,11 +27,14 @@ principal minor signs of a matrix over Z[sqrt(N)]
 and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
-side (see forms.from_plain_coeffs); `decide_negative_side` maps the classes
-back by `Definiteness.flipped`, the one map between the two sides.  A form
-with e4 = 0 is decided by the same kernel on f(y, x), as definite as f and
-led by e0 (the problem's `swapped()`), whose certificate and witnesses are
-mapped back to f; when e0 = 0 too, a closed integer rule decides.
+side (see forms.from_plain_coeffs); `decide_problem` maps the class of
+that form back by `Definiteness.flipped`, the one map between the two
+sides.  A form with e4 = 0 is decided by the same step on f(y, x), as
+definite as f and led by e0 (the problem's `swapped()`), its class mapped
+back by the orientation of f(y, x) in the same way; its certificate
+(`degenerate_entries`, six triples of the shape of `lam0_surds`, so the
+same converter builds it) and its witnesses are mapped back to f.  When
+e0 = 0 too, a closed integer rule decides.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from fractions import Fraction
 from . import classifier
 # sign_of stays bound for bench/spans.py to wrap
 from .exactnum import sign_of  # noqa: F401
-from .forms import MonicQuartic, NormalizedProblem, Orientation, _View, from_plain_coeffs
+from .forms import MonicQuartic, NormalizedProblem, Orientation, _View
 # critical_param, g_eval, pencil_coeffs and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -66,8 +70,6 @@ __all__ = [
     "signs_pd",
     "signs_psd",
     "decide_monic",
-    "decide_negative_side",
-    "decide_degenerate_leading",
     "decide_problem",
 ]
 
@@ -100,8 +102,8 @@ Point = tuple[Fraction, Fraction]
 # read its problem
 def _certificate(v: Verdict) -> Sym3Matrix:
     if v.kernel is None:
-        return Sym3Matrix(*(Fraction(*entry) for entry in degenerate_entries(v._problem)))
-    return lam0_matrix(v.kernel)
+        return lam0_matrix(degenerate_entries(v._problem))
+    return lam0_matrix(lam0_surds(v._form)[2], v._form)
 
 
 def _witnesses(v: Verdict) -> tuple[Point, Point]:
@@ -161,26 +163,18 @@ def signs_psd(signs: tuple[int, ...]) -> bool:
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
-    return _decide_monic(m, flip=False)
+    return _lazy_verdict(*_decide(m), _form=m)
 
 
-def decide_negative_side(m: MonicQuartic) -> Verdict:
-    """Decide the sign-flipped monic form of a negative-leading quartic and
-    map its class back by `Definiteness.flipped`.  The certificate stays the
-    PSD matrix of the flipped form (its negation certifies the original)."""
-    return _decide_monic(m, flip=True)
-
-
-def _decide_monic(m: MonicQuartic, flip: bool) -> Verdict:
-    """The verdict on m, its class flipped when `flip` is set, from the
-    kernel's two signs alone."""
+def _decide(m: MonicQuartic) -> tuple[Definiteness, Lam0Test]:
+    """The class of a positive-side monic form m, from the kernel's two
+    signs alone, and the kernel record that decided it."""
     kernel = lam0_test(m)
     if m.invariants[2] >= 0 and kernel.slack >= 0 and kernel.value >= 0:
-        cls = (Definiteness.POSITIVE_DEFINITE if kernel.slack > 0 and kernel.value > 0
-               else Definiteness.POSITIVE_SEMIDEFINITE)
-    else:
-        cls = Definiteness.INDEFINITE
-    return _lazy_verdict(cls.flipped() if flip else cls, kernel, _form=m)
+        if kernel.slack > 0 and kernel.value > 0:
+            return Definiteness.POSITIVE_DEFINITE, kernel
+        return Definiteness.POSITIVE_SEMIDEFINITE, kernel
+    return Definiteness.INDEFINITE, kernel
 
 
 def _lazy_verdict(cls: Definiteness, kernel: Lam0Test | None, **private) -> Verdict:
@@ -193,26 +187,19 @@ def _lazy_verdict(cls: Definiteness, kernel: Lam0Test | None, **private) -> Verd
     return verdict
 
 
-def decide_degenerate_leading(e3, e2, e1, e0) -> Verdict:
-    """Decide f = y * (e3 x^3 + e2 x^2 y + e1 x y^2 + e0 y^3), as
-    `decide_problem` decides the problem of (0, e3, e2, e1, e0)."""
-    return decide_problem(from_plain_coeffs(0, e3, e2, e1, e0))
-
-
-def degenerate_entries(problem: NormalizedProblem) -> tuple[tuple[int, int], ...]:
+def degenerate_entries(problem: NormalizedProblem) -> tuple[tuple[int, int, int], ...]:
     """The Gram matrix entries (m11, m12, m13, m22, m23, m33) of f, or -f,
-    semidefinite with e4 = 0, as integer ratios: diag(0, |e2|, 0) if e0 = 0,
-    else M(lam0) of the swapped monic form m, f(x, y) = +-|e0| m(y, x), with
-    the basis reversed, times |e0|.  A semidefinite m with m(0, 1) = 0 has
-    e1 = 0 and D = e2^2, a square, so `surd_parts` leaves no surd part."""
+    semidefinite with e4 = 0, as triples (a, 0, den) in the shape of
+    `pencil.lam0_surds`: diag(0, |e2|, 0) if e0 = 0, else M(lam0) of the
+    swapped monic form m, f(x, y) = +-|e0| m(y, x), with the basis reversed,
+    times |e0|.  A semidefinite m with m(0, 1) = 0 has e1 = 0 and D = e2^2,
+    a square, so `surd_parts` folds every entry to a rational, b = 0."""
     big, _, _, k2, _, k0 = problem.input_record
     if not k0:
-        return (0, 1), (0, 1), (0, 1), (abs(k2), big), (0, 1), (0, 1)
+        return (0, 0, 1), (0, 0, 1), (0, 0, 1), (abs(k2), 0, big), (0, 0, 1), (0, 0, 1)
     form = problem.swapped().form
-    (m11, _, den), (m12, _, _), m13, m22, (m23, _, _), (m33, _, _) = lam0_surds(form)[2]
-    (m13, _), (m22, _) = surd_parts(form, *m13)[0], surd_parts(form, *m22)[0]
-    scale, den = abs(k0), den * big  # the six share den
-    return tuple((num * scale, den) for num in (m33, m23, m13, m22, m12, m11))
+    m11, m12, m13, m22, m23, m33 = (surd_parts(form, *entry)[0] for entry in lam0_surds(form)[2])
+    return tuple((num * abs(k0), 0, den * big) for num, den in (m33, m23, m13, m22, m12, m11))
 
 
 def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
@@ -239,12 +226,18 @@ def decide_problem(problem: NormalizedProblem) -> Verdict:
     e4 = 0 it takes the class of f(y, x) if e0 != 0; else f = x y (e3 x^2 +
     e2 x y + e1 y^2) is e2 x^2 y^2 when e3 = e1 = 0, and else indefinite."""
     if problem.form is not None:
-        return _decide_monic(problem.form, problem.orientation is Orientation.NEGATIVE_SIDE)
+        cls, kernel = _decide(problem.form)
+        if problem.orientation is Orientation.NEGATIVE_SIDE:
+            cls = cls.flipped()
+        return _lazy_verdict(cls, kernel, _form=problem.form)
     if not problem.degenerate_leading or problem.input_record is None:
         raise ValueError("problem with neither a form nor the input record of e4 = 0")
     _, _, k3, k2, k1, k0 = problem.input_record
-    if k0:
-        cls = decide_problem(problem.swapped()).classification
+    if k0:  # the kernel record of f(y, x) describes that form, not f: not kept
+        swapped = problem.swapped()
+        cls = _decide(swapped.form)[0]
+        if swapped.orientation is Orientation.NEGATIVE_SIDE:
+            cls = cls.flipped()
     elif k3 or k1:
         cls = Definiteness.INDEFINITE
     elif k2:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -36,6 +37,12 @@ F = Fraction
 # the golden forms of tests/test_golden.py: every verdict class on both
 # sides, degenerate-leading, large and fractional forms and input spellings
 GOLDEN_FORMS = Path(__file__).resolve().parent / "data" / "golden_forms.txt"
+
+
+# the modules that bind the pencil functions: those whose bindings
+# bench/spans.py wraps, and pencil itself
+PENCIL_BINDERS = [importlib.import_module(f"quartic_certify.{name}")
+                  for name in ("cli", "positivity", "classifier", "pencil")]
 
 
 def run(argv):
@@ -227,7 +234,7 @@ class TestJsonReport:
             assert out["oracle"] == {"discriminant_case": case_id}
             assert out["agreement"]["oracle"] is True
 
-    def test_oracle_skipped_beyond_float_range(self):
+    def test_oracle_runs_beyond_float_range(self):
         # no float is involved: the exact oracle runs beyond the float range
         code, out = run_json(["1", "0", "0", "0", "1e400"])
         assert code == 0
@@ -392,7 +399,7 @@ class TestBatch:
         assert rows[4] == {"summary": {"positive-definite": 1,
                                        "positive-semidefinite-not-definite": 1}}
 
-    def test_oracle_skipped_beyond_float_range(self, tmp_path):
+    def test_oracle_runs_beyond_float_range(self, tmp_path):
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 0 1e400\n1 0 0 0 -1e400\n1 0 0 1 1\n")
         code, text = run(["--batch", str(path)])
@@ -406,9 +413,8 @@ class TestBatch:
 
     def test_report_reads_the_verdict_record(self, monkeypatch, tmp_path):
         # the report and the cross-checks reuse lam0, g(lam0) and the
-        # certificate of the verdict instead of recomputing them
-        import quartic_certify.cli as cli
-
+        # certificate of the verdict instead of recomputing them through the
+        # Q(sqrt(d)) route, under any of its bindings
         path = tmp_path / "forms.txt"
         path.write_text(GOLDEN_FORMS.read_text(encoding="utf-8") + "1 0 -5 0 4\n1 0 3 0 -4\n")
         expected = run(["--batch", str(path)])
@@ -416,16 +422,46 @@ class TestBatch:
         def forbidden(*args):
             raise AssertionError("recomputed in the report")
 
-        for name in ("pencil_coeffs", "critical_param", "g_eval"):
-            monkeypatch.setattr(cli, name, forbidden)
+        for module in PENCIL_BINDERS:
+            for name in ("pencil_coeffs", "critical_param", "g_eval"):
+                monkeypatch.setattr(module, name, forbidden)
         assert run(["--batch", str(path)]) == expected
+
+    def test_closed_forms_taken_once_per_line(self, monkeypatch, tmp_path):
+        # the report, the sylvester flag and the certificate read one tuple
+        # of pencil.lam0_surds per monic line, under any of its bindings:
+        # each call returns the very tuple the first one built
+        import quartic_certify.pencil as pencil
+
+        returned = []  # holds every tuple, so no id is reused
+        real = pencil.lam0_surds
+
+        def counting(m):
+            returned.append(real(m))
+            return returned[-1]
+
+        for module in PENCIL_BINDERS:
+            if hasattr(module, "lam0_surds"):
+                monkeypatch.setattr(module, "lam0_surds", counting)
+        path = tmp_path / "form.txt"
+        seen = set()
+        for line in GOLDEN_FORMS.read_text(encoding="utf-8").splitlines():
+            fields = line.split("#", 1)[0].split()
+            if not fields or parse_rational(fields[0]) == 0:
+                continue
+            path.write_text(line + "\n")
+            returned.clear()
+            code, text = run(["--batch", str(path)])
+            row = json.loads(text.splitlines()[0])
+            assert code == 0 and row["agreement"]["sylvester"] is not None, line
+            assert returned and len({id(surds) for surds in returned}) == 1, line
+            seen.add(row["verdict"])
+        assert len(seen) == 5  # every class a monic form takes
 
     def test_sylvester_reads_the_integer_minor_signs(self, monkeypatch, tmp_path):
         # the sylvester flag reads the minor signs of 6 e4 M(lam0) over
         # Z[sqrt(D)] (lam0_minor_signs), and the certificate is built from the
         # form's integers: no matrix is cleared and no QuadExt minor is built
-        import quartic_certify.cli as cli
-        import quartic_certify.positivity as positivity
         from quartic_certify import Sym3Matrix
 
         path = tmp_path / "forms.txt"
@@ -439,8 +475,9 @@ class TestBatch:
         monkeypatch.setattr(Sym3Matrix, "principal_minors", forbidden)
         monkeypatch.setattr(Sym3Matrix, "det", forbidden)
         monkeypatch.setattr(Sym3Matrix, "principal_minor_signs", property(forbidden))
-        monkeypatch.setattr(cli, "pencil_matrix", forbidden)
-        monkeypatch.setattr(positivity, "pencil_matrix", forbidden)
+        for module in PENCIL_BINDERS:
+            if hasattr(module, "pencil_matrix"):
+                monkeypatch.setattr(module, "pencil_matrix", forbidden)
         assert [run([*flags, "--batch", str(path)])
                 for flags in ([], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"])
                 ] == expected
@@ -814,6 +851,32 @@ class TestWithoutNumpy:
                   "assert abs(value + 9 / 40) < 1e-9, value\n")
         golden = GOLDEN_FORMS.parent / "golden_full.jsonl"
         proc = subprocess.run([sys.executable, "-c", script, str(GOLDEN_FORMS), str(golden)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestImportPath:
+    def test_batch_loads_neither_polyroots_nor_traceback(self):
+        # a fresh interpreter runs the golden batch in the three modes
+        # without loading the root-isolation module, which only the test
+        # oracles and the exact witness fallback use, or traceback, which
+        # only an internal error uses; the oracle still imports it on call
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import io, sys\n"
+                  "from quartic_certify.cli import main\n"
+                  "for flags, name in (([], 'full'), (['--no-crosscheck'], 'nocheck'),\n"
+                  "                    (['--no-crosscheck', '--no-case'], 'verdict')):\n"
+                  "    out = io.StringIO()\n"
+                  "    assert main([*flags, '--batch', sys.argv[1]], stdout=out) == 0\n"
+                  "    golden = f'{sys.argv[2]}/golden_{name}.jsonl'\n"
+                  "    assert out.getvalue() == open(golden, encoding='utf-8').read(), name\n"
+                  "loaded = {'quartic_certify._polyroots', 'traceback'} & set(sys.modules)\n"
+                  "assert not loaded, loaded\n"
+                  "from quartic_certify import MonicQuartic, quartic_root_nature\n"
+                  "assert quartic_root_nature(MonicQuartic(0, -5, 0, 4)).real_simple == 4\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(GOLDEN_FORMS),
+                               str(GOLDEN_FORMS.parent)],
                               env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

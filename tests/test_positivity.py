@@ -15,9 +15,7 @@ from quartic_certify import (
     QuadExt,
     Sym3Matrix,
     critical_param,
-    decide_degenerate_leading,
     decide_monic,
-    decide_negative_side,
     decide_problem,
     discriminant_case,
     evaluate,
@@ -34,7 +32,7 @@ from quartic_certify import (
 )
 
 from quartic_certify import classifier
-from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_test
+from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test
 
 from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
                       random_monic)
@@ -94,7 +92,7 @@ class TestDecideMonic:
 class TestNegativeSide:
     def test_nsd_example(self):
         p = from_plain_coeffs(-1, 6, -13, 24, -36)
-        v = decide_negative_side(p.form)
+        v = decide_problem(p)
         assert v.classification is D.NEGATIVE_SEMIDEFINITE
         cubic = pencil_coeffs(p.form)
         assert (cubic.b0, cubic.b1, cubic.b2) == (0, F(-169, 4), F(13, 2))
@@ -105,7 +103,7 @@ class TestNegativeSide:
         # -(x^2+y^2)^2 reduces to (0, 2, 0, 1)
         p = from_plain_coeffs(-1, 0, -2, 0, -1)
         assert p.form == MonicQuartic(0, 2, 0, 1)
-        v = decide_negative_side(p.form)
+        v = decide_problem(p)
         assert v.classification is D.NEGATIVE_DEFINITE
         cubic = pencil_coeffs(p.form)
         lam0 = critical_param(cubic).value
@@ -113,7 +111,7 @@ class TestNegativeSide:
 
     def test_indefinite(self):
         p = from_plain_coeffs(-1, 0, 0, 0, 1)
-        assert decide_negative_side(p.form).classification is D.INDEFINITE
+        assert decide_problem(p).classification is D.INDEFINITE
 
     def test_negative_side_formulas_match_flipped_pencil(self):
         # the negative-side quantities computed straight from the original
@@ -130,12 +128,12 @@ class TestNegativeSide:
 
 class TestDegenerateLeading:
     def test_psd_product_of_squares(self):
-        v = decide_degenerate_leading(F(0), F(1), F(0), F(1))
+        v = decide_problem(from_plain_coeffs(0, F(0), F(1), F(0), F(1)))
         assert v.classification is D.POSITIVE_SEMIDEFINITE
         assert sylvester_psd(v.certificate)
 
     def test_odd_cubic_indefinite(self):
-        v = decide_degenerate_leading(F(1), F(0), F(0), F(0))
+        v = decide_problem(from_plain_coeffs(0, F(1), F(0), F(0), F(0)))
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
         assert evaluate_plain(0, 1, 0, 0, 0, px, py) > 0
@@ -145,7 +143,7 @@ class TestDegenerateLeading:
         # y (-x^3 + 5 y^3) is decided as f(y, x) = 5 x^4 - x y^3, and its
         # witnesses are exchanged back to points of f
         e = (F(-1), F(0), F(0), F(5))
-        v = decide_degenerate_leading(*e)
+        v = decide_problem(from_plain_coeffs(0, *e))
         assert v.classification is D.INDEFINITE and v.kernel is None
         (px, py), (nx, ny) = v.witnesses
         assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
@@ -165,28 +163,48 @@ class TestDegenerateLeading:
 
         monkeypatch.setattr(forms, "clear_ratios", counting)
         e = (F(1), F(0), F(0), F(-10**30))
-        v = decide_degenerate_leading(*e)
+        v = decide_problem(from_plain_coeffs(0, *e))
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
         assert calls == [((0, 1), (1, 1), (0, 1), (0, 1), (-10**30, 1))]
         assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
 
+    def test_decision_builds_one_verdict(self, monkeypatch):
+        # y (x^3 - 4 x^2 y + 5 y^3) is decided by the kernel on f(y, x),
+        # without a verdict on that form
+        import quartic_certify.positivity as positivity
+
+        built = []
+        real = positivity._lazy_verdict
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(positivity, "_lazy_verdict", counting)
+        for e in ((F(1), F(-4), F(0), F(5)), (F(0), F(1), F(2), F(1)),
+                  (F(0), F(-1), F(0), F(-2))):
+            built.clear()
+            v = decide_problem(from_plain_coeffs(0, *e))
+            assert len(built) == 1 and v.kernel is None
+            assert_degenerate_verdict_proven(e, v)
+
     def test_perfect_square(self):
-        v = decide_degenerate_leading(F(0), F(1), F(2), F(1))
+        v = decide_problem(from_plain_coeffs(0, F(0), F(1), F(2), F(1)))
         assert v.classification is D.POSITIVE_SEMIDEFINITE
 
     def test_nsd(self):
-        v = decide_degenerate_leading(F(0), F(-1), F(0), F(-2))
+        v = decide_problem(from_plain_coeffs(0, F(0), F(-1), F(0), F(-2)))
         assert v.classification is D.NEGATIVE_SEMIDEFINITE
 
     def test_zero_form(self):
-        v = decide_degenerate_leading(F(0), F(0), F(0), F(0))
+        v = decide_problem(from_plain_coeffs(0, F(0), F(0), F(0), F(0)))
         assert v.classification is D.ZERO
         assert sylvester_psd(v.certificate)
 
     def test_indefinite_quadratic(self):
         e = (F(0), F(1), F(0), F(-4))  # y^2 (x^2 - 4 y^2)
-        v = decide_degenerate_leading(*e)
+        v = decide_problem(from_plain_coeffs(0, *e))
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
         assert evaluate_plain(0, *e, px, py) > 0
@@ -197,7 +215,7 @@ class TestDegenerateLeading:
         for _ in range(100):
             e = [random_fraction(rng, 20, 6) for _ in range(4)]
             e[0] = F(0)
-            v = decide_degenerate_leading(*e)
+            v = decide_problem(from_plain_coeffs(0, *e))
             if v.certificate is None or v.classification is D.NEGATIVE_SEMIDEFINITE:
                 continue
             x, y = random_fraction(rng, 9, 3), random_fraction(rng, 9, 3)
@@ -225,7 +243,7 @@ class TestDegenerateLeading:
         # e4 = e0 = 0: f = x y (e3 x^2 + e2 x y + e1 y^2)
         for e3, e2, e1 in itertools.product(range(-2, 3), repeat=3):
             e = (F(e3), F(e2), F(e1), F(0))
-            v = decide_degenerate_leading(*e)
+            v = decide_problem(from_plain_coeffs(0, *e))
             if e3 or e1:
                 assert v.classification is D.INDEFINITE
             elif e2:
@@ -308,7 +326,7 @@ class TestCrossProperties:
             pos = decide_monic(m).classification
             negated = from_plain_coeffs(-1, -m.a3, -m.a2, -m.a1, -m.a0)
             assert negated.form == m  # the flip hands back the same monic form
-            neg = decide_negative_side(negated.form).classification
+            neg = decide_problem(negated).classification
             mapping = {
                 D.POSITIVE_DEFINITE: D.NEGATIVE_DEFINITE,
                 D.POSITIVE_SEMIDEFINITE: D.NEGATIVE_SEMIDEFINITE,
@@ -343,7 +361,7 @@ class TestIntegerCertificate:
         if not lam0.is_real:
             return False
         reference = pencil_matrix(m, lam0.value)
-        built = lam0_matrix(kernel)
+        built = lam0_matrix(lam0_surds(m)[2], m)
         for ours, theirs in zip(_entries(built), _entries(reference)):
             assert type(ours) is type(theirs)
             if isinstance(ours, QuadExt):
@@ -472,7 +490,9 @@ class TestViewsOnFirstRead:
 
     def test_negative_side_verdict_is_the_flipped_monic_verdict(self):
         m = MonicQuartic(0, -4, 0, 4)  # (x^2 - 2 y^2)^2
-        ours, monic = decide_negative_side(m), decide_monic(m)
+        p = from_plain_coeffs(-1, 0, 4, 0, -4)
+        assert p.form == m
+        ours, monic = decide_problem(p), decide_monic(m)
         assert ours.classification is monic.classification.flipped()
         assert ours.kernel == monic.kernel
         assert ours.certificate == monic.certificate and ours.witnesses is None
