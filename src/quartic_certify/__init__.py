@@ -15,9 +15,8 @@ Typical use:
 
 from __future__ import annotations
 
-from .classical import ClassicalQuantities, classical_is_pd, classical_quantities
+from .classical import classical_is_pd
 from .classifier import (
-    CASE_DESCRIPTIONS,
     PD_CASES,
     PSD_CASES,
     CubicRootProfile,
@@ -28,19 +27,16 @@ from .classifier import (
     classify_case,
     cubic_root_profile,
     degenerate_conic_type,
-    discriminant_case,
     quartic_root_nature,
     table3_facts_hold,
-    witness_search,
 )
-from .exactnum import QuadExt, parse_rational, sign_of, to_decimal
+from .exactnum import QuadExt, sign_of, to_decimal
 from .forms import (
     GeneralQuartic,
     MonicQuartic,
     NormalizedProblem,
     Orientation,
     evaluate,
-    evaluate_plain,
     from_plain_coeffs,
     to_weighted,
 )

@@ -21,10 +21,11 @@ value rounded half-even once to --precision significant digits (no guard
 digits, no second rounding).  For a monic form, lam0, g(lam0) and the
 certificate are rendered from the integers of their one home,
 `pencil.lam0_surds` (by `pencil.surd_parts`), one tuple per form, which
-the Sylvester check reads too.  A form with e4 = 0 is decided as f(y, x);
-its certificate entries (`positivity.degenerate_entries`) have the same
-shape, and its lam0, g(lam0), a3^2/4, case, classical and Sylvester
-checks, which would describe f(y, x), are null.
+the Sylvester check reads too.  A form with e4 = 0 is decided as f(y, x),
+the problem's `decided()`, which the oracle reads too; its certificate
+entries (`positivity.degenerate_entries`) have the same shape, and its
+lam0, g(lam0), a3^2/4, case, classical and Sylvester checks, which would
+describe f(y, x), are null.
 
 A form goes from its tokens to its report as integers: each token is
 parsed to a reduced ratio (num, den) by `exactnum.parse_ratio`, the five
@@ -199,7 +200,7 @@ class Report:
 
         disagreement = False
         if self.crosscheck:
-            disagreement = self._run_crosschecks(out, form)
+            disagreement = self._run_crosschecks(out)
 
         code = EXIT_DISAGREEMENT if disagreement else _EXIT_BY_CLASS[cls]
         return out, code
@@ -220,21 +221,21 @@ class Report:
             out[label] = {"x": str(x), "y": str(y), "value": ratio_text(*value)}
         return out
 
-    def _run_crosschecks(self, out: dict, form) -> bool:
+    def _run_crosschecks(self, out: dict) -> bool:
         agreement = out["agreement"]
-        # every check reads the decided monic form; a degenerate-leading form
-        # is read swapped, as f(y, x), which is as definite as f and has
-        # leading coefficient e0: the problem the decision built
-        problem = self.problem
-        if problem.degenerate_leading and problem.input_record[5] != 0:
-            problem = problem.swapped()
-        # the verdict as a class of that positive-side form
+        # the checks read the problem the decision read, f(y, x) when
+        # e4 = 0 != e0, and none of them runs when e4 = e0 = 0
+        problem = self.problem.decided()
+        if problem is None:
+            return False
+        # the verdict as a class of that problem's positive-side form
         cls = self.verdict.classification
         if problem.orientation is Orientation.NEGATIVE_SIDE:
             cls = cls.flipped()
         definite = cls is Definiteness.POSITIVE_DEFINITE
         semidefinite = definite or cls is Definiteness.POSITIVE_SEMIDEFINITE
 
+        form = self.problem.form
         if form is not None:
             quantities = _monic_quantities(form)
             (G, _), (H, _), _, _, (delta, _), (aux, _) = quantities
@@ -258,14 +259,13 @@ class Report:
                 agreement["case_facts"] = _case_facts_hold(out["case"]["id"], kernel.slack,
                                                            kernel.value)
 
-        if problem.form is not None:
-            case_id = discriminant_case(problem.form)
-            out["oracle"] = {"discriminant_case": case_id}
-            agreement["oracle"] = (
-                definite == (case_id in PD_CASES)
-                and semidefinite == (case_id in PSD_CASES)
-                and (out["case"] is None or out["case"]["id"] == case_id)
-            )
+        case_id = discriminant_case(problem.form)
+        out["oracle"] = {"discriminant_case": case_id}
+        agreement["oracle"] = (
+            definite == (case_id in PD_CASES)
+            and semidefinite == (case_id in PSD_CASES)
+            and (out["case"] is None or out["case"]["id"] == case_id)
+        )
 
         return any(flag is False for flag in agreement.values())
 

@@ -8,8 +8,8 @@ which the classical criterion is stated (`to_weighted`).
 coefficients (e4, e3, e2, e1, e0) into a `NormalizedProblem`: positive
 leading coefficients are scaled to monic, negative ones are additionally
 sign-flipped so that negativity questions become positivity questions, and
-e4 = 0 inputs are flagged: they are decided as f(y, x), the problem's
-`swapped()`, normalised from the same record.
+an e4 = 0 input has no form: it is decided as f(y, x) when e0 != 0, the
+problem's `decided()`, normalised from the same record.
 
 Each input is cleared to integers once, in `from_ratios`, which takes
 the five coefficients as integer ratios (num, den), as the command line
@@ -173,8 +173,8 @@ class NormalizedProblem:
     `form` is the monic quartic actually decided; for negative-side inputs
     it is the monic form of -f/|e4|, so its positivity classes map back to
     the original's negativity classes.  `scale` is |e4| (0 when the leading
-    coefficient vanishes and `degenerate_leading` is set; then `form` and
-    `orientation` are None, and f(y, x) is decided, `swapped()`).
+    coefficient vanishes; then `form` and `orientation` are None, and
+    `decided()` names the problem that is decided instead).
     `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
     `clear_ratios` of (e4, e3, e2, e1, e0), set by `from_ratios` and
     `from_plain_coeffs`; it takes no part in == or repr.  A problem of
@@ -184,20 +184,25 @@ class NormalizedProblem:
     form: MonicQuartic | None
     orientation: Orientation | None
     scale: Fraction = _View(lambda p: Fraction(abs(p.input_record[1]), p.input_record[0]))
-    degenerate_leading: bool
     input_record: tuple[int, int, int, int, int, int] | None = field(
         default=None, repr=False, compare=False)
 
-    def swapped(self) -> NormalizedProblem:
-        """The problem of f(y, x), which is as definite as f, normalised from
-        the reversed input record without clearing the input again; f must
-        have e0 != 0.  It is built on the first call and then kept, so the
-        decision and the report read one swapped problem."""
+    def decided(self) -> NormalizedProblem | None:
+        """The problem whose form the decision reads, the one home of that
+        rule: this problem when e4 != 0; when e4 = 0 != e0 the problem of
+        f(y, x), which is as definite as f, normalised from the reversed
+        input record without clearing the input again, built on the first
+        call and then kept, so the decision and the report read one; None
+        when e4 = e0 = 0, which a closed rule decides."""
+        if self.form is not None:
+            return self
+        if self.input_record is None:
+            raise ValueError("problem with neither a form nor an input record")
         swapped = self.__dict__.get("_swapped")
         if swapped is None:
             big, k4, k3, k2, k1, k0 = self.input_record
-            if k0 == 0:
-                raise ValueError("f(y, x) has a vanishing leading coefficient")
+            if not k0:
+                return None
             swapped = self.__dict__["_swapped"] = _normalised((big, k0, k1, k2, k3, k4))
         return swapped
 
@@ -230,8 +235,7 @@ def _normalised(record: tuple[int, int, int, int, int, int]) -> NormalizedProble
         form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
         orientation = Orientation.POSITIVE_SIDE if k4 > 0 else Orientation.NEGATIVE_SIDE
     problem = object.__new__(NormalizedProblem)
-    problem.__dict__.update(form=form, orientation=orientation, degenerate_leading=form is None,
-                            input_record=record)
+    problem.__dict__.update(form=form, orientation=orientation, input_record=record)
     return problem
 
 

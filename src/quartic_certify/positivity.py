@@ -30,7 +30,7 @@ Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_problem` maps the class of
 that form back by `Definiteness.flipped`, the one map between the two
 sides.  A form with e4 = 0 is decided by the same step on f(y, x), as
-definite as f and led by e0 (the problem's `swapped()`), its class mapped
+definite as f and led by e0 (the problem's `decided()`), its class mapped
 back by the orientation of f(y, x) in the same way; its certificate
 (`degenerate_entries`, six triples of the shape of `lam0_surds`, so the
 same converter builds it) and its witnesses are mapped back to f.  When
@@ -195,22 +195,23 @@ def degenerate_entries(problem: NormalizedProblem) -> tuple[tuple[int, int, int]
     times |e0|.  A semidefinite m with m(0, 1) = 0 has e1 = 0 and D = e2^2,
     a square, so `surd_parts` folds every entry to a rational, b = 0."""
     big, _, _, k2, _, k0 = problem.input_record
-    if not k0:
+    decided = problem.decided()
+    if decided is None:
         return (0, 0, 1), (0, 0, 1), (0, 0, 1), (abs(k2), 0, big), (0, 0, 1), (0, 0, 1)
-    form = problem.swapped().form
+    form = decided.form
     m11, m12, m13, m22, m23, m33 = (surd_parts(form, *entry)[0] for entry in lam0_surds(form)[2])
     return tuple((num * abs(k0), 0, den * big) for num, den in (m33, m23, m13, m22, m12, m11))
 
 
 def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
     """Points where an indefinite form with e4 = 0 is positive and negative."""
-    _, _, k3, k2, k1, k0 = problem.input_record
-    if k0:  # the swapped form's, with x and y exchanged back
-        swapped = problem.swapped()
-        (px, py), (nx, ny) = classifier.witness_search(swapped.form)
-        if swapped.orientation is Orientation.NEGATIVE_SIDE:  # that form is -f(y, x) / |e0|
+    decided = problem.decided()
+    if decided is not None:  # the swapped form's, with x and y exchanged back
+        (px, py), (nx, ny) = classifier.witness_search(decided.form)
+        if decided.orientation is Orientation.NEGATIVE_SIDE:  # that form is -f(y, x) / |e0|
             return (ny, nx), (py, px)
         return (py, px), (ny, nx)
+    _, _, k3, k2, k1, _ = problem.input_record
     # f = x y (k3 x^2 + k2 x y + k1 y^2) / L: for s = +-1, f(n, s) has the
     # sign of s k3 once |k3| n > |k2| + |k1|, and f(s, n) that of s k1 when
     # k3 = 0 and |k1| n > |k2|
@@ -222,23 +223,20 @@ def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
 
 
 def decide_problem(problem: NormalizedProblem) -> Verdict:
-    """Route a normalised problem to the right decision procedure.  With
-    e4 = 0 it takes the class of f(y, x) if e0 != 0; else f = x y (e3 x^2 +
+    """Decide the form of the problem's `decided()`, mapping its class back
+    by that problem's orientation.  With e4 = e0 = 0, f = x y (e3 x^2 +
     e2 x y + e1 y^2) is e2 x^2 y^2 when e3 = e1 = 0, and else indefinite."""
-    if problem.form is not None:
-        cls, kernel = _decide(problem.form)
-        if problem.orientation is Orientation.NEGATIVE_SIDE:
+    decided = problem.decided()
+    if decided is not None:
+        cls, kernel = _decide(decided.form)
+        if decided.orientation is Orientation.NEGATIVE_SIDE:
             cls = cls.flipped()
-        return _lazy_verdict(cls, kernel, _form=problem.form)
-    if not problem.degenerate_leading or problem.input_record is None:
-        raise ValueError("problem with neither a form nor the input record of e4 = 0")
-    _, _, k3, k2, k1, k0 = problem.input_record
-    if k0:  # the kernel record of f(y, x) describes that form, not f: not kept
-        swapped = problem.swapped()
-        cls = _decide(swapped.form)[0]
-        if swapped.orientation is Orientation.NEGATIVE_SIDE:
-            cls = cls.flipped()
-    elif k3 or k1:
+        if decided is problem:
+            return _lazy_verdict(cls, kernel, _form=problem.form)
+        # the kernel record of f(y, x) describes that form, not f: not kept
+        return _lazy_verdict(cls, None, _problem=problem)
+    _, _, k3, k2, k1, _ = problem.input_record
+    if k3 or k1:
         cls = Definiteness.INDEFINITE
     elif k2:
         cls = Definiteness.POSITIVE_SEMIDEFINITE if k2 > 0 else Definiteness.NEGATIVE_SEMIDEFINITE

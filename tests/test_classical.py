@@ -9,13 +9,12 @@ from quartic_certify import (
     GeneralQuartic,
     MonicQuartic,
     classical_is_pd,
-    classical_quantities,
     decide_monic,
     quartic_root_nature,
     sign_of,
     to_weighted,
 )
-from quartic_certify.classical import _monic_quantities, _pd_criterion
+from quartic_certify.classical import _monic_quantities, _pd_criterion, classical_quantities
 from quartic_certify.exactnum import ratio_text
 
 F = Fraction

@@ -21,18 +21,17 @@ from quartic_certify import (
     cubic_root_profile,
     decide_monic,
     degenerate_conic_type,
-    discriminant_case,
     evaluate,
-    evaluate_plain,
     pencil_coeffs,
     pencil_matrix,
     quartic_root_nature,
     sign_of,
     table3_facts_hold,
-    witness_search,
 )
 from quartic_certify import _polyroots as pr
 from quartic_certify import classifier
+from quartic_certify.classifier import discriminant_case, witness_search
+from quartic_certify.forms import evaluate_plain
 
 from conftest import configured_form, random_monic, root_rational
 
@@ -249,20 +248,46 @@ def _discriminant_case_formula(m):
     return 7 if p > 0 else 9
 
 
-def _critical_point_witness_formula(m):
-    """The first dyadic candidate, in the search's order, with f(t, 1) < 0
-    in Fraction arithmetic."""
-    a3, a2, a1, a0 = float(m.a3), float(m.a2), float(m.a1), float(m.a0)
+def _float_tier_formula(a3, a2, a1, a0):
+    """The first dyadic candidate t, in the search's order, with
+    t^4 + a3 t^3 + a2 t^2 + a1 t + a0 < 0 in Fraction arithmetic, or None."""
+    try:
+        f3, f2, f1, f0 = float(a3), float(a2), float(a1), float(a0)
+        roots = classifier._cubic_real_roots(0.75 * f3, 0.5 * f2, 0.25 * f1)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
     ranked = []
-    for x in classifier._cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1):
-        value = (((x + a3) * x + a2) * x + a1) * x + a0
+    for x in roots:
+        value = (((x + f3) * x + f2) * x + f1) * x + f0
         if math.isfinite(x) and math.isfinite(value):
             ranked.append((value, x))
     for _, x in sorted(ranked):
         for n, den in classifier._dyadic_ratios(x):
             t = F(n, den)
-            if (((t + m.a3) * t + m.a2) * t + m.a1) * t + m.a0 < 0:
+            if (((t + a3) * t + a2) * t + a1) * t + a0 < 0:
                 return t
+    return None
+
+
+def _critical_point_witness_formula(m):
+    """The float tier on f, then, when it finds nothing, on the form
+    f(2^k s, 1) / 2^(4k) for each k of the Newton polygon of the
+    lcm-cleared record, k = round((bitlen |ei| - bitlen e4) / (4 - i)) for
+    e0, e1, e2, e3 in turn, each k != 0 once, with t = 2^k s."""
+    t = _float_tier_formula(m.a3, m.a2, m.a1, m.a0)
+    if t is not None:
+        return t
+    e4, *upper = _lcm_clearing(m)
+    ks = []
+    for i, e in enumerate(reversed(upper)):
+        k = round((abs(e).bit_length() - e4.bit_length()) / (4 - i)) if e else 0
+        if k and k not in ks:
+            ks.append(k)
+    for k in ks:
+        scale = F(2) ** k
+        s = _float_tier_formula(m.a3 / scale, m.a2 / scale**2, m.a1 / scale**3, m.a0 / scale**4)
+        if s is not None:
+            return scale * s
     return None
 
 
@@ -286,6 +311,17 @@ class TestIntegerRecord:
             self.check(form)
         for m in small_corpus:
             self.check(m)
+        # a case-4 form whose witness only the Newton-polygon retry finds
+        m = MonicQuartic(
+            F(-21208168904409, 870736),
+            F(6072116781752049749388791089, 27294522541056),
+            F(-5365769929778643335131679942111920157855, 5941580844827234304),
+            F(7112384685808485099661465259387241581799791118313225,
+              5173548338501486688927744))
+        assert classifier._proposed_witness(m.cleared) is None
+        assert classifier._critical_point_witness(m) == 6089152
+        assert evaluate(m, 6089152, 1) < 0
+        self.check(m)
 
     @pytest.mark.parametrize("case_id", range(1, 10))
     @given(data=st.data())

@@ -19,16 +19,16 @@ from quartic_certify import (
     QuadExt,
     critical_param,
     decide_problem,
-    discriminant_case,
-    evaluate_plain,
     from_plain_coeffs,
     g_eval,
-    parse_rational,
     pencil_coeffs,
     pencil_matrix,
     to_decimal,
 )
 from quartic_certify.cli import MAX_PRECISION, Report, main
+from quartic_certify.classifier import discriminant_case
+from quartic_certify.exactnum import parse_rational
+from quartic_certify.forms import evaluate_plain
 
 from conftest import configured_form
 
@@ -355,10 +355,12 @@ class TestBatch:
             ind, psd, nsd, ind, pd, pd, zero,
             pd, ind, ind, psd, ind, nd,  # the input spellings
             ind, ind, pd,  # cases 4 and 8, and a certificate entry near -1e-30
+            ind, ind, ind, ind, psd, nsd,  # e4 = e0 = 0: the closed rules
+            ind, ind,  # e4 = 0 with f(y, x) on the negative side
         ]
         summary = rows[-1]["summary"]
         assert summary["positive-definite"] == 6
-        assert summary["positive-semidefinite-not-definite"] == 6
+        assert summary["positive-semidefinite-not-definite"] == 7
 
     def test_precision_bound(self, tmp_path, capsys):
         path = tmp_path / "forms.txt"

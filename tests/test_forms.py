@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from quartic_certify import (
     MonicQuartic,
+    NormalizedProblem,
     Orientation,
     evaluate,
-    evaluate_plain,
     from_plain_coeffs,
     to_weighted,
 )
-from quartic_certify.forms import clear_denominators, evaluate_cleared
+from quartic_certify.forms import clear_denominators, evaluate_cleared, evaluate_plain
 
 F = Fraction
 
@@ -24,7 +24,7 @@ def test_from_plain_monicises_positive_leading():
     p = from_plain_coeffs(1, 0, 0, 1, 1)
     assert p.form == MonicQuartic(F(0), F(0), F(1), F(1))
     assert p.orientation is Orientation.POSITIVE_SIDE
-    assert not p.degenerate_leading
+    assert p.form is not None
 
 
 def test_from_plain_positive_scaling_is_noop():
@@ -40,7 +40,6 @@ def test_from_plain_negative_side_flips():
 
 def test_from_plain_degenerate_leading():
     p = from_plain_coeffs(0, 1, 2, 3, 4)
-    assert p.degenerate_leading
     assert p.form is None and p.orientation is None
     assert p.input_record == (1, 0, 1, 2, 3, 4)
 
@@ -119,16 +118,49 @@ points = st.one_of(
 @given(st.tuples(*[big_coefficients] * 5))
 @settings(max_examples=200)
 def test_swapped_is_the_reversed_input(coeffs):
-    # f(y, x), normalised from the reversed record, as from the reversed input
+    # with e4 = 0 the decided problem is f(y, x), normalised from the
+    # reversed record, as from the reversed input; none when e0 = 0 too
+    coeffs = (0, *coeffs[1:])
     if Fraction(coeffs[4]) == 0:
-        with pytest.raises(ValueError):
-            from_plain_coeffs(*coeffs).swapped()
+        assert from_plain_coeffs(*coeffs).decided() is None
         return
-    swapped = from_plain_coeffs(*coeffs).swapped()
+    swapped = from_plain_coeffs(*coeffs).decided()
     expected = from_plain_coeffs(*reversed(coeffs))
     assert swapped == expected and swapped.input_record == expected.input_record
     assert swapped.form.cleared == expected.form.cleared
     assert swapped.form.invariants == expected.form.invariants
+
+
+class TestDecided:
+    """`NormalizedProblem.decided()`: the problem whose form is decided."""
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1, 1), (-1, 6, -13, 24, -36), (2, 1, 0, 0, 0),
+                                        (F(-3, 7), 0, 1, 0, 0)])
+    def test_a_monic_problem_is_its_own(self, coeffs):
+        p = from_plain_coeffs(*coeffs)
+        assert p.decided() is p
+
+    @pytest.mark.parametrize("coeffs, side", [
+        ((0, 1, 2, 3, 4), Orientation.POSITIVE_SIDE),
+        ((0, 1, 0, 0, -3), Orientation.NEGATIVE_SIDE),
+        ((0, 0, 0, 0, F(1, 2)), Orientation.POSITIVE_SIDE),
+    ])
+    def test_e4_zero_is_decided_as_f_of_y_x(self, coeffs, side):
+        p = from_plain_coeffs(*coeffs)
+        decided = p.decided()
+        assert decided == from_plain_coeffs(*reversed(coeffs))
+        assert decided.orientation is side and decided.form is not None
+        assert p.decided() is decided  # built once, then kept
+
+    @pytest.mark.parametrize("coeffs", [(0, 1, 0, 1, 0), (0, 0, 3, 0, 0), (0, 0, 0, 0, 0)])
+    def test_e4_and_e0_zero_decide_no_form(self, coeffs):
+        assert from_plain_coeffs(*coeffs).decided() is None
+
+    def test_neither_form_nor_record_raises(self):
+        with pytest.raises(ValueError):
+            NormalizedProblem(None, None, F(0)).decided()
+        with pytest.raises(ValueError):
+            NormalizedProblem(None, Orientation.POSITIVE_SIDE, F(1)).decided()
 
 
 @given(st.tuples(*[big_coefficients] * 5), points, points)
@@ -218,7 +250,7 @@ def test_from_plain_record_is_the_lcm_record(coeffs):
     assert p.input_record == clear_denominators(e4, e3, e2, e1, e0)
     assert all(type(k) is int for k in p.input_record)
     if e4 == 0:
-        assert p.degenerate_leading and p.form is None
+        assert p.form is None
         big = p.input_record[0]
         assert tuple(Fraction(k, big) for k in p.input_record[2:]) == (e3, e2, e1, e0)
         return

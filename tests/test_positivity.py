@@ -17,9 +17,7 @@ from quartic_certify import (
     critical_param,
     decide_monic,
     decide_problem,
-    discriminant_case,
     evaluate,
-    evaluate_plain,
     NormalizedProblem,
     Orientation,
     from_plain_coeffs,
@@ -32,6 +30,8 @@ from quartic_certify import (
 )
 
 from quartic_certify import classifier
+from quartic_certify.classifier import discriminant_case
+from quartic_certify.forms import evaluate_plain
 from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test
 
 from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
@@ -232,7 +232,7 @@ class TestDegenerateLeading:
         assert_degenerate_verdict_proven(e, v)
         if e0 != 0:
             # the class of f(y, x) read off its discriminant sequence
-            swapped = problem.swapped()
+            swapped = problem.decided()
             case_id = discriminant_case(swapped.form)
             cls = D.POSITIVE_SEMIDEFINITE if case_id in PSD_CASES else D.INDEFINITE
             if swapped.orientation is Orientation.NEGATIVE_SIDE:
@@ -404,10 +404,9 @@ def test_verdict_routing():
 def test_inconsistent_problem_raises():
     # explicit checks, not asserts, so they also hold under python -O
     with pytest.raises(ValueError):
-        decide_problem(NormalizedProblem(None, None, F(0), degenerate_leading=True))
+        decide_problem(NormalizedProblem(None, None, F(0)))
     with pytest.raises(ValueError):
-        decide_problem(NormalizedProblem(None, Orientation.POSITIVE_SIDE, F(1),
-                                         degenerate_leading=False))
+        decide_problem(NormalizedProblem(None, Orientation.POSITIVE_SIDE, F(1)))
 
 
 # -- the decision builds integer records; the exact values are views ---------
@@ -469,7 +468,7 @@ class TestViewsOnFirstRead:
     @settings(max_examples=200, deadline=None)
     def test_views_equal_the_eager_references(self, coeffs):
         problem = from_plain_coeffs(*coeffs)
-        if not problem.degenerate_leading:
+        if problem.form is not None:
             assert_views_equal_the_eager_references(problem)
 
     @pytest.mark.parametrize("case_id", range(1, 10))
