@@ -61,6 +61,20 @@ from .positivity import (
     sylvester_psd,
 )
 
+__all__ = [
+    "certify",
+    "classical_is_pd",
+    "PD_CASES", "PSD_CASES", "CubicRootProfile", "InconsistentCaseError", "IntersectionCase",
+    "QuarticRootNature", "circle_min_estimate", "classify_case", "cubic_root_profile",
+    "degenerate_conic_type", "quartic_root_nature", "table3_facts_hold",
+    "QuadExt", "sign_of", "to_decimal",
+    "GeneralQuartic", "MonicQuartic", "NormalizedProblem", "Orientation", "evaluate",
+    "from_plain_coeffs", "to_weighted",
+    "CriticalParam", "PencilCubic", "Sym3Matrix", "base_matrices", "boundary_identity_check",
+    "critical_param", "discriminant_g", "g_eval", "pencil_coeffs", "pencil_matrix",
+    "Definiteness", "Verdict", "decide_monic", "decide_problem", "sylvester_pd", "sylvester_psd",
+]
+
 __version__ = "0.1.0"
 
 

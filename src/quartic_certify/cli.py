@@ -35,7 +35,11 @@ integer Horner (`forms.evaluate_ratio`), both with `exactnum.ratio_text`.
 A line of integer or p/q tokens builds no `Fraction`, save the witness
 coordinates that an indefinite one prints.  Each `--batch` output line,
 an error line too, is written with one `write` call, as `json.dumps`
-would spell it.
+would spell it.  A form's line is written from its fixed layout
+(`_line_text`): each distinct value is spelled once and joined in place,
+and only the case description is escaped, as every other string of the
+report is digits, letters, "/", "+", "-" or "."; the generic encoder
+writes only the error lines and the summary.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 # classical_quantities, classical_is_pd, circle_min_estimate_plain and
 # table3_facts_hold stay bound for bench/spans.py to wrap
@@ -126,15 +131,16 @@ class CoefficientError(InputError):
         self.position = position
 
 
-def _surd_json(form, surd, d_text: str, digits: int) -> dict:
+def _surd_json(form, surd, d_text: str, digits: int, q_text: str | None = None) -> dict:
     """The JSON of a value (a, b, den) of `lam0_surds(form)`: p and q from
-    its `surd_parts`, d the form's radicand as spelled once, d_text.  A
-    rational value is rendered from its integers, b = 0 without the form."""
+    its `surd_parts`, d the form's radicand as spelled once, d_text, and q
+    as q_text when the caller knows its spelling.  A rational value is
+    rendered from its integers, b = 0 without the form."""
     a, b, den = surd
     if b:
         p, q, _ = surd_parts(form, a, b, den)
         if q[0]:
-            return {"p": ratio_text(*p), "q": ratio_text(*q), "d": d_text,
+            return {"p": ratio_text(*p), "q": q_text or ratio_text(*q), "d": d_text,
                     "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
         a, den = p
     return {"p": ratio_text(a, den), "q": "0", "d": "0", "decimal": ratio_decimal(a, den, digits)}
@@ -168,7 +174,6 @@ class Report:
         }
 
         form = self.problem.form
-        lam0 = d_text = None
         if form is not None:
             e4, e3 = form.cleared[:2]
             out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
@@ -177,7 +182,8 @@ class Report:
             if form.invariants[2] < 0:
                 out["lambda0"] = {"p": None, "q": None, "d": d_text, "decimal": None}
             else:
-                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits)
+                # lam0 = (4 e2 + 2 sqrt(D)) / (6 e4): q = 4 e4 / (6 e4) unless D is a square
+                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits, "2/3")
                 out["g_lambda0"] = _surd_json(form, g_lam0, d_text, self.digits)
             if self.include_case:
                 case = classify_case(form)
@@ -186,13 +192,21 @@ class Report:
         # every verdict but an indefinite one carries a certificate; asking
         # the verdict for it would build the matrix of a monic form
         if cls is not Definiteness.INDEFINITE:
+            # six distinct entries, each rendered once, laid out as the rows
             if form is None:  # e4 = 0: six entries of the same shape, all rational
-                entries = degenerate_entries(self.problem)
-            # six distinct entries, each rendered once, laid out as the rows;
-            # a monic form's m22 is its lam0, rendered above
-            m11, m12, m13, m22, m23, m33 = (
-                out["lambda0"] if entry is lam0 else _surd_json(form, entry, d_text, self.digits)
-                for entry in entries)
+                m11, m12, m13, m22, m23, m33 = (_surd_json(None, entry, None, self.digits)
+                                                for entry in degenerate_entries(self.problem))
+            else:
+                # m11 = 6 e4 / (6 e4) = 1, m13 = (e2 - sqrt(D)) / (6 e4) has
+                # q = -1/3 unless D is a square, and m22 is lam0, rendered above
+                _, m12, m13, _, m23, m33 = entries
+                digits = self.digits
+                m11 = {"p": "1", "q": "0", "d": "0", "decimal": "1"}
+                m12 = _surd_json(form, m12, d_text, digits)
+                m13 = _surd_json(form, m13, d_text, digits, "-1/3")
+                m22 = out["lambda0"]
+                m23 = _surd_json(form, m23, d_text, digits)
+                m33 = _surd_json(form, m33, d_text, digits)
             out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
 
         if self.verdict.witnesses is not None:
@@ -370,15 +384,86 @@ def _stdin_lines():
 
 
 # the encoder of json.dumps(obj), but with no check for circular
-# references, which the report's fresh dicts cannot hold
+# references, which its fresh dicts cannot hold; it writes the error lines
+# and the summary, and `_line_text` writes the lines of forms
 _encode_line = json.JSONEncoder(check_circular=False).encode
+
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
+
+
+def _text_or_null(text: str | None) -> str:
+    return "null" if text is None else f'"{text}"'
+
+
+def _entry_text(entry: dict) -> str:
+    """A value {"p", "q", "d", "decimal"} of the report as JSON; p, q and
+    decimal are null together, in a lambda0 that is not real."""
+    p, q, d, decimal = entry.values()
+    if p is None:
+        return f'{{"p": null, "q": null, "d": "{d}", "decimal": null}}'
+    return f'{{"p": "{p}", "q": "{q}", "d": "{d}", "decimal": "{decimal}"}}'
+
+
+def _line_text(out: dict) -> str:
+    """The `--batch` line of a form's report, `out` of `Report.build` with
+    its "line" number set, spelled as `json.dumps(out)` spells it.
+
+    It is written from the report's fixed layout: each key in the order
+    `Report.build` gives it, each distinct value spelled once (an entry of
+    the symmetric certificate once for its two places, and a monic form's
+    m22 as its lambda0) and joined in place.  Every string but the case
+    description is digits, letters, "/", "+", "-" or "." (a ratio, a
+    decimal, an enum value), which JSON spells unescaped between quotes.
+    """
+    lam0 = out["lambda0"]
+    lam0_text = "null" if lam0 is None else _entry_text(lam0)
+    g_lam0 = out["g_lambda0"]
+    case = out["case"]
+    if case is not None:
+        case = (f'{{"id": {case["id"]}, '
+                f'"description": {encode_basestring_ascii(case["description"])}}}')
+    certificate = out["certificate"]
+    if certificate is not None:
+        (m11, m12, m13), (_, m22, m23), (_, _, m33) = certificate
+        m12, m13, m23 = _entry_text(m12), _entry_text(m13), _entry_text(m23)
+        m22 = lam0_text if m22 is lam0 else _entry_text(m22)
+        certificate = (f"[[{_entry_text(m11)}, {m12}, {m13}], [{m12}, {m22}, {m23}], "
+                       f"[{m13}, {m23}, {_entry_text(m33)}]]")
+    classical = out["classical"]
+    if classical is not None:
+        g, h, i, j, delta, aux, pd = classical.values()
+        classical = (f'{{"G": "{g}", "H": "{h}", "I": "{i}", "J": "{j}", "Delta": "{delta}", '
+                     f'"aux": "{aux}", "pd": {_JSON_FLAG[pd]}}}')
+    oracle = out["oracle"]
+    if oracle is not None:
+        oracle = f'{{"discriminant_case": {oracle["discriminant_case"]}}}'
+    witnesses = out["witnesses"]
+    if witnesses is not None:
+        (px, py, pv), (nx, ny, nv) = (w.values() for w in witnesses.values())
+        witnesses = (f'{{"positive": {{"x": "{px}", "y": "{py}", "value": "{pv}"}}, '
+                     f'"negative": {{"x": "{nx}", "y": "{ny}", "value": "{nv}"}}}}')
+    flags = out["agreement"]
+    agreement = (f'"classical": {_JSON_FLAG[flags["classical"]]}, '
+                 f'"oracle": {_JSON_FLAG[flags["oracle"]]}, '
+                 f'"sylvester": {_JSON_FLAG[flags["sylvester"]]}')
+    if "case_facts" in flags:
+        agreement += f', "case_facts": {_JSON_FLAG[flags["case_facts"]]}'
+    inputs = '", "'.join(out["input"])
+    return (f'{{"input": ["{inputs}"], '
+            f'"orientation": {_text_or_null(out["orientation"])}, '
+            f'"verdict": "{out["verdict"]}", "lambda0": {lam0_text}, '
+            f'"g_lambda0": {"null" if g_lam0 is None else _entry_text(g_lam0)}, '
+            f'"a3_sq_over_4": {_text_or_null(out["a3_sq_over_4"])}, "case": {case or "null"}, '
+            f'"certificate": {certificate or "null"}, "classical": {classical or "null"}, '
+            f'"oracle": {oracle or "null"}, "witnesses": {witnesses or "null"}, '
+            f'"agreement": {{{agreement}}}, "line": {out["line"]}}}')
 
 
 def _run_batch(args, stdout) -> int:
     """Process the forms of args.batch ("-" for stdin), one per line, as
     the file is read.  A line that fails, for bad input (exit 64) or an
     internal error (exit 70), gives an error line and the batch goes on."""
-    def write(obj: dict) -> None:  # one JSON line, in one call
+    def write(obj: dict) -> None:  # an error or summary line, in one call
         stdout.write(_encode_line(obj) + "\n")
 
     counts: dict[str, int] = {}
@@ -426,7 +511,7 @@ def _run_batch(args, stdout) -> int:
                 worst = EXIT_DISAGREEMENT
                 continue
             out["line"] = lineno
-            write(out)
+            stdout.write(_line_text(out) + "\n")  # one JSON line, in one call
             counts[out["verdict"]] = counts.get(out["verdict"], 0) + 1
             if code == EXIT_DISAGREEMENT:
                 worst = EXIT_DISAGREEMENT

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import (
@@ -173,10 +173,11 @@ class TestJsonReport:
 
     def test_each_exact_value_rendered_once(self, monkeypatch):
         # lam0 is irrational here, and the certificate's m22 is lam0 itself:
-        # lambda0, g_lambda0 and six certificate entries are seven values,
-        # all rendered from the kernel's integers: the three irrational ones
-        # (lambda0, g_lambda0 and m13) by surd_decimal, the four rational
-        # ones by ratio_decimal
+        # lambda0, g_lambda0 and six certificate entries are seven values.
+        # m11 of a monic form is the constant 1, spelled without rendering;
+        # the others are rendered from the kernel's integers: the three
+        # irrational ones (lambda0, g_lambda0 and m13) by surd_decimal, the
+        # three other rational ones by ratio_decimal
         import quartic_certify.cli as cli
 
         rational, irrational = [], []
@@ -194,9 +195,10 @@ class TestJsonReport:
         monkeypatch.setattr(cli, "surd_decimal", counting_irrational)
         code, out = run_json(["1", "0", "0", "1", "1"])
         assert code == 0 and out["lambda0"]["q"] != "0"
-        assert len(rational) == 4 and len(irrational) == 3
+        assert len(rational) == 3 and len(irrational) == 3
         assert all(type(arg) is int for args in rational + irrational for arg in args)
         assert out["certificate"][1][1] == out["lambda0"]
+        assert out["certificate"][0][0] == {"p": "1", "q": "0", "d": "0", "decimal": "1"}
 
     def test_certificate_entries_are_scalars(self):
         _, out = run_json(["1", "-8", "26", "-40", "25"])
@@ -317,6 +319,75 @@ class TestReportAgainstTheReference:
     @settings(max_examples=150, deadline=None)
     def test_random_forms(self, coeffs, digits):
         assert_report_equals_the_reference(coeffs, digits)
+
+
+_small = st.builds(F, st.integers(-1000, 1000), st.integers(1, 1000))
+# five of these take 1,505 to 1,955 bits
+_large = st.one_of(st.integers(2**300, 2**390), st.integers(-2**390, -2**300))
+
+
+@st.composite
+def _line_form(draw):
+    """Coefficients (e4, e3, e2, e1, e0) from a stratum that reaches a part
+    of the line's layout, on either side: e4 = 0, a radicand D < 0 (lambda0
+    not real), D a perfect square (every value rational), PSD squares (a
+    certificate), random forms, and coefficients near the 2,000-bit limit."""
+    stratum = draw(st.sampled_from(
+        ["random", "e4 = 0", "D < 0", "D square", "psd square", "large", "large psd square"]))
+    if stratum == "random":
+        coeffs = draw(st.tuples(*[_small] * 5))
+    elif stratum == "e4 = 0":
+        coeffs = (0, *draw(st.tuples(*[_small] * 4)))
+    elif stratum in ("D < 0", "D square"):
+        # D = 12 e4 e0 - 3 e3 e1 + e2^2, up to a square factor: -t or s^2
+        e4, (e3, e2, e1) = draw(_small.filter(bool)), draw(st.tuples(*[_small] * 3))
+        t = draw(_small.filter(bool))
+        t = -abs(t) if stratum == "D < 0" else t * t
+        coeffs = (e4, e3, e2, e1, (t + 3 * e3 * e1 - e2 * e2) / (12 * e4))
+    elif stratum == "large":
+        coeffs = draw(st.tuples(*[_large] * 5))
+    else:  # k (x^2 + b xy + c y^2)^2
+        part = _large.map(lambda n: n >> 270) if stratum == "large psd square" else _small
+        k, b, c = draw(part.filter(bool)), draw(part), draw(part)
+        coeffs = (k, 2 * k * b, k * (b * b + 2 * c), 2 * k * b * c, k * c * c)
+    if draw(st.booleans()):
+        coeffs = tuple(-c for c in coeffs)
+    return coeffs
+
+
+# every string of a form's line but the case description: ratios, decimals
+# and enum values, which JSON spells unescaped
+_UNESCAPED = re.compile(r"[0-9A-Za-z/+\-.]*")
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _strings(item)
+
+
+class TestLineText:
+    @given(_line_form(), st.sampled_from([(True, True), (True, False), (False, False)]),
+           st.sampled_from([1, 12, 40]), st.integers(1, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_spelled_as_json_dumps(self, coeffs, flags, digits, lineno):
+        # flags: the default, --no-crosscheck, --no-crosscheck --no-case
+        import quartic_certify.cli as cli
+
+        try:
+            ratios = cli._parse_coefficients([str(c) for c in coeffs])
+        except cli.InputError:  # beyond the 2,000-bit limit
+            assume(False)
+        problem = cli.from_ratios(*ratios)
+        include_case, crosscheck = flags
+        out, _ = Report(problem, decide_problem(problem), digits, include_case,
+                        crosscheck).build()
+        out["line"] = lineno
+        assert cli._line_text(out) == json.dumps(out)
+        plain = {**out, "case": None}
+        assert all(_UNESCAPED.fullmatch(text) for text in _strings(plain)), plain
 
 
 class TestBatch:
@@ -552,6 +623,29 @@ class TestBatch:
         lines = out.getvalue().splitlines(keepends=True)
         assert out.calls == lines and len(lines) == 7
         assert all(line == json.dumps(json.loads(line)) + "\n" for line in lines)
+
+    @pytest.mark.parametrize("flags", [[], ["--no-crosscheck"], ["--no-crosscheck", "--no-case"]])
+    def test_form_lines_skip_the_generic_encoder(self, monkeypatch, flags, tmp_path):
+        # the generic encoder writes the error lines and the summary only;
+        # every form line is written by _line_text
+        import quartic_certify.cli as cli
+
+        encoded = []
+        real = cli._encode_line
+
+        def counting(obj):
+            encoded.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(cli, "_encode_line", counting)
+        path = tmp_path / "forms.txt"
+        path.write_bytes(GOLDEN_FORMS.read_bytes() + b"1 2\nx 0 0 0 1\n\xff 0 0 0 1\n")
+        code, text = run([*flags, "--batch", str(path)])
+        assert code == 64
+        rows = [json.loads(line) for line in text.splitlines()]
+        errors = [row for row in rows if "error" in row]
+        assert len(errors) == 3 and sum("verdict" in row for row in rows) > 30
+        assert encoded == [*errors, rows[-1]] and "summary" in rows[-1]
 
     def test_batch_rejects_positional_coefficients(self, tmp_path):
         path = tmp_path / "forms.txt"

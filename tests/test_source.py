@@ -2,11 +2,13 @@
 under an optimising interpreter (`python -O` drops `assert` statements)."""
 
 import ast
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import quartic_certify
 from quartic_certify import MonicQuartic, quartic_root_nature
 from quartic_certify import _polyroots as pr
 from quartic_certify.classifier import InconsistentCaseError
@@ -36,3 +38,18 @@ def test_root_profile_of_wrong_multiplicity_raises(monkeypatch):
                         lambda poly: [(pr.make_poly([0, 0, 0, 1]), 1)])
     with pytest.raises(InconsistentCaseError):
         quartic_root_nature(MonicQuartic(0, 0, 0, 1))
+
+
+def test_star_import_binds_the_public_names():
+    # every public name of the package and nothing else: no submodule, and
+    # not the `annotations` feature of its `from __future__` import
+    exported = {name for name, value in vars(quartic_certify).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)
+                and name != "annotations"}
+    assert len(quartic_certify.__all__) == len(exported) == 40
+    assert set(quartic_certify.__all__) == exported
+    namespace: dict = {}
+    exec("from quartic_certify import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == exported
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
