@@ -33,13 +33,16 @@ are cleared once into the problem's `input_record` (`forms.from_ratios`),
 the report prints `input` from that record and each witness value by
 integer Horner (`forms.evaluate_ratio`), both with `exactnum.ratio_text`.
 A line of integer or p/q tokens builds no `Fraction`, save the witness
-coordinates that an indefinite one prints.  Each `--batch` output line,
-an error line too, is written with one `write` call, as `json.dumps`
-would spell it.  A form's line is written from its fixed layout
-(`_line_text`): each distinct value is spelled once and joined in place,
-and only the case description is escaped, as every other string of the
-report is digits, letters, "/", "+", "-" or "."; the generic encoder
-writes only the error lines and the summary.
+coordinates that an indefinite one prints.
+
+The report has one layout, the JSON text that `Report.build` writes from
+the integers, as `json.dumps` would spell it: each distinct value is
+spelled once and joined in place, and only the case description is
+escaped, as every other string of the report is digits, letters, "/",
+"+", "-" or ".".  A `--batch` line is that text with its "line" number
+added, written with one `write` call (an error line too); `--json` prints
+the text re-read and indented, and the text output is rendered from it
+re-read.  The generic encoder writes only the error lines and the summary.
 """
 
 from __future__ import annotations
@@ -131,19 +134,24 @@ class CoefficientError(InputError):
         self.position = position
 
 
-def _surd_json(form, surd, d_text: str, digits: int, q_text: str | None = None) -> dict:
-    """The JSON of a value (a, b, den) of `lam0_surds(form)`: p and q from
-    its `surd_parts`, d the form's radicand as spelled once, d_text, and q
-    as q_text when the caller knows its spelling.  A rational value is
-    rendered from its integers, b = 0 without the form."""
+def _surd_text(form, surd, d_text: str, digits: int, q_text: str | None = None) -> str:
+    """The JSON text of a value (a, b, den) of `lam0_surds(form)`: p and q
+    from its `surd_parts`, d the form's radicand as spelled once, d_text,
+    and q as q_text when the caller knows its spelling.  A rational value
+    is rendered from its integers, b = 0 without the form."""
     a, b, den = surd
     if b:
         p, q, _ = surd_parts(form, a, b, den)
         if q[0]:
-            return {"p": ratio_text(*p), "q": q_text or ratio_text(*q), "d": d_text,
-                    "decimal": surd_decimal(a, b, form.invariants[2], den, digits)}
+            return (f'{{"p": "{ratio_text(*p)}", "q": "{q_text or ratio_text(*q)}", '
+                    f'"d": "{d_text}", '
+                    f'"decimal": "{surd_decimal(a, b, form.invariants[2], den, digits)}"}}')
         a, den = p
-    return {"p": ratio_text(a, den), "q": "0", "d": "0", "decimal": ratio_decimal(a, den, digits)}
+    return (f'{{"p": "{ratio_text(a, den)}", "q": "0", "d": "0", '
+            f'"decimal": "{ratio_decimal(a, den, digits)}"}}')
+
+
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
 
 
 @dataclass
@@ -154,72 +162,75 @@ class Report:
     include_case: bool
     crosscheck: bool
 
-    def build(self) -> tuple[dict, int]:
-        """Assemble the JSON-ready dict and the process exit code."""
+    def build(self) -> tuple[str, int]:
+        """The report as one JSON text, as `json.dumps` would spell it (the
+        layout of the module docstring), and the process exit code.  An
+        entry of the symmetric certificate is spelled once for its two
+        places, and a monic form's m22 is its lambda0's text."""
         cls = self.verdict.classification
-        big, *cleared = self.problem.input_record
-        out: dict = {
-            "input": [ratio_text(k, big) for k in cleared],
-            "orientation": self.problem.orientation.value if self.problem.orientation else None,
-            "verdict": cls.value,
-            "lambda0": None,
-            "g_lambda0": None,
-            "a3_sq_over_4": None,
-            "case": None,
-            "certificate": None,
-            "classical": None,
-            "oracle": None,
-            "witnesses": None,
-            "agreement": {"classical": None, "oracle": None, "sylvester": None},
-        }
+        lam0 = g_lam0 = a3_sq = case = certificate = witnesses = classical = oracle = "null"
+        case_id = None
 
         form = self.problem.form
         if form is not None:
             e4, e3 = form.cleared[:2]
-            out["a3_sq_over_4"] = ratio_text(e3 * e3, 4 * e4 * e4)
-            lam0, g_lam0, entries = lam0_surds(form)
-            d_text = ratio_text(form.invariants[2], 4 * e4 * e4)  # d, spelled once per line
+            a3_sq = f'"{ratio_text(e3 * e3, 4 * e4 * e4)}"'
+            lam0_surd, g_surd, entries = lam0_surds(form)
+            d_text = ratio_text(form.invariants[2], 4 * e4 * e4)  # d, spelled once per report
             if form.invariants[2] < 0:
-                out["lambda0"] = {"p": None, "q": None, "d": d_text, "decimal": None}
+                lam0 = f'{{"p": null, "q": null, "d": "{d_text}", "decimal": null}}'
             else:
                 # lam0 = (4 e2 + 2 sqrt(D)) / (6 e4): q = 4 e4 / (6 e4) unless D is a square
-                out["lambda0"] = _surd_json(form, lam0, d_text, self.digits, "2/3")
-                out["g_lambda0"] = _surd_json(form, g_lam0, d_text, self.digits)
+                lam0 = _surd_text(form, lam0_surd, d_text, self.digits, "2/3")
+                g_lam0 = _surd_text(form, g_surd, d_text, self.digits)
             if self.include_case:
-                case = classify_case(form)
-                out["case"] = {"id": case.case_id, "description": case.description}
+                found = classify_case(form)
+                case_id = found.case_id
+                case = (f'{{"id": {case_id}, '
+                        f'"description": {encode_basestring_ascii(found.description)}}}')
 
         # every verdict but an indefinite one carries a certificate; asking
         # the verdict for it would build the matrix of a monic form
         if cls is not Definiteness.INDEFINITE:
             # six distinct entries, each rendered once, laid out as the rows
             if form is None:  # e4 = 0: six entries of the same shape, all rational
-                m11, m12, m13, m22, m23, m33 = (_surd_json(None, entry, None, self.digits)
+                m11, m12, m13, m22, m23, m33 = (_surd_text(None, entry, None, self.digits)
                                                 for entry in degenerate_entries(self.problem))
             else:
                 # m11 = 6 e4 / (6 e4) = 1, m13 = (e2 - sqrt(D)) / (6 e4) has
                 # q = -1/3 unless D is a square, and m22 is lam0, rendered above
                 _, m12, m13, _, m23, m33 = entries
                 digits = self.digits
-                m11 = {"p": "1", "q": "0", "d": "0", "decimal": "1"}
-                m12 = _surd_json(form, m12, d_text, digits)
-                m13 = _surd_json(form, m13, d_text, digits, "-1/3")
-                m22 = out["lambda0"]
-                m23 = _surd_json(form, m23, d_text, digits)
-                m33 = _surd_json(form, m33, d_text, digits)
-            out["certificate"] = [[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]]
+                m11 = '{"p": "1", "q": "0", "d": "0", "decimal": "1"}'
+                m12 = _surd_text(form, m12, d_text, digits)
+                m13 = _surd_text(form, m13, d_text, digits, "-1/3")
+                m22 = lam0
+                m23 = _surd_text(form, m23, d_text, digits)
+                m33 = _surd_text(form, m33, d_text, digits)
+            certificate = (f"[[{m11}, {m12}, {m13}], [{m12}, {m22}, {m23}], "
+                           f"[{m13}, {m23}, {m33}]]")
 
         if self.verdict.witnesses is not None:
-            out["witnesses"] = self._witnesses_json()
+            witnesses = self._witnesses_text()
 
-        disagreement = False
+        agreement = {"classical": None, "oracle": None, "sylvester": None}
         if self.crosscheck:
-            disagreement = self._run_crosschecks(out)
+            classical, oracle = self._run_crosschecks(agreement, case_id)
 
-        code = EXIT_DISAGREEMENT if disagreement else _EXIT_BY_CLASS[cls]
-        return out, code
+        orientation = self.problem.orientation
+        orientation = f'"{orientation.value}"' if orientation else "null"
+        big, *cleared = self.problem.input_record
+        inputs = '", "'.join(ratio_text(k, big) for k in cleared)
+        flags = ", ".join(f'"{name}": {_JSON_FLAG[flag]}' for name, flag in agreement.items())
+        text = (f'{{"input": ["{inputs}"], "orientation": {orientation}, '
+                f'"verdict": "{cls.value}", "lambda0": {lam0}, "g_lambda0": {g_lam0}, '
+                f'"a3_sq_over_4": {a3_sq}, "case": {case}, "certificate": {certificate}, '
+                f'"classical": {classical}, "oracle": {oracle}, "witnesses": {witnesses}, '
+                f'"agreement": {{{flags}}}}}')
+        code = EXIT_DISAGREEMENT if False in agreement.values() else _EXIT_BY_CLASS[cls]
+        return text, code
 
-    def _witnesses_json(self) -> dict:
+    def _witnesses_text(self) -> str:
         # witnesses certify the decided (normalised) form; report them
         # against the original input coefficients, from the input's integer
         # record, so they stand alone, each value an integer ratio
@@ -228,20 +239,21 @@ class Report:
         pos, neg = self.verdict.witnesses
         if flip:
             pos, neg = neg, pos
-        out = {}
+        texts = []
         for label, (x, y) in (("positive", pos), ("negative", neg)):
             value = evaluate_ratio(record, (x.numerator, x.denominator),
                                    (y.numerator, y.denominator))
-            out[label] = {"x": str(x), "y": str(y), "value": ratio_text(*value)}
-        return out
+            texts.append(f'"{label}": {{"x": "{x}", "y": "{y}", "value": "{ratio_text(*value)}"}}')
+        return f"{{{', '.join(texts)}}}"
 
-    def _run_crosschecks(self, out: dict) -> bool:
-        agreement = out["agreement"]
+    def _run_crosschecks(self, agreement: dict, case_id: int | None) -> tuple[str, str]:
+        """Set the agreement flags, given the reported case id, and return
+        the JSON texts of "classical" and "oracle"."""
         # the checks read the problem the decision read, f(y, x) when
         # e4 = 0 != e0, and none of them runs when e4 = e0 = 0
         problem = self.problem.decided()
         if problem is None:
-            return False
+            return "null", "null"
         # the verdict as a class of that problem's positive-side form
         cls = self.verdict.classification
         if problem.orientation is Orientation.NEGATIVE_SIDE:
@@ -249,14 +261,16 @@ class Report:
         definite = cls is Definiteness.POSITIVE_DEFINITE
         semidefinite = definite or cls is Definiteness.POSITIVE_SEMIDEFINITE
 
+        classical = "null"
         form = self.problem.form
         if form is not None:
             quantities = _monic_quantities(form)
             (G, _), (H, _), _, _, (delta, _), (aux, _) = quantities
             pd = _pd_criterion(G, H, delta, aux)
             agreement["classical"] = pd == definite
-            out["classical"] = dict(zip(("G", "H", "I", "J", "Delta", "aux"),
-                                        (ratio_text(*q) for q in quantities)), pd=pd)
+            g, h, i, j, delta, aux = (ratio_text(*q) for q in quantities)
+            classical = (f'{{"G": "{g}", "H": "{h}", "I": "{i}", "J": "{j}", '
+                         f'"Delta": "{delta}", "aux": "{aux}", "pd": {_JSON_FLAG[pd]}}}')
 
             # the principal minor signs of M(lam0), the certificate when there
             # is one, read off the integer matrix 6 e4 M(lam0) over Z[sqrt(D)]
@@ -268,20 +282,17 @@ class Report:
             else:
                 agreement["sylvester"] = cls is Definiteness.INDEFINITE
 
-            if self.include_case and out["case"] is not None:
+            if case_id is not None:
                 kernel = self.verdict.kernel
-                agreement["case_facts"] = _case_facts_hold(out["case"]["id"], kernel.slack,
-                                                           kernel.value)
+                agreement["case_facts"] = _case_facts_hold(case_id, kernel.slack, kernel.value)
 
-        case_id = discriminant_case(problem.form)
-        out["oracle"] = {"discriminant_case": case_id}
+        oracle_case = discriminant_case(problem.form)
         agreement["oracle"] = (
-            definite == (case_id in PD_CASES)
-            and semidefinite == (case_id in PSD_CASES)
-            and (out["case"] is None or out["case"]["id"] == case_id)
+            definite == (oracle_case in PD_CASES)
+            and semidefinite == (oracle_case in PSD_CASES)
+            and (case_id is None or case_id == oracle_case)
         )
-
-        return any(flag is False for flag in agreement.values())
+        return classical, f'{{"discriminant_case": {oracle_case}}}'
 
 
 def _exact_text(entry: dict) -> str:
@@ -356,7 +367,8 @@ def _parse_coefficients(raw: list[str]) -> list[tuple[int, int]]:
     return ratios
 
 
-def _run_one(ratios: list[tuple[int, int]], args) -> tuple[dict, int]:
+def _run_one(ratios: list[tuple[int, int]], args) -> tuple[str, int, str]:
+    """The report's JSON text, the exit code and the verdict's value."""
     problem = from_ratios(*ratios)
     verdict = decide_problem(problem)
     report = Report(
@@ -366,7 +378,7 @@ def _run_one(ratios: list[tuple[int, int]], args) -> tuple[dict, int]:
         include_case=args.case,
         crosscheck=not args.no_crosscheck,
     )
-    return report.build()
+    return (*report.build(), verdict.classification.value)
 
 
 @contextlib.contextmanager
@@ -385,78 +397,8 @@ def _stdin_lines():
 
 # the encoder of json.dumps(obj), but with no check for circular
 # references, which its fresh dicts cannot hold; it writes the error lines
-# and the summary, and `_line_text` writes the lines of forms
+# and the summary, and a form's line is the text of `Report.build`
 _encode_line = json.JSONEncoder(check_circular=False).encode
-
-_JSON_FLAG = {None: "null", True: "true", False: "false"}
-
-
-def _text_or_null(text: str | None) -> str:
-    return "null" if text is None else f'"{text}"'
-
-
-def _entry_text(entry: dict) -> str:
-    """A value {"p", "q", "d", "decimal"} of the report as JSON; p, q and
-    decimal are null together, in a lambda0 that is not real."""
-    p, q, d, decimal = entry.values()
-    if p is None:
-        return f'{{"p": null, "q": null, "d": "{d}", "decimal": null}}'
-    return f'{{"p": "{p}", "q": "{q}", "d": "{d}", "decimal": "{decimal}"}}'
-
-
-def _line_text(out: dict) -> str:
-    """The `--batch` line of a form's report, `out` of `Report.build` with
-    its "line" number set, spelled as `json.dumps(out)` spells it.
-
-    It is written from the report's fixed layout: each key in the order
-    `Report.build` gives it, each distinct value spelled once (an entry of
-    the symmetric certificate once for its two places, and a monic form's
-    m22 as its lambda0) and joined in place.  Every string but the case
-    description is digits, letters, "/", "+", "-" or "." (a ratio, a
-    decimal, an enum value), which JSON spells unescaped between quotes.
-    """
-    lam0 = out["lambda0"]
-    lam0_text = "null" if lam0 is None else _entry_text(lam0)
-    g_lam0 = out["g_lambda0"]
-    case = out["case"]
-    if case is not None:
-        case = (f'{{"id": {case["id"]}, '
-                f'"description": {encode_basestring_ascii(case["description"])}}}')
-    certificate = out["certificate"]
-    if certificate is not None:
-        (m11, m12, m13), (_, m22, m23), (_, _, m33) = certificate
-        m12, m13, m23 = _entry_text(m12), _entry_text(m13), _entry_text(m23)
-        m22 = lam0_text if m22 is lam0 else _entry_text(m22)
-        certificate = (f"[[{_entry_text(m11)}, {m12}, {m13}], [{m12}, {m22}, {m23}], "
-                       f"[{m13}, {m23}, {_entry_text(m33)}]]")
-    classical = out["classical"]
-    if classical is not None:
-        g, h, i, j, delta, aux, pd = classical.values()
-        classical = (f'{{"G": "{g}", "H": "{h}", "I": "{i}", "J": "{j}", "Delta": "{delta}", '
-                     f'"aux": "{aux}", "pd": {_JSON_FLAG[pd]}}}')
-    oracle = out["oracle"]
-    if oracle is not None:
-        oracle = f'{{"discriminant_case": {oracle["discriminant_case"]}}}'
-    witnesses = out["witnesses"]
-    if witnesses is not None:
-        (px, py, pv), (nx, ny, nv) = (w.values() for w in witnesses.values())
-        witnesses = (f'{{"positive": {{"x": "{px}", "y": "{py}", "value": "{pv}"}}, '
-                     f'"negative": {{"x": "{nx}", "y": "{ny}", "value": "{nv}"}}}}')
-    flags = out["agreement"]
-    agreement = (f'"classical": {_JSON_FLAG[flags["classical"]]}, '
-                 f'"oracle": {_JSON_FLAG[flags["oracle"]]}, '
-                 f'"sylvester": {_JSON_FLAG[flags["sylvester"]]}')
-    if "case_facts" in flags:
-        agreement += f', "case_facts": {_JSON_FLAG[flags["case_facts"]]}'
-    inputs = '", "'.join(out["input"])
-    return (f'{{"input": ["{inputs}"], '
-            f'"orientation": {_text_or_null(out["orientation"])}, '
-            f'"verdict": "{out["verdict"]}", "lambda0": {lam0_text}, '
-            f'"g_lambda0": {"null" if g_lam0 is None else _entry_text(g_lam0)}, '
-            f'"a3_sq_over_4": {_text_or_null(out["a3_sq_over_4"])}, "case": {case or "null"}, '
-            f'"certificate": {certificate or "null"}, "classical": {classical or "null"}, '
-            f'"oracle": {oracle or "null"}, "witnesses": {witnesses or "null"}, '
-            f'"agreement": {{{agreement}}}, "line": {out["line"]}}}')
 
 
 def _run_batch(args, stdout) -> int:
@@ -496,7 +438,7 @@ def _run_batch(args, stdout) -> int:
                 parse_failed = True
                 continue
             try:
-                out, code = _run_one(_parse_coefficients(fields), args)
+                text, code, verdict = _run_one(_parse_coefficients(fields), args)
             except InputError as exc:
                 write({"line": lineno, "error": str(exc)})
                 parse_failed = True
@@ -510,9 +452,8 @@ def _run_batch(args, stdout) -> int:
                 write({"line": lineno, "error": error})
                 worst = EXIT_DISAGREEMENT
                 continue
-            out["line"] = lineno
-            stdout.write(_line_text(out) + "\n")  # one JSON line, in one call
-            counts[out["verdict"]] = counts.get(out["verdict"], 0) + 1
+            stdout.write(f'{text[:-1]}, "line": {lineno}}}\n')  # one JSON line, in one call
+            counts[verdict] = counts.get(verdict, 0) + 1
             if code == EXIT_DISAGREEMENT:
                 worst = EXIT_DISAGREEMENT
     write({"summary": counts})
@@ -602,11 +543,9 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    out, code = _run_one(ratios, args)
-    if args.json:
-        print(json.dumps(out, indent=2), file=stdout)
-    else:
-        print(_render_text(out), file=stdout)
+    text, code, _ = _run_one(ratios, args)
+    out = json.loads(text)
+    print(json.dumps(out, indent=2) if args.json else _render_text(out), file=stdout)
     if code == EXIT_DISAGREEMENT:
         print("internal cross-check disagreement; do not trust this build",
               file=sys.stderr)

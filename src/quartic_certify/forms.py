@@ -39,9 +39,8 @@ five rationals with one lcm (`clear_denominators` is its view for
 `Fraction`s), `quartic_horner` evaluates a cleared form at an integer
 point (both witness searches of `classifier` use it), and `evaluate_ratio`
 takes a cleared form at a rational point by that Horner, as an integer
-ratio that the report prints with `exactnum.ratio_text`;
-`evaluate_cleared` is its `Fraction` (`evaluate_plain` is "clear, then
-`evaluate_cleared`").
+ratio that the report prints with `exactnum.ratio_text` (`evaluate` is its
+`Fraction` for a monic form).
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ __all__ = [
     "from_ratios",
     "to_weighted",
     "evaluate",
-    "evaluate_plain",
-    "evaluate_cleared",
     "evaluate_ratio",
 ]
 
@@ -263,20 +260,8 @@ def to_weighted(m: MonicQuartic) -> GeneralQuartic:
 
 def evaluate(m: MonicQuartic, x, y) -> Fraction:
     # the record of (1, a3, a2, a1, a0) is (e4, e4, e3, e2, e1, e0)
-    return evaluate_cleared((m.cleared[0], *m.cleared), as_fraction(x), as_fraction(y))
-
-
-def evaluate_plain(e4, e3, e2, e1, e0, x, y) -> Fraction:
-    """e4 x^4 + e3 x^3 y + e2 x^2 y^2 + e1 x y^3 + e0 y^4, exactly."""
-    record = clear_denominators(as_fraction(e4), as_fraction(e3), as_fraction(e2),
-                                as_fraction(e1), as_fraction(e0))
-    return evaluate_cleared(record, as_fraction(x), as_fraction(y))
-
-
-def evaluate_cleared(record: tuple[int, int, int, int, int, int],
-                     x: Fraction, y: Fraction) -> Fraction:
-    """`evaluate_ratio` at rationals x, y, as a `Fraction`."""
-    return Fraction(*evaluate_ratio(record, x.as_integer_ratio(), y.as_integer_ratio()))
+    return Fraction(*evaluate_ratio((m.cleared[0], *m.cleared), as_fraction(x).as_integer_ratio(),
+                                    as_fraction(y).as_integer_ratio()))
 
 
 def evaluate_ratio(record: tuple[int, int, int, int, int, int], x: tuple[int, int],

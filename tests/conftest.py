@@ -21,6 +21,14 @@ def quad_parts(value):
     return type(value.p), type(value.q), type(value.d), value.p, value.q, value.d
 
 
+def fraction_formula(e4, e3, e2, e1, e0, x, y):
+    """e4 x^4 + e3 x^3 y + e2 x^2 y^2 + e1 x y^3 + e0 y^4 written out in
+    Fraction arithmetic, term by term: the reference for a form's value
+    that shares no code with the library's integer Horner."""
+    e4, e3, e2, e1, e0, x, y = map(Fraction, (e4, e3, e2, e1, e0, x, y))
+    return e4 * x**4 + e3 * x**3 * y + e2 * x**2 * y**2 + e1 * x * y**3 + e0 * y**4
+
+
 def random_fraction(rng: random.Random, num: int = 1000, den: int = 1000) -> Fraction:
     return Fraction(rng.randint(-num, num), rng.randint(1, den))
 

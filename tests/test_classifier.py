@@ -31,9 +31,8 @@ from quartic_certify import (
 from quartic_certify import _polyroots as pr
 from quartic_certify import classifier
 from quartic_certify.classifier import discriminant_case, witness_search
-from quartic_certify.forms import evaluate_plain
 
-from conftest import configured_form, random_monic, root_rational
+from conftest import configured_form, fraction_formula, random_monic, root_rational
 
 F = Fraction
 
@@ -536,7 +535,7 @@ class TestWitnessFallback:
         assert sturm_calls == []
         if problem.orientation is Orientation.NEGATIVE_SIDE:
             (px, py), (nx, ny) = (nx, ny), (px, py)
-        assert evaluate_plain(*coeffs, px, py) > 0 > evaluate_plain(*coeffs, nx, ny)
+        assert fraction_formula(*coeffs, px, py) > 0 > fraction_formula(*coeffs, nx, ny)
 
     def test_definite_dip_raises(self, sturm_calls):
         # (x^2 - 2y^2)^2 + eps y^4 is positive definite: every float proposal

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,9 +29,8 @@ from quartic_certify import (
 from quartic_certify.cli import MAX_PRECISION, Report, main
 from quartic_certify.classifier import discriminant_case
 from quartic_certify.exactnum import parse_rational
-from quartic_certify.forms import evaluate_plain
 
-from conftest import configured_form
+from conftest import configured_form, fraction_formula
 
 F = Fraction
 
@@ -167,7 +167,7 @@ class TestJsonReport:
         for label, expected in (("positive", 1), ("negative", -1)):
             x = parse_rational(w[label]["x"])
             y = parse_rational(w[label]["y"])
-            value = evaluate_plain(*coeffs, x, y)
+            value = fraction_formula(*coeffs, x, y)
             assert value == parse_rational(w[label]["value"])
             assert (1 if value > 0 else -1) == expected
 
@@ -279,7 +279,8 @@ def assert_report_equals_the_reference(coeffs, digits):
     Q(sqrt(d)) route: `critical_param`, `g_eval` and `pencil_matrix`."""
     problem = from_plain_coeffs(*coeffs)
     verdict = decide_problem(problem)
-    out, _ = Report(problem, verdict, digits, include_case=False, crosscheck=False).build()
+    text, _ = Report(problem, verdict, digits, include_case=False, crosscheck=False).build()
+    out = json.loads(text)
     # the input, rendered from the problem's integer record
     assert out["input"] == [str(c) for c in coeffs]
     m = problem.form
@@ -370,22 +371,32 @@ def _strings(value):
 
 class TestLineText:
     @given(_line_form(), st.sampled_from([(True, True), (True, False), (False, False)]),
-           st.sampled_from([1, 12, 40]), st.integers(1, 10**6))
+           st.sampled_from([1, 12, 40]), st.integers(1, 1000))
     @settings(max_examples=300, deadline=None)
     def test_spelled_as_json_dumps(self, coeffs, flags, digits, lineno):
         # flags: the default, --no-crosscheck, --no-crosscheck --no-case
         import quartic_certify.cli as cli
 
+        tokens = [str(c) for c in coeffs]
         try:
-            ratios = cli._parse_coefficients([str(c) for c in coeffs])
+            ratios = cli._parse_coefficients(tokens)
         except cli.InputError:  # beyond the 2,000-bit limit
             assume(False)
         problem = cli.from_ratios(*ratios)
         include_case, crosscheck = flags
-        out, _ = Report(problem, decide_problem(problem), digits, include_case,
-                        crosscheck).build()
-        out["line"] = lineno
-        assert cli._line_text(out) == json.dumps(out)
+        text, code = Report(problem, decide_problem(problem), digits, include_case,
+                            crosscheck).build()
+        out = json.loads(text)
+        assert json.dumps(out) == text
+        # the same form as line `lineno` of a batch, after lineno - 1 blank lines
+        argv = ["--precision", str(digits), *([] if include_case else ["--no-case"]),
+                *([] if crosscheck else ["--no-crosscheck"]), "--batch", "-"]
+        with mock.patch("sys.stdin", io.StringIO("\n" * (lineno - 1) + " ".join(tokens))):
+            batch_code, batch = run(argv)
+        line = batch.splitlines()[0]
+        assert json.dumps(json.loads(line)) == line
+        assert json.loads(line) == {**out, "line": lineno}
+        assert batch_code == (70 if code == 70 else 0)
         plain = {**out, "case": None}
         assert all(_UNESCAPED.fullmatch(text) for text in _strings(plain)), plain
 
@@ -671,7 +682,7 @@ class TestFrontEnd:
             coeffs = [parse_rational(c) for c in row["input"]]
             for w in row["witnesses"].values():
                 x, y = parse_rational(w["x"]), parse_rational(w["y"])
-                assert parse_rational(w["value"]) == evaluate_plain(*coeffs, x, y)
+                assert parse_rational(w["value"]) == fraction_formula(*coeffs, x, y)
                 checked += 1
         assert checked > 100
 

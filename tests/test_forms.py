@@ -15,7 +15,9 @@ from quartic_certify import (
     from_plain_coeffs,
     to_weighted,
 )
-from quartic_certify.forms import clear_denominators, evaluate_cleared, evaluate_plain
+from quartic_certify.forms import clear_denominators, evaluate_ratio
+
+from conftest import fraction_formula
 
 F = Fraction
 
@@ -77,7 +79,7 @@ def test_orientation_soundness():
         p = from_plain_coeffs(*coeffs)
         sign = 1 if p.orientation is Orientation.POSITIVE_SIDE else -1
         x, y = F(rng.randint(-9, 9)), F(rng.randint(-9, 9))
-        original = evaluate_plain(*coeffs, x, y)
+        original = fraction_formula(*coeffs, x, y)
         assert original == p.scale * sign * evaluate(p.form, x, y)
 
 
@@ -94,10 +96,10 @@ def test_dehomogenized_matches_evaluation():
 # -- integer Horner against the Fraction formula ------------------------------
 
 
-def fraction_formula(e4, e3, e2, e1, e0, x, y):
-    """The value written out in Fraction arithmetic, term by term."""
-    e4, e3, e2, e1, e0, x, y = map(Fraction, (e4, e3, e2, e1, e0, x, y))
-    return e4 * x**4 + e3 * x**3 * y + e2 * x**2 * y**2 + e1 * x * y**3 + e0 * y**4
+def ratio_of(coeffs, x, y):
+    """`evaluate_ratio` of plain coefficients: cleared, then at x, y."""
+    record = clear_denominators(*map(Fraction, coeffs))
+    return evaluate_ratio(record, Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio())
 
 
 big_coefficients = st.one_of(
@@ -165,25 +167,24 @@ class TestDecided:
 
 @given(st.tuples(*[big_coefficients] * 5), points, points)
 @settings(max_examples=400)
-def test_evaluate_plain_matches_the_fraction_formula(coeffs, x, y):
-    value = evaluate_plain(*coeffs, x, y)
-    expected = fraction_formula(*coeffs, x, y)
-    assert type(value) is Fraction
-    assert value == expected
-    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+def test_evaluate_ratio_matches_the_fraction_formula(coeffs, x, y):
+    num, den = ratio_of(coeffs, x, y)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == fraction_formula(*coeffs, x, y)
 
 
 @given(st.tuples(*[big_coefficients] * 4), points, points)
 @settings(max_examples=100)
-def test_evaluate_plain_without_leading_term(coeffs, x, y):
-    assert evaluate_plain(0, *coeffs, x, y) == fraction_formula(0, *coeffs, x, y)
+def test_evaluate_ratio_without_leading_term(coeffs, x, y):
+    assert Fraction(*ratio_of((0, *coeffs), x, y)) == fraction_formula(0, *coeffs, x, y)
 
 
 @pytest.mark.parametrize("x, y", [(0, 0), (0, F(-3, 7)), (F(5, 2), 0), (F(-1, 2**64), F(-3))])
-def test_evaluate_plain_at_axis_points(x, y):
+def test_evaluate_at_axis_points(x, y):
     coeffs = (F(3, 4), -2, F(-7, 9), 5, F(1, 6))
-    value = evaluate_plain(*coeffs, x, y)
-    assert type(value) is Fraction and value == fraction_formula(*coeffs, x, y)
+    p = from_plain_coeffs(*coeffs)
+    value = evaluate(p.form, x, y)
+    assert type(value) is Fraction and p.scale * value == fraction_formula(*coeffs, x, y)
 
 
 @pytest.mark.parametrize("args", [
@@ -192,9 +193,10 @@ def test_evaluate_plain_at_axis_points(x, y):
     (1.0, 0, 0, 0, 1, 1, 1),
     (1, 0, 0, 0.25, 1, 1, 1),
 ])
-def test_evaluate_plain_rejects_floats(args):
+def test_evaluate_of_plain_coefficients_rejects_floats(args):
+    *coeffs, x, y = args
     with pytest.raises(TypeError):
-        evaluate_plain(*args)
+        evaluate(from_plain_coeffs(*coeffs).form, x, y)
 
 
 # -- the integer record of a monic form ---------------------------------------
@@ -278,8 +280,7 @@ def test_input_record_is_outside_eq_and_repr():
 
 @given(st.tuples(*[big_coefficients] * 5), points, points)
 @settings(max_examples=200)
-def test_evaluate_cleared_equals_evaluate_plain(coeffs, x, y):
+def test_evaluate_ratio_of_the_input_record(coeffs, x, y):
     record = from_plain_coeffs(*coeffs).input_record
-    value = evaluate_cleared(record, Fraction(x), Fraction(y))
-    expected = evaluate_plain(*coeffs, x, y)
-    assert type(value) is Fraction and value == expected
+    value = evaluate_ratio(record, Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio())
+    assert Fraction(*value) == fraction_formula(*coeffs, x, y)

@@ -31,11 +31,10 @@ from quartic_certify import (
 
 from quartic_certify import classifier
 from quartic_certify.classifier import discriminant_case
-from quartic_certify.forms import evaluate_plain
 from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test
 
-from conftest import (configured_form, mixed_corpus, quad_parts, random_fraction,
-                      random_monic)
+from conftest import (configured_form, fraction_formula, mixed_corpus, quad_parts,
+                      random_fraction, random_monic)
 
 F = Fraction
 D = Definiteness
@@ -136,8 +135,8 @@ class TestDegenerateLeading:
         v = decide_problem(from_plain_coeffs(0, F(1), F(0), F(0), F(0)))
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
-        assert evaluate_plain(0, 1, 0, 0, 0, px, py) > 0
-        assert evaluate_plain(0, 1, 0, 0, 0, nx, ny) < 0
+        assert fraction_formula(0, 1, 0, 0, 0, px, py) > 0
+        assert fraction_formula(0, 1, 0, 0, 0, nx, ny) < 0
 
     def test_negative_cubic(self):
         # y (-x^3 + 5 y^3) is decided as f(y, x) = 5 x^4 - x y^3, and its
@@ -146,7 +145,7 @@ class TestDegenerateLeading:
         v = decide_problem(from_plain_coeffs(0, *e))
         assert v.classification is D.INDEFINITE and v.kernel is None
         (px, py), (nx, ny) = v.witnesses
-        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
+        assert fraction_formula(0, *e, px, py) > 0 > fraction_formula(0, *e, nx, ny)
 
     def test_large_cubic_clears_once(self, monkeypatch):
         # y (x^3 - 10^30 y^3): the input is cleared once, and f(y, x), which
@@ -167,7 +166,7 @@ class TestDegenerateLeading:
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
         assert calls == [((0, 1), (1, 1), (0, 1), (0, 1), (-10**30, 1))]
-        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
+        assert fraction_formula(0, *e, px, py) > 0 > fraction_formula(0, *e, nx, ny)
 
     def test_decision_builds_one_verdict(self, monkeypatch):
         # y (x^3 - 4 x^2 y + 5 y^3) is decided by the kernel on f(y, x),
@@ -207,8 +206,8 @@ class TestDegenerateLeading:
         v = decide_problem(from_plain_coeffs(0, *e))
         assert v.classification is D.INDEFINITE
         (px, py), (nx, ny) = v.witnesses
-        assert evaluate_plain(0, *e, px, py) > 0
-        assert evaluate_plain(0, *e, nx, ny) < 0
+        assert fraction_formula(0, *e, px, py) > 0
+        assert fraction_formula(0, *e, nx, ny) < 0
 
     def test_certificate_reproduces_form(self):
         rng = random.Random(41)
@@ -219,7 +218,7 @@ class TestDegenerateLeading:
             if v.certificate is None or v.classification is D.NEGATIVE_SEMIDEFINITE:
                 continue
             x, y = random_fraction(rng, 9, 3), random_fraction(rng, 9, 3)
-            assert v.certificate.form_value(x, y) == evaluate_plain(0, *e, x, y)
+            assert v.certificate.form_value(x, y) == fraction_formula(0, *e, x, y)
 
     @given(st.tuples(*[st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))] * 3),
            st.one_of(st.just(F(0)),
@@ -264,7 +263,7 @@ def assert_degenerate_verdict_proven(e, verdict):
     if cls is D.INDEFINITE:
         assert verdict.certificate is None
         (px, py), (nx, ny) = verdict.witnesses
-        assert evaluate_plain(0, *e, px, py) > 0 > evaluate_plain(0, *e, nx, ny)
+        assert fraction_formula(0, *e, px, py) > 0 > fraction_formula(0, *e, nx, ny)
         return
     assert verdict.witnesses is None
     assert cls in (D.POSITIVE_SEMIDEFINITE, D.NEGATIVE_SEMIDEFINITE, D.ZERO)
@@ -274,7 +273,7 @@ def assert_degenerate_verdict_proven(e, verdict):
     sign = -1 if cls is D.NEGATIVE_SEMIDEFINITE else 1
     for x, y in ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(-2, 3), F(5, 7)),
                  (F(3), F(-1, 2))):
-        assert sign * mat.form_value(x, y) == evaluate_plain(0, *e, x, y)
+        assert sign * mat.form_value(x, y) == fraction_formula(0, *e, x, y)
 
 
 class TestCrossProperties:
