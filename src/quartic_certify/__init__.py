@@ -19,10 +19,6 @@ from .classical import classical_is_pd
 from .classifier import (
     PD_CASES,
     PSD_CASES,
-    CubicRootProfile,
-    InconsistentCaseError,
-    IntersectionCase,
-    QuarticRootNature,
     circle_min_estimate,
     classify_case,
     cubic_root_profile,
@@ -32,16 +28,13 @@ from .classifier import (
 )
 from .exactnum import QuadExt, sign_of, to_decimal
 from .forms import (
-    GeneralQuartic,
     MonicQuartic,
     NormalizedProblem,
-    Orientation,
     evaluate,
     from_plain_coeffs,
     to_weighted,
 )
 from .pencil import (
-    CriticalParam,
     PencilCubic,
     Sym3Matrix,
     base_matrices,
@@ -56,23 +49,21 @@ from .positivity import (
     Definiteness,
     Verdict,
     decide_monic,
-    decide_problem,
     sylvester_pd,
     sylvester_psd,
 )
+from . import positivity  # certify calls positivity.decide_problem, not a package export
 
 __all__ = [
     "certify",
     "classical_is_pd",
-    "PD_CASES", "PSD_CASES", "CubicRootProfile", "InconsistentCaseError", "IntersectionCase",
-    "QuarticRootNature", "circle_min_estimate", "classify_case", "cubic_root_profile",
+    "PD_CASES", "PSD_CASES", "circle_min_estimate", "classify_case", "cubic_root_profile",
     "degenerate_conic_type", "quartic_root_nature", "table3_facts_hold",
     "QuadExt", "sign_of", "to_decimal",
-    "GeneralQuartic", "MonicQuartic", "NormalizedProblem", "Orientation", "evaluate",
-    "from_plain_coeffs", "to_weighted",
-    "CriticalParam", "PencilCubic", "Sym3Matrix", "base_matrices", "boundary_identity_check",
-    "critical_param", "discriminant_g", "g_eval", "pencil_coeffs", "pencil_matrix",
-    "Definiteness", "Verdict", "decide_monic", "decide_problem", "sylvester_pd", "sylvester_psd",
+    "MonicQuartic", "NormalizedProblem", "evaluate", "from_plain_coeffs", "to_weighted",
+    "PencilCubic", "Sym3Matrix", "base_matrices", "boundary_identity_check", "critical_param",
+    "discriminant_g", "g_eval", "pencil_coeffs", "pencil_matrix",
+    "Definiteness", "Verdict", "decide_monic", "sylvester_pd", "sylvester_psd",
 ]
 
 __version__ = "0.1.0"
@@ -81,4 +72,4 @@ __version__ = "0.1.0"
 def certify(e4, e3, e2, e1, e0) -> tuple[NormalizedProblem, Verdict]:
     """Normalise plain coefficients and decide their definiteness."""
     problem = from_plain_coeffs(e4, e3, e2, e1, e0)
-    return problem, decide_problem(problem)
+    return problem, positivity.decide_problem(problem)

@@ -13,8 +13,9 @@ code), and exits with
     64  malformed or oversize input: a decimal exponent beyond +-1000, more
         than 2000 bits in the five numerators and denominators together, or
         a --precision outside 1..10000
-    70  an internal cross-check disagreed, or a batch line raised an
-        internal error (never expected in a release)
+    70  an internal cross-check disagreed, or a form raised an internal
+        error (never expected in a release)
+    74  standard output was closed before the output was written
 
 Exact values come first in the JSON report; a decimal field is the exact
 value rounded half-even once to --precision significant digits (no guard
@@ -52,6 +53,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -107,6 +109,7 @@ EXIT_BOUNDARY = 1
 EXIT_INDEFINITE = 2
 EXIT_PARSE = 64
 EXIT_DISAGREEMENT = 70
+EXIT_IOERR = 74
 
 _EXIT_BY_CLASS = {
     Definiteness.POSITIVE_DEFINITE: EXIT_DEFINITE,
@@ -367,18 +370,27 @@ def _parse_coefficients(raw: list[str]) -> list[tuple[int, int]]:
     return ratios
 
 
-def _run_one(ratios: list[tuple[int, int]], args) -> tuple[str, int, str]:
-    """The report's JSON text, the exit code and the verdict's value."""
-    problem = from_ratios(*ratios)
-    verdict = decide_problem(problem)
-    report = Report(
-        problem=problem,
-        verdict=verdict,
-        digits=args.precision,
-        include_case=args.case,
-        crosscheck=not args.no_crosscheck,
-    )
-    return (*report.build(), verdict.classification.value)
+def _run_form(tokens: list[str], args, lineno: int | None = None) -> tuple[str | None, int, str]:
+    """Run one form from its coefficient tokens: its report's JSON text, exit
+    code and outcome, the verdict's value.  A form with no report gives None,
+    64 (rejected input) or 70 (an internal error, its traceback on stderr
+    after a batch line's number) and, as its outcome, the error message."""
+    try:
+        if len(tokens) != 5:
+            raise InputError(f"expected 5 coefficients, got {len(tokens)}")
+        problem = from_ratios(*_parse_coefficients(tokens))
+        verdict = decide_problem(problem)
+        report = Report(problem, verdict, args.precision, args.case, not args.no_crosscheck)
+        return (*report.build(), verdict.classification.value)
+    except InputError as exc:
+        return None, EXIT_PARSE, str(exc)
+    except Exception as exc:  # a defect: report it, and a batch goes on
+        import traceback  # only a defect reaches here
+
+        if lineno is not None:
+            print(f"internal error on line {lineno}:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return None, EXIT_DISAGREEMENT, f"internal error: {type(exc).__name__}: {exc}"
 
 
 @contextlib.contextmanager
@@ -409,8 +421,7 @@ def _run_batch(args, stdout) -> int:
         stdout.write(_encode_line(obj) + "\n")
 
     counts: dict[str, int] = {}
-    worst = 0
-    parse_failed = False
+    severity = 0  # the highest of 64 (rejected input) and 70 (a defect) seen
     try:
         # UTF-8, with a byte that is not UTF-8 kept as a lone surrogate, so
         # that only its own line fails
@@ -426,42 +437,21 @@ def _run_batch(args, stdout) -> int:
                     line.encode("utf-8")
                 except UnicodeEncodeError:  # a lone surrogate: an undecodable byte
                     write({"line": lineno, "error": "not valid UTF-8"})
-                    parse_failed = True
+                    severity = max(severity, EXIT_PARSE)
                     continue
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            fields = body.split()
-            if len(fields) != 5:
-                error = f"expected 5 coefficients, got {len(fields)}"
-                write({"line": lineno, "error": error})
-                parse_failed = True
-                continue
-            try:
-                text, code, verdict = _run_one(_parse_coefficients(fields), args)
-            except InputError as exc:
-                write({"line": lineno, "error": str(exc)})
-                parse_failed = True
-                continue
-            except Exception as exc:  # a defect: report it and go on
-                import traceback  # only a defect reaches here
-
-                print(f"internal error on line {lineno}:", file=sys.stderr)
-                traceback.print_exc(file=sys.stderr)
-                error = f"internal error: {type(exc).__name__}: {exc}"
-                write({"line": lineno, "error": error})
-                worst = EXIT_DISAGREEMENT
-                continue
-            stdout.write(f'{text[:-1]}, "line": {lineno}}}\n')  # one JSON line, in one call
-            counts[verdict] = counts.get(verdict, 0) + 1
-            if code == EXIT_DISAGREEMENT:
-                worst = EXIT_DISAGREEMENT
+            text, code, outcome = _run_form(body.split(), args, lineno)
+            if text is None:
+                write({"line": lineno, "error": outcome})
+            else:
+                stdout.write(f'{text[:-1]}, "line": {lineno}}}\n')  # one JSON line, in one call
+                counts[outcome] = counts.get(outcome, 0) + 1
+            if code >= EXIT_PARSE:
+                severity = max(severity, code)
     write({"summary": counts})
-    if worst == EXIT_DISAGREEMENT:
-        return EXIT_DISAGREEMENT
-    if parse_failed:
-        return EXIT_PARSE
-    return 0
+    return severity
 
 
 class _UsageError(Exception):
@@ -505,11 +495,13 @@ def _parser() -> argparse.ArgumentParser:
 def _escape_negative_coefficients(argv: list[str]) -> list[str]:
     """Insert "--" before the first token that reads as a negative number
     (or fraction), so forms with a negative leading coefficient parse
-    without the caller writing "--" by hand.  Flags must precede values."""
+    without the caller writing "--" by hand.  Flags must precede values;
+    the value of --precision is not a coefficient."""
     if "--" in argv:
         return argv
     for i, tok in enumerate(argv):
-        if len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == "."):
+        if (len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == ".")
+                and argv[i - 1:i] != ["--precision"]):
             return argv[:i] + ["--"] + argv[i:]
     return argv
 
@@ -519,36 +511,33 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parser().parse_args(_escape_negative_coefficients(argv))
+        if not 1 <= args.precision <= MAX_PRECISION:
+            raise _UsageError(f"--precision must be between 1 and {MAX_PRECISION}")
+        if args.batch is not None and args.coefficients:
+            raise _UsageError("--batch and positional coefficients are mutually exclusive")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if not 1 <= args.precision <= MAX_PRECISION:
-        print(f"error: --precision must be between 1 and {MAX_PRECISION}", file=sys.stderr)
-        return EXIT_PARSE
 
-    if args.batch is not None:
-        if args.coefficients:
-            print("error: --batch and positional coefficients are mutually exclusive",
-                  file=sys.stderr)
-            return EXIT_PARSE
-        return _run_batch(args, stdout)
-
-    if len(args.coefficients) != 5:
-        print(f"error: expected 5 coefficients, got {len(args.coefficients)}",
-              file=sys.stderr)
-        return EXIT_PARSE
     try:
-        ratios = _parse_coefficients(args.coefficients)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    text, code, _ = _run_one(ratios, args)
-    out = json.loads(text)
-    print(json.dumps(out, indent=2) if args.json else _render_text(out), file=stdout)
-    if code == EXIT_DISAGREEMENT:
-        print("internal cross-check disagreement; do not trust this build",
-              file=sys.stderr)
+        if args.batch is not None:
+            code = _run_batch(args, stdout)
+        else:
+            text, code, outcome = _run_form(args.coefficients, args)
+            if text is None:
+                print(f"error: {outcome}", file=sys.stderr)
+            else:
+                out = json.loads(text)
+                print(json.dumps(out, indent=2) if args.json else _render_text(out), file=stdout)
+                if code == EXIT_DISAGREEMENT:
+                    print("internal cross-check disagreement; do not trust this build",
+                          file=sys.stderr)
+        stdout.flush()
+    except BrokenPipeError:  # the reader closed standard output
+        if stdout is sys.stdout:
+            # keep the interpreter's exit flush of the closed pipe quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     return code
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from quartic_certify import (
     Definiteness,
-    GeneralQuartic,
     MonicQuartic,
     classical_is_pd,
     decide_monic,
@@ -16,6 +15,7 @@ from quartic_certify import (
 )
 from quartic_certify.classical import _monic_quantities, _pd_criterion, classical_quantities
 from quartic_certify.exactnum import ratio_text
+from quartic_certify.forms import GeneralQuartic
 
 F = Fraction
 

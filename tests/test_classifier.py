@@ -11,7 +11,6 @@ from quartic_certify import (
     PSD_CASES,
     Definiteness,
     MonicQuartic,
-    Orientation,
     PencilCubic,
     QuadExt,
     Sym3Matrix,
@@ -31,6 +30,7 @@ from quartic_certify import (
 from quartic_certify import _polyroots as pr
 from quartic_certify import classifier
 from quartic_certify.classifier import discriminant_case, witness_search
+from quartic_certify.forms import Orientation
 
 from conftest import configured_form, fraction_formula, random_monic, root_rational
 

@@ -19,7 +19,6 @@ from quartic_certify import (
     Definiteness,
     QuadExt,
     critical_param,
-    decide_problem,
     from_plain_coeffs,
     g_eval,
     pencil_coeffs,
@@ -29,6 +28,7 @@ from quartic_certify import (
 from quartic_certify.cli import MAX_PRECISION, Report, main
 from quartic_certify.classifier import discriminant_case
 from quartic_certify.exactnum import parse_rational
+from quartic_certify.positivity import decide_problem
 
 from conftest import configured_form, fraction_formula
 
@@ -113,6 +113,21 @@ class TestExitCodes:
 
     def test_wrong_arity(self, capsys):
         assert main(["1", "2", "3"]) == 64
+
+    def test_internal_error_exits_70(self, monkeypatch, capsys):
+        # a defect in a single form exits 70, as on a batch line, and not 1,
+        # the code of the semidefinite verdict this form has
+        import quartic_certify.cli as cli
+
+        def fails(problem):
+            raise ZeroDivisionError("planted defect")
+
+        monkeypatch.setattr(cli, "decide_problem", fails)
+        for flags in ([], ["--json"]):
+            assert run([*flags, "1", "4", "6", "4", "1"]) == (70, "")
+            err = capsys.readouterr().err
+            assert err.startswith("Traceback (most recent call last):\n")
+            assert err.endswith("\nerror: internal error: ZeroDivisionError: planted defect\n")
 
     @pytest.mark.parametrize("argv", [
         ["--frobnicate", "1", "0", "0", "1", "1"],
@@ -261,6 +276,13 @@ class TestJsonReport:
         for value in (MAX_PRECISION + 1, 0):
             assert run(["--precision", str(value), "1", "0", "0", "1", "1"]) == (64, "")
             assert f"between 1 and {MAX_PRECISION}" in capsys.readouterr().err
+
+    def test_negative_precision_names_the_bound(self, capsys):
+        # the value of --precision is not taken for a negative coefficient
+        for form in (["1", "0", "0", "1", "1"], ["-1", "0", "0", "-1", "-1"]):
+            assert run(["--precision", "-3", *form]) == (64, "")
+            assert capsys.readouterr().err == (
+                f"error: --precision must be between 1 and {MAX_PRECISION}\n")
 
     def test_no_case_flag(self):
         _, out = run_json(["--no-case", "1", "0", "0", "1", "1"])
@@ -662,6 +684,38 @@ class TestBatch:
         path = tmp_path / "forms.txt"
         path.write_text("1 0 0 1 1\n")
         assert main(["--batch", str(path), "1", "0", "0", "1", "1"]) == 64
+
+
+class TestClosedOutput:
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_single_form_exits_74(self, flags, capsys):
+        assert main([*flags, "1", "0", "0", "1", "1"], stdout=self.Closed()) == 74
+        assert capsys.readouterr().err == ""
+
+    def test_batch_exits_74(self, tmp_path, capsys):
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 1 1\n1 0 -5 0 4\n")
+        assert main(["--batch", str(path)], stdout=self.Closed()) == 74
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closes_the_real_stdout(self, tmp_path):
+        # more output than a pipe holds, read up to its first line: the
+        # write to the closed pipe exits 74, and the exit flush stays quiet
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 1 1\n" * 5000)
+        proc = subprocess.Popen([sys.executable, "-m", "quartic_certify.cli", "--batch", str(path)],
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert b'"verdict": "positive-definite"' in proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (74, b"")
 
 
 class TestFrontEnd:

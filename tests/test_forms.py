@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from quartic_certify import (
     MonicQuartic,
     NormalizedProblem,
-    Orientation,
     evaluate,
     from_plain_coeffs,
     to_weighted,
 )
-from quartic_certify.forms import clear_denominators, evaluate_ratio
+from quartic_certify.forms import Orientation, clear_denominators, evaluate_ratio
 
 from conftest import fraction_formula
 

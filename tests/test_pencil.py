@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic_certify import (
-    Orientation,
     MonicQuartic,
     PencilCubic,
     QuadExt,
@@ -15,7 +14,6 @@ from quartic_certify import (
     critical_param,
     cubic_root_profile,
     decide_monic,
-    decide_problem,
     discriminant_g,
     evaluate,
     from_plain_coeffs,
@@ -29,7 +27,9 @@ from quartic_certify import (
 )
 from quartic_certify import pencil
 from quartic_certify.exactnum import MismatchedRadicandError
+from quartic_certify.forms import Orientation
 from quartic_certify.pencil import lam0_test
+from quartic_certify.positivity import decide_problem
 
 from conftest import configured_form, quad_parts, random_fraction, random_monic
 

@@ -16,10 +16,8 @@ from quartic_certify import (
     Sym3Matrix,
     critical_param,
     decide_monic,
-    decide_problem,
     evaluate,
     NormalizedProblem,
-    Orientation,
     from_plain_coeffs,
     g_eval,
     pencil_coeffs,
@@ -31,7 +29,9 @@ from quartic_certify import (
 
 from quartic_certify import classifier
 from quartic_certify.classifier import discriminant_case
+from quartic_certify.forms import Orientation
 from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test
+from quartic_certify.positivity import decide_problem
 
 from conftest import (configured_form, fraction_formula, mixed_corpus, quad_parts,
                       random_fraction, random_monic)

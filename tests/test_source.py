@@ -46,7 +46,7 @@ def test_star_import_binds_the_public_names():
     exported = {name for name, value in vars(quartic_certify).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)
                 and name != "annotations"}
-    assert len(quartic_certify.__all__) == len(exported) == 40
+    assert len(quartic_certify.__all__) == len(exported) == 32
     assert set(quartic_certify.__all__) == exported
     namespace: dict = {}
     exec("from quartic_certify import *", namespace)
