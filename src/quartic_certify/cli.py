@@ -380,7 +380,8 @@ def _run_form(tokens: list[str], args, lineno: int | None = None) -> tuple[str |
             raise InputError(f"expected 5 coefficients, got {len(tokens)}")
         problem = from_ratios(*_parse_coefficients(tokens))
         verdict = decide_problem(problem)
-        report = Report(problem, verdict, args.precision, args.case, not args.no_crosscheck)
+        report = Report(problem, verdict, digits=args.precision, include_case=args.case,
+                        crosscheck=not args.no_crosscheck)
         return (*report.build(), verdict.classification.value)
     except InputError as exc:
         return None, EXIT_PARSE, str(exc)
@@ -496,12 +497,12 @@ def _escape_negative_coefficients(argv: list[str]) -> list[str]:
     """Insert "--" before the first token that reads as a negative number
     (or fraction), so forms with a negative leading coefficient parse
     without the caller writing "--" by hand.  Flags must precede values;
-    the value of --precision is not a coefficient."""
+    the value of --precision (or a prefix from "--p") is not a coefficient."""
     if "--" in argv:
         return argv
-    for i, tok in enumerate(argv):
+    for i, (prev, tok) in enumerate(zip([""] + argv, argv)):
         if (len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == ".")
-                and argv[i - 1:i] != ["--precision"]):
+                and not (prev.startswith("--p") and "=" not in prev)):
             return argv[:i] + ["--"] + argv[i:]
     return argv
 

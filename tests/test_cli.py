@@ -278,11 +278,13 @@ class TestJsonReport:
             assert f"between 1 and {MAX_PRECISION}" in capsys.readouterr().err
 
     def test_negative_precision_names_the_bound(self, capsys):
-        # the value of --precision is not taken for a negative coefficient
-        for form in (["1", "0", "0", "1", "1"], ["-1", "0", "0", "-1", "-1"]):
-            assert run(["--precision", "-3", *form]) == (64, "")
-            assert capsys.readouterr().err == (
-                f"error: --precision must be between 1 and {MAX_PRECISION}\n")
+        # the value of --precision, or of an abbreviation of it, is not
+        # taken for a negative coefficient
+        for flag in ("--precision", "--prec", "--p"):
+            for form in (["1", "0", "0", "1", "1"], ["-1", "0", "0", "-1", "-1"]):
+                assert run([flag, "-3", *form]) == (64, "")
+                assert capsys.readouterr().err == (
+                    f"error: --precision must be between 1 and {MAX_PRECISION}\n")
 
     def test_no_case_flag(self):
         _, out = run_json(["--no-case", "1", "0", "0", "1", "1"])
