@@ -68,9 +68,9 @@ from .forms import MonicQuartic, quartic_horner
 from .pencil import (  # noqa: F401
     PencilCubic,
     Sym3Matrix,
-    _lam0_signs,
     critical_param,
     g_eval,
+    lam0_test,
     pencil_coeffs,
 )
 
@@ -369,13 +369,9 @@ def quartic_root_nature(m: MonicQuartic) -> QuarticRootNature:
 
 
 def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
-    """Check the (lam0, g(lam0)) facts implied by the classified case,
-    against the two integer sign tests of `pencil.lam0_test` (the signs
-    only: lam0 and g(lam0) are not built)."""
-    e4, _, disc, a, rn, _ = m.invariants
-    if disc < 0:  # lam0 is not real
-        return _case_facts_hold(case_id, None, None)
-    return _case_facts_hold(case_id, *_lam0_signs(e4, disc, a, rn))
+    """Check the (lam0, g(lam0)) facts implied by the classified case
+    against the two signs of `pencil.lam0_test`."""
+    return _case_facts_hold(case_id, *lam0_test(m))
 
 
 def _case_facts_hold(case_id: int, slack: int | None, value: int | None) -> bool:
@@ -615,11 +611,11 @@ def _sturm_witness(m: MonicQuartic) -> Fraction:
     read first: a form that is not indefinite raises ValueError.
     """
     from . import _polyroots as pr
-    e4, _, disc, a, rn, _ = m.invariants
-    if disc >= 0 and min(_lam0_signs(e4, disc, a, rn)) >= 0:
+    signs = lam0_test(m)
+    if signs.slack is not None and min(signs) >= 0:
         raise ValueError("form takes no negative value: not indefinite")
     record = m.cleared
-    _, e3, e2, e1, _ = record
+    e4, e3, e2, e1, _ = record
     slope = (0, 4 * e4, 3 * e3, 2 * e2, e1)  # e4 p'(t) as a quartic record
 
     def sign(k: tuple[int, ...], t: Fraction) -> int:  # the sign of record k at (t, 1)

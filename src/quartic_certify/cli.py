@@ -286,8 +286,7 @@ class Report:
                 agreement["sylvester"] = cls is Definiteness.INDEFINITE
 
             if case_id is not None:
-                kernel = self.verdict.kernel
-                agreement["case_facts"] = _case_facts_hold(case_id, kernel.slack, kernel.value)
+                agreement["case_facts"] = _case_facts_hold(case_id, *self.verdict.kernel)
 
         oracle_case = discriminant_case(problem.form)
         agreement["oracle"] = (
@@ -401,7 +400,7 @@ def _stdin_lines():
     if buffer is None:  # a text stream with no bytes beneath it
         yield sys.stdin
         return
-    lines = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+    lines = io.TextIOWrapper(buffer, encoding="utf-8-sig", errors="surrogateescape")
     try:
         yield lines
     finally:
@@ -425,9 +424,9 @@ def _run_batch(args, stdout) -> int:
     severity = 0  # the highest of 64 (rejected input) and 70 (a defect) seen
     try:
         # UTF-8, with a byte that is not UTF-8 kept as a lone surrogate, so
-        # that only its own line fails
+        # that only its own line fails, and a leading byte-order mark dropped
         handle = (_stdin_lines() if args.batch == "-"
-                  else open(args.batch, encoding="utf-8", errors="surrogateescape"))
+                  else open(args.batch, encoding="utf-8-sig", errors="surrogateescape"))
     except OSError as exc:
         print(f"error: cannot read {args.batch}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -537,7 +536,9 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
     except BrokenPipeError:  # the reader closed standard output
         if stdout is sys.stdout:
             # keep the interpreter's exit flush of the closed pipe quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_IOERR
     return code
 

@@ -19,14 +19,14 @@ definiteness question (see the positivity module).
 `lam0_test` is the decision kernel: it reads the form's integer pencil
 invariants (`MonicQuartic.invariants`, computed once per form) and settles
 the two sign tests on lam0 with two signs of the shape a + b sqrt(D), each
-taken by `exactnum.surd_sign`; `classifier.classify_case` reads the
+taken by `exactnum.surd_sign`; its record is those two signs, and it is
+the one place they are taken.  `classifier.classify_case` reads the
 nine-case classification off the same integers.  The closed forms of
 lam0, g(lam0) and M(lam0) over Z[sqrt(D)] have one home, `lam0_surds`,
 taken once per form and kept on it, with one converter to Q(sqrt(d)),
-`surd_parts`: the kernel record's views lam0 and g(lam0),
-`lam0_minor_signs` and the command line's report read that tuple, and
-`lam0_matrix` builds a certificate from six of its entries, or from six
-entries of the same shape of a form with e4 = 0
+`surd_parts`: `lam0_minor_signs` and the command line's report read that
+tuple, and `lam0_matrix` builds a certificate from six of its entries, or
+from six entries of the same shape of a form with e4 = 0
 (`positivity.degenerate_entries`).  The Q(sqrt(d)) route
 (`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
 field arithmetic; it serves the tests, the demos and M(lam) at any other
@@ -38,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactnum import QuadExt, as_fraction, clear_surds, sign_of, surd_sign
-from .forms import MonicQuartic, _View
+from .forms import MonicQuartic
 
 __all__ = [
     "PencilCubic",
@@ -289,40 +290,17 @@ def surd_parts(m: MonicQuartic, a: int, b: int,
     return (a, den), (2 * b * e4, den), d
 
 
-def _lam0_view(test: Lam0Test) -> CriticalParam:
-    m = test._form
-    lam0 = lam0_surds(m)[0]
-    return CriticalParam(Fraction(*surd_parts(m, *lam0)[2]), _in_field(m, *lam0))
+class Lam0Test(NamedTuple):
+    """The two sign tests on lam0: `slack` is the sign of lam0 - a3^2/4 and
+    `value` that of g(lam0), both None when lam0 is not real (d < 0)."""
 
-
-def _in_field(m: MonicQuartic, a: int, b: int, den: int) -> QuadExt | None:
-    """(a + b sqrt(D)) / den of m over its radicand d, None when D < 0."""
-    p, q, d = surd_parts(m, a, b, den)
-    return None if d[0] < 0 else QuadExt._normalised(Fraction(*p), Fraction(*q), Fraction(*d))
-
-
-def _g_lam0_view(test: Lam0Test) -> QuadExt | None:
-    return _in_field(test._form, *lam0_surds(test._form)[1])
-
-
-@dataclass(frozen=True)
-class Lam0Test:
-    """The two sign tests on lam0 and the exact values they read.
-
-    `slack` is the sign of lam0 - a3^2/4 and `value` that of g(lam0); with
-    `g_lam0` they are None when lam0 is not real (d < 0).  A record of
-    `lam0_test` holds the signs and the form, and builds `lam0` and
-    `g_lam0` on first read from the form's `lam0_surds`.
-    """
-
-    lam0: CriticalParam = _View(_lam0_view)
-    g_lam0: QuadExt | None = _View(_g_lam0_view, None)
-    slack: int | None = None
-    value: int | None = None
+    slack: int | None
+    value: int | None
 
 
 def lam0_test(m: MonicQuartic) -> Lam0Test:
-    """The sign tests of lam0 - a3^2/4 and g(lam0) in integer arithmetic.
+    """The sign tests of lam0 - a3^2/4 and g(lam0) in integer arithmetic,
+    the one place they are taken.
 
     With e4 the lcm of the denominators of m and ei = e4 ai integers,
 
@@ -335,20 +313,21 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     N0 = -e1^2 e4 + e1 e2 e3 - e0 e3^2 (so b1 = N1 / (4 e4^2) and
     b0 = N0 / (4 e4^3)).  Since e4 > 0 both signs are signs of integers
     a + b sqrt(D).  These integers (e4, e2, D, A = 8 e2 e4 - 3 e3^2, Rn)
-    are the form's `invariants`, computed once per form.  The record's
-    lam0 and g(lam0), built from `lam0_surds` on first read, equal
-    `critical_param` and `g_eval` part for part.
+    are the form's `invariants`, computed once per form.  The exact lam0
+    and g(lam0) are not built: `lam0_surds` holds them in integers, and
+    `critical_param` and `g_eval` build them in Q(sqrt(d)).
     """
     e4, _, disc, a, rn, _ = m.invariants
-    slack, value = _lam0_signs(e4, disc, a, rn) if disc >= 0 else (None, None)
-    test = object.__new__(Lam0Test)
-    test.__dict__.update(slack=slack, value=value, _form=m)
-    return test
+    if disc < 0:
+        return Lam0Test(None, None)
+    return Lam0Test(surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc))
 
 
-def _lam0_signs(e4: int, disc: int, a: int, rn: int) -> tuple[int, int]:
-    """(sign of lam0 - a3^2/4, sign of g(lam0)) from the invariants, D >= 0."""
-    return surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc)
+def _in_field(m: MonicQuartic, a: int, b: int, den: int) -> QuadExt:
+    """(a + b sqrt(D)) / den of m over its radicand d; D >= 0, as for
+    every form with a certificate."""
+    p, q, d = surd_parts(m, a, b, den)
+    return QuadExt._normalised(Fraction(*p), Fraction(*q), Fraction(*d))
 
 
 def lam0_matrix(entries: tuple[Surd, ...], m: MonicQuartic | None = None) -> Sym3Matrix:

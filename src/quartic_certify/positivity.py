@@ -8,13 +8,13 @@ The decision for a monic form is two exact sign tests on lam0:
 with a non-real lam0 (d < 0) immediately indefinite.  `pencil.lam0_test`
 settles both with two signs of a + b sqrt(D), each taken by
 `exactnum.surd_sign`, from the form's integer pencil invariants, and the
-verdict carries that kernel record (the two signs, with lam0 and g(lam0)
-as views) for the report.  The integers and the two signs are all the
-decision computes: the verdict's exact values are views of them, built on
-first read.  Whenever the verdict is PSD or PD the matrix M(lam0) is its
-certificate, built by `pencil.lam0_matrix` from the entries of
-`pencil.lam0_surds`, the one home of the closed forms of lam0, g(lam0)
-and M(lam0), taken once per form and kept on it.  It is positive
+verdict carries that kernel record, the two signs, for the report.  The
+integers and the two signs are all the decision computes: the verdict's
+certificate and witnesses are views, built on first read.  Whenever the
+verdict is PSD or PD the matrix M(lam0) is its certificate, built by
+`pencil.lam0_matrix` from the entries of `pencil.lam0_surds`, the one
+home of the closed forms of lam0, g(lam0) and M(lam0), taken once per
+form and kept on it.  It is positive
 (semi)definite exactly when the form is, and it reproduces the form
 through the Veronese representation, so a verifier needs nothing but
 Sylvester's criterion and a matrix-vector product.  Otherwise the verdict's
@@ -124,8 +124,9 @@ class Verdict:
     exactly positive and exactly negative.  A form with e4 = 0 has no side:
     its certificate is the Gram matrix of f, or of -f, its witnesses of f.
 
-    `kernel` is the record of `pencil.lam0_test` that made the decision:
-    lam0, g(lam0) and the two signs, for reports and cross-checks to reuse.
+    `kernel` is the record of `pencil.lam0_test` that made the decision,
+    its two signs, for reports and cross-checks to reuse; the exact lam0
+    and g(lam0) are the form's `pencil.lam0_surds`.
     A form with e4 = 0 leaves it None: the kernel decides f(y, x) then, and
     its record describes that form, not f.  A verdict of `decide_problem`
     builds its certificate, or its witnesses, on first read.
@@ -170,8 +171,9 @@ def _decide(m: MonicQuartic) -> tuple[Definiteness, Lam0Test]:
     """The class of a positive-side monic form m, from the kernel's two
     signs alone, and the kernel record that decided it."""
     kernel = lam0_test(m)
-    if m.invariants[2] >= 0 and kernel.slack >= 0 and kernel.value >= 0:
-        if kernel.slack > 0 and kernel.value > 0:
+    slack, value = kernel
+    if slack is not None and slack >= 0 and value >= 0:
+        if slack > 0 and value > 0:
             return Definiteness.POSITIVE_DEFINITE, kernel
         return Definiteness.POSITIVE_SEMIDEFINITE, kernel
     return Definiteness.INDEFINITE, kernel

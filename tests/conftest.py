@@ -13,12 +13,20 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from quartic_certify import MonicQuartic
+from quartic_certify import MonicQuartic, QuadExt
+from quartic_certify.pencil import surd_parts
 
 
 def quad_parts(value):
     """The parts of a QuadExt with their types, for exact identity checks."""
     return type(value.p), type(value.q), type(value.d), value.p, value.q, value.d
+
+
+def surd_value(m, surd):
+    """A value (a, b, den) of `lam0_surds(m)` as a QuadExt over the radicand
+    d of m, from its `surd_parts`; m must have d >= 0."""
+    p, q, d = surd_parts(m, *surd)
+    return QuadExt(Fraction(*p), Fraction(*q), Fraction(*d))
 
 
 def fraction_formula(e4, e3, e2, e1, e0, x, y):

@@ -198,7 +198,7 @@ class TestDiscriminantCase:
             object.__setattr__(bare, "invariants", None)
             return bare
 
-        for name in ("_lam0_signs", "surd_sign", "pencil_coeffs",
+        for name in ("lam0_test", "surd_sign", "pencil_coeffs",
                      "critical_param", "g_eval", "classify_case"):
             monkeypatch.setattr(classifier, name, forbidden)
         for name in ("make_poly", "poly_gcd", "sturm_chain"):

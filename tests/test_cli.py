@@ -448,6 +448,34 @@ class TestBatch:
         self._check_not_utf8(*run(["--batch", "-"]))
         assert not stdin.closed  # the batch leaves stdin open
 
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("forms", [b"1 0 0 1 1\n1 0 -5 0 4\n", GOLDEN_FORMS.read_bytes()],
+                             ids=["form-first", "golden"])
+    def test_leading_byte_order_mark_is_dropped(self, forms, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(forms)
+        marked.write_bytes(self.BOM + forms)
+        assert run(["--batch", str(marked)]) == run(["--batch", str(plain)])
+
+    def test_stdin_leading_byte_order_mark_is_dropped(self, monkeypatch):
+        forms = b"1 0 0 1 1\n1 0 -5 0 4\n"
+        outputs = []
+        for data in (forms, self.BOM + forms):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            outputs.append(run(["--batch", "-"]))
+        assert outputs[1] == outputs[0] and outputs[0][0] == 0
+
+    def test_byte_order_mark_after_the_first_line_is_an_error(self, tmp_path):
+        path = tmp_path / "forms.txt"
+        path.write_bytes(b"1 0 0 1 1\n" + self.BOM + b"1 0 0 1 1\n")
+        code, text = run(["--batch", str(path)])
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert code == 64 and rows[0]["verdict"] == "positive-definite"
+        assert rows[1] == {"line": 2, "error": "coefficient #1 (e4): not a rational number: "
+                                               r"'\ufeff1'"}
+        assert rows[2] == {"summary": {"positive-definite": 1}}
+
     def test_golden_file(self):
         code, text = run(["--batch", str(GOLDEN_FORMS)])
         assert code == 0
@@ -704,6 +732,22 @@ class TestClosedOutput:
         assert main(["--batch", str(path)], stdout=self.Closed()) == 74
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="open descriptors are listed in /proc/self/fd")
+    def test_closed_real_stdout_leaves_no_descriptor_open(self, monkeypatch):
+        # a standard output that is a pipe whose read end is closed: main
+        # points it at os.devnull and closes the descriptor it opened for that
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            before = sorted(os.listdir("/proc/self/fd"))
+            assert main(["1", "0", "0", "1", "1"]) == 74
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        finally:
+            stdout.close()
+
     def test_reader_closes_the_real_stdout(self, tmp_path):
         # more output than a pipe holds, read up to its first line: the
         # write to the closed pipe exits 74, and the exit flush stays quiet
@@ -818,16 +862,17 @@ class TestFrontEnd:
         # of lam0 are taken once per monic line, by the decision
         import quartic_certify.classifier as classifier
         import quartic_certify.pencil as pencil
+        import quartic_certify.positivity as positivity
 
         calls = []
-        real = pencil._lam0_signs
+        real = pencil.lam0_test
 
-        def counting(*invariants):
-            calls.append(invariants)
-            return real(*invariants)
+        def counting(m):
+            calls.append(m)
+            return real(m)
 
-        monkeypatch.setattr(pencil, "_lam0_signs", counting)
-        monkeypatch.setattr(classifier, "_lam0_signs", counting)
+        monkeypatch.setattr(positivity, "lam0_test", counting)
+        monkeypatch.setattr(classifier, "lam0_test", counting)
         path = tmp_path / "form.txt"
         taken = 0
         for line in GOLDEN_FORMS.read_text(encoding="utf-8").splitlines():

@@ -28,10 +28,11 @@ from quartic_certify import (
 from quartic_certify import pencil
 from quartic_certify.exactnum import MismatchedRadicandError
 from quartic_certify.forms import Orientation
-from quartic_certify.pencil import lam0_test
+from quartic_certify.pencil import (
+    CriticalParam, Lam0Test, lam0_matrix, lam0_surds, lam0_test, surd_parts)
 from quartic_certify.positivity import decide_problem
 
-from conftest import configured_form, quad_parts, random_fraction, random_monic
+from conftest import configured_form, quad_parts, random_fraction, random_monic, surd_value
 
 F = Fraction
 
@@ -171,31 +172,39 @@ class TestIdentities:
 
 
 def assert_kernel_matches_field_route(m: MonicQuartic):
-    """lam0_test against the Q(sqrt(d)) route: equal values with identical
-    parts, and the same two signs."""
+    """lam0_test's signs and lam0_surds' lam0 and g(lam0) against the
+    Q(sqrt(d)) route: equal values with identical parts, and the same two
+    signs.  Returns the signs, lam0 of the integer route, as a
+    CriticalParam, and its g(lam0), None when lam0 is not real."""
     test = lam0_test(m)
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
-    assert test.lam0.radicand == lam0.radicand
+    lam0_surd, g_surd, _ = lam0_surds(m)
+    radicand = F(*surd_parts(m, *lam0_surd)[2])
+    assert radicand == lam0.radicand
     if not lam0.is_real:
-        assert (test.lam0.value, test.g_lam0, test.slack, test.value) == (None,) * 4
-        return test
+        assert (test.slack, test.value) == (None, None)
+        return test, CriticalParam(radicand, None), None
+    ours, g_ours = surd_value(m, lam0_surd), surd_value(m, g_surd)
     g_lam0 = g_eval(cubic, lam0.value)
-    assert test.lam0.value == lam0.value and quad_parts(test.lam0.value) == quad_parts(lam0.value)
-    assert test.g_lam0 == g_lam0 and quad_parts(test.g_lam0) == quad_parts(g_lam0)
+    assert ours == lam0.value and quad_parts(ours) == quad_parts(lam0.value)
+    assert g_ours == g_lam0 and quad_parts(g_ours) == quad_parts(g_lam0)
+    assert quad_parts(lam0_matrix(lam0_surds(m)[2], m).m22) == quad_parts(lam0.value)
     assert test.slack == sign_of(lam0.value - m.a3**2 / 4)
     assert test.value == sign_of(g_lam0)
-    return test
+    return test, CriticalParam(radicand, ours), g_ours
 
 
 def assert_verdict_records_kernel(m: MonicQuartic, verdict):
+    """The verdict's kernel is lam0_test's record, and the lam0 and g(lam0)
+    kept on m are those of a fresh copy of m."""
     test = lam0_test(m)
-    assert verdict.kernel == test
-    if test.lam0.is_real:
-        assert quad_parts(verdict.kernel.lam0.value) == quad_parts(test.lam0.value)
-        assert quad_parts(verdict.kernel.g_lam0) == quad_parts(test.g_lam0)
-    else:
-        assert verdict.kernel.g_lam0 is None
+    assert verdict.kernel == test and type(verdict.kernel) is Lam0Test
+    fresh = MonicQuartic(m.a3, m.a2, m.a1, m.a0)
+    for ours, theirs in zip(lam0_surds(m)[:2], lam0_surds(fresh)[:2]):
+        assert ours == theirs
+        if test.slack is not None:
+            assert quad_parts(surd_value(m, ours)) == quad_parts(surd_value(fresh, theirs))
 
 
 _big = st.integers(-10**30, 10**30)
@@ -210,11 +219,11 @@ class TestLam0Kernel:
     def test_small_corpus(self, small_corpus):
         seen = {"non-real": 0, "irrational": 0, "rational": 0}
         for m in small_corpus:
-            test = assert_kernel_matches_field_route(m)
+            _, lam0, _ = assert_kernel_matches_field_route(m)
             assert_verdict_records_kernel(m, decide_monic(m))
-            if not test.lam0.is_real:
+            if not lam0.is_real:
                 seen["non-real"] += 1
-            elif test.lam0.value.is_rational:
+            elif lam0.value.is_rational:
                 seen["rational"] += 1
             else:
                 seen["irrational"] += 1
@@ -235,31 +244,31 @@ class TestLam0Kernel:
     def test_negative_radicand(self, a3, a2, a1, excess):
         # d = (12 a0 - 3 a1 a3 + a2^2) / 4 < 0
         a0 = (3 * a1 * a3 - a2 * a2) / 12 - excess
-        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
-        assert test.lam0.radicand < 0
+        _, lam0, _ = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert lam0.radicand < 0
 
     @given(_fraction, _fraction, _fraction)
     @settings(max_examples=100, deadline=None)
     def test_zero_radicand(self, a3, a2, a1):
         a0 = (3 * a1 * a3 - a2 * a2) / 12
-        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
-        assert test.lam0.radicand == 0 and test.lam0.value.is_rational
+        _, lam0, _ = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert lam0.radicand == 0 and lam0.value.is_rational
 
     @given(_fraction, _fraction)
     @settings(max_examples=100, deadline=None)
     def test_psd_squares_have_rational_lam0(self, b, c):
         # (x^2 + b xy + c y^2)^2: d = (b^2 - 4c)^2 / 4 is a square
         m = MonicQuartic(2 * b, b * b + 2 * c, 2 * b * c, c * c)
-        test = assert_kernel_matches_field_route(m)
-        assert test.lam0.value.is_rational and test.g_lam0.is_rational
+        test, lam0, g_lam0 = assert_kernel_matches_field_route(m)
+        assert lam0.value.is_rational and g_lam0.is_rational
         assert test.slack >= 0 and test.value >= 0
 
     @given(_fraction, _fraction, _fraction, _fraction)
     @settings(max_examples=100, deadline=None)
     def test_square_radicand(self, a3, a2, a1, s):
         a0 = (4 * s * s + 3 * a1 * a3 - a2 * a2) / 12  # d = s^2
-        test = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
-        assert test.lam0.value.is_rational
+        _, lam0, _ = assert_kernel_matches_field_route(MonicQuartic(a3, a2, a1, a0))
+        assert lam0.value.is_rational
 
     @given(st.builds(F, st.integers(-10**6, -1), _den), _fraction, _fraction, _fraction, _fraction)
     @settings(max_examples=100, deadline=None)
@@ -296,14 +305,14 @@ class TestPrincipalMinorSigns:
     def test_small_corpus(self, small_corpus):
         seen = {"irrational": 0, "rational": 0, "zero": 0}
         for m in small_corpus:
-            test = lam0_test(m)
-            if not test.lam0.is_real:
+            if lam0_test(m).slack is None:  # lam0 is not real
                 continue
+            lam0 = lam0_matrix(lam0_surds(m)[2], m).m22
             certificate = decide_monic(m).certificate
             if certificate is not None:
                 assert_signs_match_field_minors(certificate)
-            signs = assert_signs_match_field_minors(pencil_matrix(m, test.lam0.value))
-            seen["rational" if test.lam0.value.is_rational else "irrational"] += 1
+            signs = assert_signs_match_field_minors(pencil_matrix(m, lam0))
+            seen["rational" if lam0.is_rational else "irrational"] += 1
             seen["zero"] += 0 in signs
         assert min(seen.values()) >= 20, seen
 
@@ -322,9 +331,9 @@ class TestPrincipalMinorSigns:
     def test_chosen_root_forms(self, case_id, data):
         # numerators up to 10^30 over denominators up to 10^12
         m = data.draw(configured_form(case_id))
-        lam0 = lam0_test(m).lam0
-        if lam0.is_real:
-            assert_signs_match_field_minors(pencil_matrix(m, lam0.value))
+        if lam0_test(m).slack is not None:
+            lam0 = surd_value(m, lam0_surds(m)[0])
+            assert_signs_match_field_minors(pencil_matrix(m, lam0))
 
     @given(_fraction, _fraction, _fraction, _fraction)
     @settings(max_examples=100, deadline=None)

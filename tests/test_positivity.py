@@ -30,11 +30,12 @@ from quartic_certify import (
 from quartic_certify import classifier
 from quartic_certify.classifier import discriminant_case
 from quartic_certify.forms import Orientation
-from quartic_certify.pencil import lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test
+from quartic_certify.pencil import (
+    lam0_matrix, lam0_minor_signs, lam0_surds, lam0_test, surd_parts)
 from quartic_certify.positivity import decide_problem
 
 from conftest import (configured_form, fraction_formula, mixed_corpus, quad_parts,
-                      random_fraction, random_monic)
+                      random_fraction, random_monic, surd_value)
 
 F = Fraction
 D = Definiteness
@@ -351,15 +352,13 @@ def _entries(mat):
 
 class TestIntegerCertificate:
     """M(lam0) and its principal minor signs from the form's integers, against
-    `pencil_matrix` and `principal_minor_signs` at the kernel's lam0."""
+    `pencil_matrix` and `principal_minor_signs` at the lam0 of `lam0_surds`."""
 
     def check(self, m) -> bool:
         """Whether m has a real lam0 and an indefinite verdict."""
-        kernel = lam0_test(m)
-        lam0 = kernel.lam0
-        if not lam0.is_real:
+        if lam0_test(m).slack is None:  # lam0 is not real
             return False
-        reference = pencil_matrix(m, lam0.value)
+        reference = pencil_matrix(m, surd_value(m, lam0_surds(m)[0]))
         built = lam0_matrix(lam0_surds(m)[2], m)
         for ours, theirs in zip(_entries(built), _entries(reference)):
             assert type(ours) is type(theirs)
@@ -413,8 +412,9 @@ def test_inconsistent_problem_raises():
 
 class TestViewsOnFirstRead:
     """`decide_problem` computes the integer records and the two kernel signs
-    only; a3..a0, lam0, g(lam0), the certificate and the witnesses are built
-    when first read, equal in value and type to the eager references."""
+    only; a3..a0, the certificate and the witnesses are built when first
+    read, and lam0 and g(lam0) from `lam0_surds`, equal in value and type to
+    the eager references."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -453,14 +453,15 @@ class TestViewsOnFirstRead:
         # the views are still there to read, and building them is counted
         m = problem.form
         kernel = verdict.kernel
-        assert kernel == lam0_test(m) and kernel.lam0.is_real
+        assert kernel == lam0_test(m) and kernel.slack is not None
         if cls is D.INDEFINITE:
             assert verdict.certificate is None
             pos, neg = verdict.witnesses
             assert evaluate(m, *pos) > 0 > evaluate(m, *neg)
         else:
             assert verdict.witnesses is None
-            assert _entries(verdict.certificate) == _entries(pencil_matrix(m, kernel.lam0.value))
+            lam0 = lam0_matrix(lam0_surds(m)[2], m).m22
+            assert _entries(verdict.certificate) == _entries(pencil_matrix(m, lam0))
         assert built
 
     @given(st.tuples(*[st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))] * 5))
@@ -514,13 +515,14 @@ def assert_views_equal_the_eager_references(problem):
     # lam0 and g(lam0)
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
-    kernel = verdict.kernel
-    assert type(kernel.lam0.radicand) is Fraction and kernel.lam0.radicand == lam0.radicand
+    lam0_surd, g_surd, _ = lam0_surds(m)
+    radicand = Fraction(*surd_parts(m, *lam0_surd)[2])
+    assert radicand == lam0.radicand
     if not lam0.is_real:
-        assert kernel.lam0.value is None and kernel.g_lam0 is None
+        assert verdict.kernel == (None, None)
     else:
-        assert quad_parts(kernel.lam0.value) == quad_parts(lam0.value)
-        assert quad_parts(kernel.g_lam0) == quad_parts(g_eval(cubic, lam0.value))
+        assert quad_parts(surd_value(m, lam0_surd)) == quad_parts(lam0.value)
+        assert quad_parts(surd_value(m, g_surd)) == quad_parts(g_eval(cubic, lam0.value))
     # the certificate, or the witnesses
     if verdict.classification is D.INDEFINITE:
         assert verdict.certificate is None
