@@ -127,6 +127,10 @@ class IntersectionCase:
     description: str
 
 
+# the nine values `classify_case` returns, built once
+_CASES = {case_id: IntersectionCase(case_id, text) for case_id, text in CASE_DESCRIPTIONS.items()}
+
+
 @dataclass(frozen=True)
 class CubicRootProfile:
     """Exact root structure of g over Q.
@@ -228,13 +232,13 @@ _CASE_BY_SIGN = {
 
 def classify_case(m: MonicQuartic) -> IntersectionCase:
     """The intersection case, read off the integer invariants of m by the
-    table in the module docstring: at most one surd sign per form.
-    `quartic_root_nature` checks it independently, from the roots of the
-    quartic itself."""
+    table in the module docstring: at most one surd sign per form, and one
+    of the nine values built at import.  `quartic_root_nature` checks it
+    independently, from the roots of the quartic itself."""
     e4, _, disc, a, rn, _ = m.invariants
     gap = 4 * disc**3 - rn * rn  # the sign of disc(g); rn = 0 when disc < 0
     if gap < 0:  # one real root and a conjugate pair
-        return IntersectionCase(3, CASE_DESCRIPTIONS[3])
+        return _CASES[3]
     if disc == 0:  # then rn = 0: a triple root at 2 e2 / (3 e4)
         row, sign = "triple", rational_sign(a)
     elif gap > 0:  # the middle root lies below lam0, the largest above it
@@ -246,7 +250,7 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
     case_id = _CASE_BY_SIGN[row].get(sign)
     if case_id is None:
         raise InconsistentCaseError(f"{row} of g with sign(root - tau) = {sign}")
-    return IntersectionCase(case_id, CASE_DESCRIPTIONS[case_id])
+    return _CASES[case_id]
 
 
 def discriminant_case(m: MonicQuartic) -> int:
@@ -377,21 +381,24 @@ def table3_facts_hold(m: MonicQuartic, case_id: int) -> bool:
 def _case_facts_hold(case_id: int, slack: int | None, value: int | None) -> bool:
     """`table3_facts_hold` from the two kernel signs, as `Lam0Test` holds
     them: sign(lam0 - a3^2/4) and sign(g(lam0)), both None when lam0 is
-    not real."""
+    not real.  Only the row of case_id is evaluated."""
     if slack is None:
         return case_id == 3
-    facts = {
-        1: slack < 0 and value > 0,
-        2: slack > 0 and value > 0,
-        3: slack < 0 or (slack >= 0 and value < 0),
-        4: slack < 0 and value >= 0,
-        5: slack > 0 and value == 0,
-        6: slack == 0 and value == 0,
-        7: slack > 0 and value > 0,
-        8: slack < 0 and value == 0,
-        9: slack == 0 and value == 0,
-    }
-    return facts[case_id]
+    return _CASE_FACTS[case_id](slack, value)
+
+
+# the facts of each case on the signs of lam0 - a3^2/4 and g(lam0), lam0 real
+_CASE_FACTS = {
+    1: lambda slack, value: slack < 0 and value > 0,
+    2: lambda slack, value: slack > 0 and value > 0,
+    3: lambda slack, value: slack < 0 or value < 0,
+    4: lambda slack, value: slack < 0 and value >= 0,
+    5: lambda slack, value: slack > 0 and value == 0,
+    6: lambda slack, value: slack == 0 and value == 0,
+    7: lambda slack, value: slack > 0 and value > 0,
+    8: lambda slack, value: slack < 0 and value == 0,
+    9: lambda slack, value: slack == 0 and value == 0,
+}
 
 
 def degenerate_conic_type(mat: Sym3Matrix) -> str:

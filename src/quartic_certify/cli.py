@@ -15,7 +15,8 @@ code), and exits with
         a --precision outside 1..10000
     70  an internal cross-check disagreed, or a form raised an internal
         error (never expected in a release)
-    74  standard output was closed before the output was written
+    74  standard output could not be written: closed by its reader (silent),
+        or failing, as a full device does ("error: cannot write output: ...")
 
 Exact values come first in the JSON report; a decimal field is the exact
 value rounded half-even once to --precision significant digits (no guard
@@ -31,25 +32,27 @@ describe f(y, x), are null.
 A form goes from its tokens to its report as integers: each token is
 parsed to a reduced ratio (num, den) by `exactnum.parse_ratio`, the five
 are cleared once into the problem's `input_record` (`forms.from_ratios`),
-the report prints `input` from that record and each witness value by
-integer Horner (`forms.evaluate_ratio`), both with `exactnum.ratio_text`.
-A line of integer or p/q tokens builds no `Fraction`, save the witness
-coordinates that an indefinite one prints.
+which keeps them as its `input_ratios`.  The report prints `input` from
+those ratios, with no gcd, and each witness value by integer Horner on the
+record (`forms.evaluate_ratio`) with `exactnum.ratio_text`.  A line of
+integer or p/q tokens builds no `Fraction`, save the witness coordinates
+that an indefinite one prints.
 
 The report has one layout, the JSON text that `Report.build` writes from
 the integers, as `json.dumps` would spell it: each distinct value is
-spelled once and joined in place, and only the case description is
-escaped, as every other string of the report is digits, letters, "/",
-"+", "-" or ".".  A `--batch` line is that text with its "line" number
-added, written with one `write` call (an error line too); `--json` prints
-the text re-read and indented, and the text output is rendered from it
-re-read.  The generic encoder writes only the error lines and the summary.
+spelled once and joined in place, and only the nine case texts are
+escaped, once, at import (`_CASE_TEXT`), as every other string of the
+report is digits, letters, "/", "+", "-" or ".".  A `--batch` line is that
+text with its "line" number added, written with one `write` call (an
+error line too); `--json` prints the text re-read and indented, and the
+text output is rendered from it re-read.  The generic encoder writes only the error lines and the summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -67,6 +70,7 @@ from .classical import (  # noqa: F401
     classical_quantities,
 )
 from .classifier import (  # noqa: F401
+    CASE_DESCRIPTIONS,
     PD_CASES,
     PSD_CASES,
     _case_facts_hold,
@@ -156,6 +160,10 @@ def _surd_text(form, surd, d_text: str, digits: int, q_text: str | None = None) 
 
 _JSON_FLAG = {None: "null", True: "true", False: "false"}
 
+# the JSON text of each of the nine cases, its description escaped once
+_CASE_TEXT = {case_id: f'{{"id": {case_id}, "description": {encode_basestring_ascii(text)}}}'
+              for case_id, text in CASE_DESCRIPTIONS.items()}
+
 
 @dataclass
 class Report:
@@ -187,10 +195,8 @@ class Report:
                 lam0 = _surd_text(form, lam0_surd, d_text, self.digits, "2/3")
                 g_lam0 = _surd_text(form, g_surd, d_text, self.digits)
             if self.include_case:
-                found = classify_case(form)
-                case_id = found.case_id
-                case = (f'{{"id": {case_id}, '
-                        f'"description": {encode_basestring_ascii(found.description)}}}')
+                case_id = classify_case(form).case_id
+                case = _CASE_TEXT[case_id]
 
         # every verdict but an indefinite one carries a certificate; asking
         # the verdict for it would build the matrix of a monic form
@@ -222,8 +228,8 @@ class Report:
 
         orientation = self.problem.orientation
         orientation = f'"{orientation.value}"' if orientation else "null"
-        big, *cleared = self.problem.input_record
-        inputs = '", "'.join(ratio_text(k, big) for k in cleared)
+        inputs = '", "'.join([str(num) if den == 1 else f"{num}/{den}"
+                              for num, den in self.problem.input_ratios])
         flags = ", ".join(f'"{name}": {_JSON_FLAG[flag]}' for name, flag in agreement.items())
         text = (f'{{"input": ["{inputs}"], "orientation": {orientation}, '
                 f'"verdict": "{cls.value}", "lambda0": {lam0}, "g_lambda0": {g_lam0}, '
@@ -267,13 +273,13 @@ class Report:
         classical = "null"
         form = self.problem.form
         if form is not None:
-            quantities = _monic_quantities(form)
-            (G, _), (H, _), _, _, (delta, _), (aux, _) = quantities
-            pd = _pd_criterion(G, H, delta, aux)
+            g, h, i, j, delta, aux = _monic_quantities(form)
+            pd = _pd_criterion(g[0], h[0], delta[0], aux[0])
             agreement["classical"] = pd == definite
-            g, h, i, j, delta, aux = (ratio_text(*q) for q in quantities)
-            classical = (f'{{"G": "{g}", "H": "{h}", "I": "{i}", "J": "{j}", '
-                         f'"Delta": "{delta}", "aux": "{aux}", "pd": {_JSON_FLAG[pd]}}}')
+            classical = (f'{{"G": "{ratio_text(*g)}", "H": "{ratio_text(*h)}", '
+                         f'"I": "{ratio_text(*i)}", "J": "{ratio_text(*j)}", '
+                         f'"Delta": "{ratio_text(*delta)}", "aux": "{ratio_text(*aux)}", '
+                         f'"pd": {_JSON_FLAG[pd]}}}')
 
             # the principal minor signs of M(lam0), the certificate when there
             # is one, read off the integer matrix 6 e4 M(lam0) over Z[sqrt(D)]
@@ -423,6 +429,8 @@ def _run_batch(args, stdout) -> int:
     counts: dict[str, int] = {}
     severity = 0  # the highest of 64 (rejected input) and 70 (a defect) seen
     try:
+        if args.batch == "-" and sys.stdin is None:  # started with stdin closed
+            raise OSError(errno.EBADF, "standard input is closed")
         # UTF-8, with a byte that is not UTF-8 kept as a lone surrogate, so
         # that only its own line fails, and a leading byte-order mark dropped
         handle = (_stdin_lines() if args.batch == "-"
@@ -533,9 +541,11 @@ def main(argv: list[str] | None = None, stdout=None) -> int:
                     print("internal cross-check disagreement; do not trust this build",
                           file=sys.stderr)
         stdout.flush()
-    except BrokenPipeError:  # the reader closed standard output
+    except OSError as exc:  # a write or the flush of standard output failed
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe stays silent
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         if stdout is sys.stdout:
-            # keep the interpreter's exit flush of the closed pipe quiet
+            # keep the interpreter's exit flush of the failed stream quiet
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

@@ -341,15 +341,17 @@ def rational_sign(value: Fraction) -> int:
 
 def surd_sign(a: int | Fraction, b: int | Fraction, n: int | Fraction) -> int:
     """Sign of a + b sqrt(n) in {-1, 0, +1}, for rationals (or integers)
-    a, b and n >= 0."""
-    sa = rational_sign(a)
-    sb = rational_sign(b) if n else 0
-    if sb == 0 or sa == sb:
+    a, b and n >= 0; each sign is taken inline, as (x > 0) - (x < 0), for
+    int and `Fraction` parts alike."""
+    sa = (a > 0) - (a < 0)
+    if not (b and n):
         return sa
-    if sa == 0:
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sa:
         return sb
     # opposite signs: |a| against |b| sqrt(n), compared through squares
-    return sa * rational_sign(a * a - b * b * n)
+    gap = a * a - b * b * n
+    return sa * ((gap > 0) - (gap < 0))
 
 
 def sign_of(value: QuadExt | Fraction | int) -> int:
@@ -400,12 +402,13 @@ def clear_surds(*values: QuadExt | Fraction | int) -> tuple[tuple[tuple[int, int
 
 
 def ratio_text(num: int, den: int) -> str:
-    """`str(Fraction(num, den))` for integers num and den != 0, with one gcd."""
+    """`str(Fraction(num, den))` for integers num and den != 0: one gcd."""
     g = math.gcd(num, den)
     if den < 0:
         g = -g
-    num //= g
-    den //= g
+    if g != 1:
+        num //= g
+        den //= g
     return str(num) if den == 1 else f"{num}/{den}"
 
 

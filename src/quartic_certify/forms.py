@@ -12,13 +12,13 @@ an e4 = 0 input has no form: it is decided as f(y, x) when e0 != 0, the
 problem's `decided()`, normalised from the same record.
 
 Each input is cleared to integers once, in `from_ratios`, which takes
-the five coefficients as integer ratios (num, den), as the command line
-parses them, so that no input builds a `Fraction` on the way in, or in
-`from_plain_coeffs`, which takes rationals; both clear by `clear_ratios`
-(`clear_denominators` is its view for `Fraction`s).  The problem keeps that
-input record (L, k4, k3, k2, k1, k0), and its `MonicQuartic` is built
-from the same integers.  Every `MonicQuartic` carries the record
-`cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the denominators
+the five coefficients as reduced integer ratios (num, den), as the command
+line parses them, so that no input builds a `Fraction` on the way in;
+`from_plain_coeffs` takes rationals and passes their ratios to it.  It
+clears by `clear_ratios` (`clear_denominators` is its view for
+`Fraction`s).  The problem keeps that input record (L, k4, k3, k2, k1, k0)
+and the five ratios (`input_ratios`), and its `MonicQuartic` is built from
+the same integers.  Every `MonicQuartic` carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the denominators
 and ei = e4 ai.  The integer kernels of `pencil` and `classifier`, the
 certificate, the report and the classical cross-check read that record,
 and the integer pencil invariants of it (`invariants`), instead of
@@ -173,9 +173,10 @@ class NormalizedProblem:
     coefficient vanishes; then `form` and `orientation` are None, and
     `decided()` names the problem that is decided instead).
     `input_record` is the input cleared once, (L, k4, k3, k2, k1, k0) =
-    `clear_ratios` of (e4, e3, e2, e1, e0), set by `from_ratios` and
-    `from_plain_coeffs`; it takes no part in == or repr.  A problem of
-    either builds `scale` = Fraction(|k4|, L) on first read.
+    `clear_ratios` of (e4, e3, e2, e1, e0), and `input_ratios` the five
+    reduced ratios cleared, both set by `from_ratios`; neither takes part
+    in == or repr.  Such a problem builds `scale` = Fraction(|k4|, L) on
+    first read.
     """
 
     form: MonicQuartic | None
@@ -183,14 +184,17 @@ class NormalizedProblem:
     scale: Fraction = _View(lambda p: Fraction(abs(p.input_record[1]), p.input_record[0]))
     input_record: tuple[int, int, int, int, int, int] | None = field(
         default=None, repr=False, compare=False)
+    input_ratios: tuple[tuple[int, int], ...] | None = field(
+        default=None, repr=False, compare=False)
 
     def decided(self) -> NormalizedProblem | None:
         """The problem whose form the decision reads, the one home of that
         rule: this problem when e4 != 0; when e4 = 0 != e0 the problem of
         f(y, x), which is as definite as f, normalised from the reversed
-        input record without clearing the input again, built on the first
-        call and then kept, so the decision and the report read one; None
-        when e4 = e0 = 0, which a closed rule decides."""
+        input record (its `input_ratios` reversed too) without clearing the
+        input again, built on the first call and then kept, so the decision
+        and the report read one; None when e4 = e0 = 0, which a closed rule
+        decides."""
         if self.form is not None:
             return self
         if self.input_record is None:
@@ -201,19 +205,27 @@ class NormalizedProblem:
             if not k0:
                 return None
             swapped = self.__dict__["_swapped"] = _normalised((big, k0, k1, k2, k3, k4))
+            swapped.__dict__["input_ratios"] = self.input_ratios and self.input_ratios[::-1]
         return swapped
 
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
-    return _normalised(clear_denominators(*map(as_fraction, (e4, e3, e2, e1, e0))))
+    """`from_ratios` of the reduced ratios of five rationals (or integers)."""
+    c4, c3, c2, c1, c0 = map(as_fraction, (e4, e3, e2, e1, e0))
+    return from_ratios((c4.numerator, c4.denominator), (c3.numerator, c3.denominator),
+                       (c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
+                       (c0.numerator, c0.denominator))
 
 
 def from_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],
                 r1: tuple[int, int], r0: tuple[int, int]) -> NormalizedProblem:
-    """`from_plain_coeffs` of five rationals given as integer ratios
+    """`from_plain_coeffs` of five rationals given as reduced integer ratios
     (num, den) with den > 0, such as `exactnum.parse_ratio` returns: they
-    are cleared once, by `clear_ratios`, and no `Fraction` is built."""
-    return _normalised(clear_ratios(r4, r3, r2, r1, r0))
+    are cleared once, by `clear_ratios`, and kept (`input_ratios`): no
+    `Fraction` is built."""
+    problem = _normalised(clear_ratios(r4, r3, r2, r1, r0))
+    problem.__dict__["input_ratios"] = r4, r3, r2, r1, r0
+    return problem
 
 
 def _normalised(record: tuple[int, int, int, int, int, int]) -> NormalizedProblem:

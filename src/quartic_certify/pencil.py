@@ -175,21 +175,26 @@ class Sym3Matrix:
 
 def _minor_signs(m11, m12, m13, m22, m23, m33, n: int) -> tuple[int, ...]:
     """Signs of the seven principal minors, in the order of
-    `Sym3Matrix.principal_minors`, of the symmetric matrix whose entries are
-    the integers a + b sqrt(n) of Z[sqrt(n)] given as pairs (a, b)."""
-
-    def minor(x, y, z, w):  # x y - z w
-        return (x[0] * y[0] + x[1] * y[1] * n - z[0] * w[0] - z[1] * w[1] * n,
-                x[0] * y[1] + x[1] * y[0] - z[0] * w[1] - z[1] * w[0])
-
-    c11 = minor(m22, m33, m23, m23)
-    c12 = minor(m12, m33, m23, m13)
-    c13 = minor(m12, m23, m22, m13)
-    first = minor(m11, c11, m12, c12)
-    det = (first[0] + m13[0] * c13[0] + m13[1] * c13[1] * n,
-           first[1] + m13[0] * c13[1] + m13[1] * c13[0])
-    return tuple(surd_sign(a, b, n) for a, b in (
-        m11, m22, m33, minor(m11, m22, m12, m12), minor(m11, m33, m13, m13), c11, det))
+    `Sym3Matrix.principal_minors`, of the symmetric matrix whose entries
+    a + b sqrt(n) of Z[sqrt(n)] start with (a, b): pairs of `clear_surds`
+    or triples (a, b, den) of `lam0_surds`.  The cofactors c1j of the first
+    row and det = m11 c11 - m12 c12 + m13 c13 are local integers."""
+    a11, b11, a12, b12, a13, b13 = m11[0], m11[1], m12[0], m12[1], m13[0], m13[1]
+    a22, b22, a23, b23, a33, b33 = m22[0], m22[1], m23[0], m23[1], m33[0], m33[1]
+    c11a = a22 * a33 - a23 * a23 + (b22 * b33 - b23 * b23) * n
+    c11b = a22 * b33 + b22 * a33 - 2 * a23 * b23
+    c12a = a12 * a33 - a23 * a13 + (b12 * b33 - b23 * b13) * n
+    c12b = a12 * b33 + b12 * a33 - a23 * b13 - b23 * a13
+    c13a = a12 * a23 - a22 * a13 + (b12 * b23 - b22 * b13) * n
+    c13b = a12 * b23 + b12 * a23 - a22 * b13 - b22 * a13
+    det_a = a11 * c11a - a12 * c12a + a13 * c13a + (b11 * c11b - b12 * c12b + b13 * c13b) * n
+    det_b = a11 * c11b + b11 * c11a - a12 * c12b - b12 * c12a + a13 * c13b + b13 * c13a
+    return (surd_sign(a11, b11, n), surd_sign(a22, b22, n), surd_sign(a33, b33, n),
+            surd_sign(a11 * a22 - a12 * a12 + (b11 * b22 - b12 * b12) * n,
+                      a11 * b22 + b11 * a22 - 2 * a12 * b12, n),
+            surd_sign(a11 * a33 - a13 * a13 + (b11 * b33 - b13 * b13) * n,
+                      a11 * b33 + b11 * a33 - 2 * a13 * b13, n),
+            surd_sign(c11a, c11b, n), surd_sign(det_a, det_b, n))
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,7 @@ def lam0_minor_signs(m: MonicQuartic) -> tuple[int, ...]:
     disc = m.invariants[2]
     if disc < 0:
         raise ValueError("lam0 is not real")
-    return _minor_signs(*((a, b) for a, b, _ in lam0_surds(m)[2]), disc)
+    return _minor_signs(*lam0_surds(m)[2], disc)
 
 
 def discriminant_g(p: PencilCubic) -> Fraction:

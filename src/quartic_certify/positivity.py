@@ -160,7 +160,7 @@ def signs_psd(signs: tuple[int, ...]) -> bool:
     Leading minors alone do not suffice for semidefiniteness, e.g.
     diag(1, 0, -1) has leading minors 1, 0, 0.
     """
-    return all(sign >= 0 for sign in signs)
+    return min(signs) >= 0
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:

@@ -349,6 +349,33 @@ class TestTable3Facts:
         for case_id, form in NINE_CASES:
             assert table3_facts_hold(form, case_id)
 
+    # the nine rows as the facts were first written, all nine built on each
+    # call; the fast form evaluates only the asked row and must agree
+    @staticmethod
+    def _rows(slack, value):
+        return {
+            1: slack < 0 and value > 0,
+            2: slack > 0 and value > 0,
+            3: slack < 0 or (slack >= 0 and value < 0),
+            4: slack < 0 and value >= 0,
+            5: slack > 0 and value == 0,
+            6: slack == 0 and value == 0,
+            7: slack > 0 and value > 0,
+            8: slack < 0 and value == 0,
+            9: slack == 0 and value == 0,
+        }
+
+    def test_every_row_and_sign_pair(self):
+        for slack in (-1, 0, 1):
+            for value in (-1, 0, 1):
+                rows = self._rows(slack, value)
+                for case_id in range(1, 10):
+                    assert classifier._case_facts_hold(case_id, slack, value) == rows[case_id], (
+                        case_id, slack, value)
+        # lam0 not real: only case 3 fits
+        assert [classifier._case_facts_hold(case_id, None, None) for case_id in range(1, 10)] == [
+            case_id == 3 for case_id in range(1, 10)]
+
 
 class TestQuarticRootNature:
     def test_double_root_plus_pair(self):

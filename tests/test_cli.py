@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import importlib
 import io
 import json
@@ -27,7 +28,7 @@ from quartic_certify import (
 )
 from quartic_certify.cli import MAX_PRECISION, Report, main
 from quartic_certify.classifier import discriminant_case
-from quartic_certify.exactnum import parse_rational
+from quartic_certify.exactnum import parse_rational, ratio_text
 from quartic_certify.positivity import decide_problem
 
 from conftest import configured_form, fraction_formula
@@ -513,6 +514,18 @@ class TestBatch:
         assert (code, text) == (64, "")
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="closes stdin through /bin/sh")
+    def test_closed_stdin(self):
+        # started with standard input closed, "--batch -" cannot read it: the
+        # error of an unreadable file, exit 64, and no traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(["/bin/sh", "-c", 'exec "$0" -m quartic_certify.cli --batch - <&-',
+                               sys.executable], env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (64, b"")
+        assert proc.stderr.startswith(b"error: cannot read -: ")
+        assert proc.stderr.count(b"\n") == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -748,6 +761,36 @@ class TestClosedOutput:
         finally:
             stdout.close()
 
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_single_form_write_error_exits_74(self, flags, capsys):
+        # any other failed write exits 74 too, with one line on stderr
+        assert main([*flags, "1", "0", "0", "1", "1"], stdout=self.Full()) == 74
+        assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_batch_write_error_exits_74(self, tmp_path, capsys):
+        path = tmp_path / "forms.txt"
+        path.write_text("1 0 0 1 1\n1 0 -5 0 4\n")
+        assert main(["--batch", str(path)], stdout=self.Full()) == 74
+        assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--batch", str(GOLDEN_FORMS)], ["1", "0", "0", "0", "1"]],
+                             ids=["batch", "single"])
+    def test_full_device(self, argv):
+        # every write to /dev/full fails with ENOSPC: exit 74, one line on
+        # stderr and no traceback, and the exit flush stays quiet
+        src = Path(__file__).resolve().parents[1] / "src"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "quartic_certify.cli", *argv],
+                                  env={**os.environ, "PYTHONPATH": str(src)},
+                                  stdout=full, stderr=subprocess.PIPE, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            74, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode())
+
     def test_reader_closes_the_real_stdout(self, tmp_path):
         # more output than a pipe holds, read up to its first line: the
         # write to the closed pipe exits 74, and the exit flush stays quiet
@@ -762,6 +805,29 @@ class TestClosedOutput:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=120), err) == (74, b"")
+
+
+@st.composite
+def _spelled_rational(draw):
+    """A token and the rational it spells: an integer or a ratio, reduced or
+    not, with a sign or a "+", zero-padded ("007", "-0"), or a decimal with
+    or without an exponent."""
+    num, den = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4))
+    signs = ["", "+", "-"] if num == 0 else ["-"] if num < 0 else ["", "+"]
+    sign, pad = draw(st.sampled_from(signs)), "0" * draw(st.integers(0, 3))
+    mag = abs(num)
+    kind = draw(st.sampled_from(["integer", "ratio", "decimal", "exponent"]))
+    if kind == "integer":
+        return f"{sign}{pad}{mag}", F(num)
+    if kind == "ratio":
+        k = draw(st.integers(1, 40))
+        return f"{sign}{pad}{mag * k}/{pad}{den * k}", F(num, den)
+    if kind == "decimal":  # mag / 10^places, trailing zeros kept
+        places = draw(st.integers(1, 6))
+        digits = str(mag).rjust(places + 1, "0")
+        return f"{sign}{pad}{digits[:-places]}.{digits[-places:]}", F(num, 10**places)
+    exp = draw(st.integers(-8, 8))
+    return f"{sign}{pad}{mag}{draw(st.sampled_from('eE'))}{exp}", num * F(10)**exp
 
 
 class TestFrontEnd:
@@ -785,6 +851,23 @@ class TestFrontEnd:
                 assert parse_rational(w["value"]) == fraction_formula(*coeffs, x, y)
                 checked += 1
         assert checked > 100
+
+    @given(st.lists(_spelled_rational(), min_size=5, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_input_is_the_reduced_ratio(self, spelled):
+        # "input" prints each coefficient reduced, as ratio_text of the
+        # problem's input record gives it, however the token spells it
+        import quartic_certify.cli as cli
+
+        tokens = [text for text, _ in spelled]
+        problem = cli.from_ratios(*cli._parse_coefficients(tokens))
+        big, *cleared = problem.input_record
+        expected = [ratio_text(k, big) for k in cleared]
+        assert expected == [str(value) for _, value in spelled]
+        code, out = run_json(tokens)
+        assert out["input"] == expected
+        text, _ = Report(problem, decide_problem(problem), 12, True, True).build()
+        assert json.loads(text)["input"] == expected
 
     def test_pencil_invariants_taken_once_per_form(self, monkeypatch, tmp_path):
         # the verdict, the case, the case facts, the report and the Sylvester

@@ -210,6 +210,30 @@ class TestSign:
         assert surd_sign(3, -5, 0) == 1
         assert surd_sign(0, -2, 7) == -1 and surd_sign(0, 0, 7) == 0
 
+    def test_surd_sign_exhaustive(self):
+        # integer and Fraction parts a, b in [-12, 12], n square or not, as
+        # integers and as Fractions: against the exact value when n is a
+        # rational square or b = 0, else the float sign, which is never 0
+        # there and whose margin dwarfs the float error at this size
+        radicands = [F(0), F(1), F(2), F(4), F(5), F(3, 4), F(9, 4)]
+        for n in radicands:
+            root = sqrt_exact(n)
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    if root is not None or not b:  # a rational value
+                        value = a + b * (root or 0)
+                        expected = (value > 0) - (value < 0)
+                    else:
+                        approx = a + b * math.sqrt(n)
+                        assert abs(approx) > 1e-3
+                        expected = 1 if approx > 0 else -1
+                    parts = [(F(a), F(b), n)]
+                    if n.denominator == 1:
+                        parts.append((a, b, int(n)))
+                    for args in parts:
+                        got = surd_sign(*args)
+                        assert got == expected and type(got) is int, (args, got)
+
     def test_quad_ext_sign_is_surd_sign(self, monkeypatch):
         calls = []
 

@@ -128,6 +128,7 @@ def test_swapped_is_the_reversed_input(coeffs):
     swapped = from_plain_coeffs(*coeffs).decided()
     expected = from_plain_coeffs(*reversed(coeffs))
     assert swapped == expected and swapped.input_record == expected.input_record
+    assert swapped.input_ratios == expected.input_ratios
     assert swapped.form.cleared == expected.form.cleared
     assert swapped.form.invariants == expected.form.invariants
 
@@ -270,10 +271,11 @@ def test_from_plain_record_is_the_lcm_record(coeffs):
 def test_input_record_is_outside_eq_and_repr():
     p = from_plain_coeffs(F(-1, 2), 0, F(3, 4), 0, 1)
     assert p.input_record == (4, -2, 0, 3, 0, 4)
+    assert p.input_ratios == ((-1, 2), (0, 1), (3, 4), (0, 1), (1, 1))
     assert p.form.cleared == (2, 0, -3, 0, -4)
-    twin = dataclasses.replace(p, input_record=None)
+    twin = dataclasses.replace(p, input_record=None, input_ratios=None)
     assert twin == p and repr(twin) == repr(p)
-    assert "input_record" not in repr(p)
+    assert "input_record" not in repr(p) and "input_ratios" not in repr(p)
     assert from_plain_coeffs(0, 1, F(1, 3), 0, 2).input_record == (3, 0, 3, 1, 0, 6)
 
 
