@@ -235,7 +235,7 @@ def classify_case(m: MonicQuartic) -> IntersectionCase:
     table in the module docstring: at most one surd sign per form, and one
     of the nine values built at import.  `quartic_root_nature` checks it
     independently, from the roots of the quartic itself."""
-    e4, _, disc, a, rn, _ = m.invariants
+    e4, _, disc, a, rn = m.invariants
     gap = 4 * disc**3 - rn * rn  # the sign of disc(g); rn = 0 when disc < 0
     if gap < 0:  # one real root and a conjugate pair
         return _CASES[3]

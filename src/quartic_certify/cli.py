@@ -51,7 +51,6 @@ text output is rendered from it re-read.  The generic encoder writes only the er
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import functools
 import io
@@ -84,7 +83,7 @@ from .classifier import (  # noqa: F401
 from .exactnum import (  # noqa: F401
     parse_ratio, parse_rational, ratio_decimal, ratio_text, surd_decimal, to_decimal)
 from .forms import (  # noqa: F401
-    NormalizedProblem, Orientation, evaluate_ratio, from_plain_coeffs, from_ratios)
+    _NEGATIVE_SIDE, NormalizedProblem, Orientation, evaluate_ratio, from_plain_coeffs, from_ratios)
 # pencil_coeffs, critical_param, g_eval and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -98,6 +97,7 @@ from .pencil import (  # noqa: F401
 )
 # sylvester_pd and sylvester_psd stay bound for bench/spans.py to wrap
 from .positivity import (  # noqa: F401
+    _INDEFINITE, _ND, _NSD, _PD, _PSD, _ZERO,
     Definiteness,
     Verdict,
     decide_problem,
@@ -115,14 +115,11 @@ EXIT_PARSE = 64
 EXIT_DISAGREEMENT = 70
 EXIT_IOERR = 74
 
-_EXIT_BY_CLASS = {
-    Definiteness.POSITIVE_DEFINITE: EXIT_DEFINITE,
-    Definiteness.NEGATIVE_DEFINITE: EXIT_DEFINITE,
-    Definiteness.POSITIVE_SEMIDEFINITE: EXIT_BOUNDARY,
-    Definiteness.NEGATIVE_SEMIDEFINITE: EXIT_BOUNDARY,
-    Definiteness.ZERO: EXIT_BOUNDARY,
-    Definiteness.INDEFINITE: EXIT_INDEFINITE,
-}
+_EXIT_BY_CLASS = {_PD: EXIT_DEFINITE, _ND: EXIT_DEFINITE, _PSD: EXIT_BOUNDARY,
+                  _NSD: EXIT_BOUNDARY, _ZERO: EXIT_BOUNDARY, _INDEFINITE: EXIT_INDEFINITE}
+# each value read once, as `.value` costs 0.1 us (Python 3.11); members hash by identity
+_VERDICT_TEXT = {cls: cls.value for cls in Definiteness}
+_ORIENTATION_TEXT = {None: "null", **{side: f'"{side.value}"' for side in Orientation}}
 
 # larger forms are rejected: derived exact values would pass the int-to-str limit
 MAX_FORM_BITS = 2000
@@ -200,7 +197,7 @@ class Report:
 
         # every verdict but an indefinite one carries a certificate; asking
         # the verdict for it would build the matrix of a monic form
-        if cls is not Definiteness.INDEFINITE:
+        if cls is not _INDEFINITE:
             # six distinct entries, each rendered once, laid out as the rows
             if form is None:  # e4 = 0: six entries of the same shape, all rational
                 m11, m12, m13, m22, m23, m33 = (_surd_text(None, entry, None, self.digits)
@@ -226,13 +223,12 @@ class Report:
         if self.crosscheck:
             classical, oracle = self._run_crosschecks(agreement, case_id)
 
-        orientation = self.problem.orientation
-        orientation = f'"{orientation.value}"' if orientation else "null"
         inputs = '", "'.join([str(num) if den == 1 else f"{num}/{den}"
                               for num, den in self.problem.input_ratios])
         flags = ", ".join(f'"{name}": {_JSON_FLAG[flag]}' for name, flag in agreement.items())
-        text = (f'{{"input": ["{inputs}"], "orientation": {orientation}, '
-                f'"verdict": "{cls.value}", "lambda0": {lam0}, "g_lambda0": {g_lam0}, '
+        text = (f'{{"input": ["{inputs}"], '
+                f'"orientation": {_ORIENTATION_TEXT[self.problem.orientation]}, '
+                f'"verdict": "{_VERDICT_TEXT[cls]}", "lambda0": {lam0}, "g_lambda0": {g_lam0}, '
                 f'"a3_sq_over_4": {a3_sq}, "case": {case}, "certificate": {certificate}, '
                 f'"classical": {classical}, "oracle": {oracle}, "witnesses": {witnesses}, '
                 f'"agreement": {{{flags}}}}}')
@@ -244,7 +240,7 @@ class Report:
         # against the original input coefficients, from the input's integer
         # record, so they stand alone, each value an integer ratio
         record = self.problem.input_record
-        flip = self.problem.orientation is Orientation.NEGATIVE_SIDE
+        flip = self.problem.orientation is _NEGATIVE_SIDE
         pos, neg = self.verdict.witnesses
         if flip:
             pos, neg = neg, pos
@@ -265,10 +261,10 @@ class Report:
             return "null", "null"
         # the verdict as a class of that problem's positive-side form
         cls = self.verdict.classification
-        if problem.orientation is Orientation.NEGATIVE_SIDE:
+        if problem.orientation is _NEGATIVE_SIDE:
             cls = cls.flipped()
-        definite = cls is Definiteness.POSITIVE_DEFINITE
-        semidefinite = definite or cls is Definiteness.POSITIVE_SEMIDEFINITE
+        definite = cls is _PD
+        semidefinite = definite or cls is _PSD
 
         classical = "null"
         form = self.problem.form
@@ -289,7 +285,7 @@ class Report:
                     signs_pd(signs) == definite and signs_psd(signs) == semidefinite
                 )
             else:
-                agreement["sylvester"] = cls is Definiteness.INDEFINITE
+                agreement["sylvester"] = cls is _INDEFINITE
 
             if case_id is not None:
                 agreement["case_facts"] = _case_facts_hold(case_id, *self.verdict.kernel)
@@ -387,7 +383,7 @@ def _run_form(tokens: list[str], args, lineno: int | None = None) -> tuple[str |
         verdict = decide_problem(problem)
         report = Report(problem, verdict, digits=args.precision, include_case=args.case,
                         crosscheck=not args.no_crosscheck)
-        return (*report.build(), verdict.classification.value)
+        return (*report.build(), _VERDICT_TEXT[verdict.classification])
     except InputError as exc:
         return None, EXIT_PARSE, str(exc)
     except Exception as exc:  # a defect: report it, and a batch goes on
@@ -399,47 +395,48 @@ def _run_form(tokens: list[str], args, lineno: int | None = None) -> tuple[str |
         return None, EXIT_DISAGREEMENT, f"internal error: {type(exc).__name__}: {exc}"
 
 
-@contextlib.contextmanager
-def _stdin_lines():
-    """Standard input as text lines, decoded as a batch file is."""
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:  # a text stream with no bytes beneath it
-        yield sys.stdin
-        return
-    lines = io.TextIOWrapper(buffer, encoding="utf-8-sig", errors="surrogateescape")
-    try:
-        yield lines
-    finally:
-        lines.detach()  # leaves stdin open
-
-
 # the encoder of json.dumps(obj), but with no check for circular
 # references, which its fresh dicts cannot hold; it writes the error lines
 # and the summary, and a form's line is the text of `Report.build`
 _encode_line = json.JSONEncoder(check_circular=False).encode
 
 
+def _batch_lines(name: str):
+    """The lines of the batch input, name or "-" for stdin (left open), read
+    as they are asked for, in UTF-8, a byte that is not UTF-8 kept as a lone
+    surrogate (only its line fails) and a leading byte-order mark dropped.
+    An OSError of opening or reading it, not a write's, raises `InputError`."""
+    try:
+        if name != "-":
+            with open(name, encoding="utf-8-sig", errors="surrogateescape") as lines:
+                yield from lines
+        elif sys.stdin is None:  # started with stdin closed
+            raise OSError(errno.EBADF, "standard input is closed")
+        elif getattr(sys.stdin, "buffer", None) is None:  # text with no bytes beneath it
+            yield from sys.stdin
+        else:
+            lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
+                                     errors="surrogateescape")
+            try:
+                yield from lines
+            finally:
+                lines.detach()  # leaves stdin open
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc}") from None
+
+
 def _run_batch(args, stdout) -> int:
     """Process the forms of args.batch ("-" for stdin), one per line, as
     the file is read.  A line that fails, for bad input (exit 64) or an
-    internal error (exit 70), gives an error line and the batch goes on."""
+    internal error (exit 70), gives an error line and the batch goes on.
+    Input that cannot be opened or read exits 64, with no summary."""
     def write(obj: dict) -> None:  # an error or summary line, in one call
         stdout.write(_encode_line(obj) + "\n")
 
     counts: dict[str, int] = {}
     severity = 0  # the highest of 64 (rejected input) and 70 (a defect) seen
     try:
-        if args.batch == "-" and sys.stdin is None:  # started with stdin closed
-            raise OSError(errno.EBADF, "standard input is closed")
-        # UTF-8, with a byte that is not UTF-8 kept as a lone surrogate, so
-        # that only its own line fails, and a leading byte-order mark dropped
-        handle = (_stdin_lines() if args.batch == "-"
-                  else open(args.batch, encoding="utf-8-sig", errors="surrogateescape"))
-    except OSError as exc:
-        print(f"error: cannot read {args.batch}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    with handle as lines:
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(_batch_lines(args.batch), start=1):
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -458,6 +455,9 @@ def _run_batch(args, stdout) -> int:
                 counts[outcome] = counts.get(outcome, 0) + 1
             if code >= EXIT_PARSE:
                 severity = max(severity, code)
+    except InputError as exc:  # raised by _batch_lines: `_run_form` keeps its own
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     write({"summary": counts})
     return severity
 

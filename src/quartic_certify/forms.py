@@ -14,7 +14,7 @@ problem's `decided()`, normalised from the same record.
 Each input is cleared to integers once, in `from_ratios`, which takes
 the five coefficients as reduced integer ratios (num, den), as the command
 line parses them, so that no input builds a `Fraction` on the way in;
-`from_plain_coeffs` takes rationals and passes their ratios to it.  It
+`from_plain_coeffs` passes it each rational's `as_integer_ratio()`.  It
 clears by `clear_ratios` (`clear_denominators` is its view for
 `Fraction`s).  The problem keeps that input record (L, k4, k3, k2, k1, k0)
 and the five ratios (`input_ratios`), and its `MonicQuartic` is built from
@@ -104,10 +104,12 @@ class MonicQuartic:
 
     `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
     of the denominators of a3..a0 and ei = e4 ai, so e4 f has integer
-    coefficients.  `invariants` = (e4, e2, D, A, Rn, root) are the pencil
-    invariants of that record (`_pencil_invariants`), taken on first read.
-    A form built from its record (`_from_record`) builds a3..a0 on first
-    read as well.  Neither record takes part in ==, hash or repr.
+    coefficients.  `invariants` = (e4, e2, D, A, Rn) are the pencil
+    invariants of that record (`_pencil_invariants`), and `root` is isqrt(D)
+    when D is a perfect square, else None, which only rendering reads
+    (`pencil.surd_parts`); both are taken on first read.  A form built from
+    its record (by `from_ratios`) builds a3..a0 on first read as well.
+    Neither record takes part in ==, hash or repr.
     """
 
     a3: Fraction = _coefficient(3)
@@ -117,6 +119,7 @@ class MonicQuartic:
     cleared: tuple[int, int, int, int, int] = field(
         init=False, repr=False, compare=False)
     invariants = _View(lambda m: _pencil_invariants(*m.cleared))
+    root = _View(lambda m: _square_root(m.invariants[2]))
 
     def __post_init__(self) -> None:
         a3, a2, a1, a0 = (as_fraction(self.a3), as_fraction(self.a2),
@@ -127,14 +130,6 @@ class MonicQuartic:
         put(self, "a1", a1)
         put(self, "a0", a0)
         put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
-
-    @classmethod
-    def _from_record(cls, e4: int, e3: int, e2: int, e1: int, e0: int) -> MonicQuartic:
-        """The form ai = ei/e4 of a primitive integer record with e4 > 0,
-        which is then its lcm record, without clearing it again."""
-        m = object.__new__(cls)
-        m.__dict__["cleared"] = (e4, e3, e2, e1, e0)
-        return m
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Plain coefficients (1, a3, a2, a1, a0), highest degree in x first."""
@@ -161,6 +156,13 @@ class GeneralQuartic:
 class Orientation(enum.Enum):
     POSITIVE_SIDE = "positive-side"
     NEGATIVE_SIDE = "negative-side"
+
+    __hash__ = object.__hash__  # as `positivity.Definiteness` hashes
+
+
+# bound once, in their order: a member read off its class costs 0.1 us (Python 3.11)
+_POSITIVE_SIDE, _NEGATIVE_SIDE = Orientation
+_EXACT = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -210,11 +212,14 @@ class NormalizedProblem:
 
 
 def from_plain_coeffs(e4, e3, e2, e1, e0) -> NormalizedProblem:
-    """`from_ratios` of the reduced ratios of five rationals (or integers)."""
-    c4, c3, c2, c1, c0 = map(as_fraction, (e4, e3, e2, e1, e0))
-    return from_ratios((c4.numerator, c4.denominator), (c3.numerator, c3.denominator),
-                       (c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
-                       (c0.numerator, c0.denominator))
+    """`from_ratios` of five rationals (or integers) by `as_integer_ratio()`,
+    so an integer builds no `Fraction`; a float raises `as_fraction`'s TypeError."""
+    if not (isinstance(e4, _EXACT) and isinstance(e3, _EXACT) and isinstance(e2, _EXACT)
+            and isinstance(e1, _EXACT) and isinstance(e0, _EXACT)):
+        for c in (e4, e3, e2, e1, e0):
+            as_fraction(c)
+    return from_ratios(e4.as_integer_ratio(), e3.as_integer_ratio(), e2.as_integer_ratio(),
+                       e1.as_integer_ratio(), e0.as_integer_ratio())
 
 
 def from_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],
@@ -241,29 +246,35 @@ def _normalised(record: tuple[int, int, int, int, int, int]) -> NormalizedProble
         g = math.gcd(k4, k3, k2, k1, k0)
         if k4 < 0:
             g = -g
-        form = MonicQuartic._from_record(k4 // g, k3 // g, k2 // g, k1 // g, k0 // g)
-        orientation = Orientation.POSITIVE_SIDE if k4 > 0 else Orientation.NEGATIVE_SIDE
+        form = object.__new__(MonicQuartic)
+        form.__dict__["cleared"] = k4 // g, k3 // g, k2 // g, k1 // g, k0 // g
+        orientation = _POSITIVE_SIDE if k4 > 0 else _NEGATIVE_SIDE
     problem = object.__new__(NormalizedProblem)
     problem.__dict__.update(form=form, orientation=orientation, input_record=record)
     return problem
 
 
 def _pencil_invariants(e4: int, e3: int, e2: int, e1: int,
-                       e0: int) -> tuple[int, int, int, int, int, int | None]:
-    """(e4, e2, D, A, Rn, root): the integer pencil invariants of a cleared
-    monic record, as `pencil.lam0_test` defines them; root is isqrt(D) when
-    D is a perfect square, else None.  When D < 0 every reader stops at D,
-    so A and Rn are left as 0 there.
+                       e0: int) -> tuple[int, int, int, int, int]:
+    """(e4, e2, D, A, Rn): the integer pencil invariants of a cleared monic
+    record, as `pencil.lam0_test` defines them.  When D < 0 every reader
+    stops at D, so A and Rn are left as 0 there.
     """
     disc = 12 * e0 * e4 - 3 * e1 * e3 + e2 * e2
     if disc < 0:
-        return e4, e2, disc, 0, 0, None
+        return e4, e2, disc, 0, 0
     n1 = 4 * e0 * e4 - e2 * e2 - e1 * e3
     n0 = (e2 * e3 - e1 * e4) * e1 - e0 * e3 * e3
     rn = 27 * n0 + (18 * n1 + 16 * e2 * e2) * e2
+    return e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn
+
+
+def _square_root(disc: int) -> int | None:
+    """isqrt(D) when D is a perfect square, else None (D < 0 too)."""
+    if disc < 0:
+        return None
     root = math.isqrt(disc)
-    return (e4, e2, disc, 8 * e2 * e4 - 3 * e3 * e3, rn,
-            root if root * root == disc else None)
+    return root if root * root == disc else None
 
 
 def to_weighted(m: MonicQuartic) -> GeneralQuartic:

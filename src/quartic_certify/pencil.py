@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .exactnum import QuadExt, as_fraction, clear_surds, sign_of, surd_sign
+from .exactnum import _ZERO, QuadExt, as_fraction, clear_surds, sign_of, surd_sign
 from .forms import MonicQuartic
 
 __all__ = [
@@ -272,7 +272,7 @@ def lam0_surds(m: MonicQuartic) -> tuple[Surd, Surd, tuple[Surd, ...]]:
     surds = m.__dict__.get("_lam0_surds")
     if surds is None:
         e4, e3, e2, e1, e0 = m.cleared
-        _, _, disc, _, rn, _ = m.invariants
+        _, _, disc, _, rn = m.invariants
         den = 6 * e4
         lam0 = (4 * e2, 2, den)
         surds = m.__dict__["_lam0_surds"] = lam0, (rn, 2 * disc, 108 * e4 * e4 * e4), (
@@ -287,9 +287,9 @@ def surd_parts(m: MonicQuartic, a: int, b: int,
     p = a / den, q = 2 b e4 / den and d = D / (4 e4^2), as sqrt(D) =
     2 e4 sqrt(d).  When D is a square the value folds to the rational p
     and q = 0; d is the form's radicand either way."""
-    e4 = m.cleared[0]
-    _, _, disc, _, _, root = m.invariants
+    e4, _, disc, _, _ = m.invariants
     d = (disc, 4 * e4 * e4)
+    root = m.root
     if root is not None:
         return (a + b * root, den), (0, 1), d
     return (a, den), (2 * b * e4, den), d
@@ -301,6 +301,12 @@ class Lam0Test(NamedTuple):
 
     slack: int | None
     value: int | None
+
+
+# the ten records, built once: _LAM0_TESTS[slack][value] is Lam0Test(slack,
+# value) for signs in {-1, 0, 1}, as the index -1 reads the last entry
+_NOT_REAL = Lam0Test(None, None)
+_LAM0_TESTS = tuple(tuple(Lam0Test(slack, value) for value in (0, 1, -1)) for slack in (0, 1, -1))
 
 
 def lam0_test(m: MonicQuartic) -> Lam0Test:
@@ -322,26 +328,32 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     and g(lam0) are not built: `lam0_surds` holds them in integers, and
     `critical_param` and `g_eval` build them in Q(sqrt(d)).
     """
-    e4, _, disc, a, rn, _ = m.invariants
+    e4, _, disc, a, rn = m.invariants
     if disc < 0:
-        return Lam0Test(None, None)
-    return Lam0Test(surd_sign(a, 4 * e4, disc), surd_sign(rn, 2 * disc, disc))
+        return _NOT_REAL
+    return _LAM0_TESTS[surd_sign(a, 4 * e4, disc)][surd_sign(rn, 2 * disc, disc)]
 
 
-def _in_field(m: MonicQuartic, a: int, b: int, den: int) -> QuadExt:
-    """(a + b sqrt(D)) / den of m over its radicand d; D >= 0, as for
-    every form with a certificate."""
-    p, q, d = surd_parts(m, a, b, den)
-    return QuadExt._normalised(Fraction(*p), Fraction(*q), Fraction(*d))
+# the parts that every M(lam0) shares, built once: m11 = 1, and q = b/3 of its
+# two entries with b != 0 over 6 e4, lam0 (b = 2) and m13 (b = -1)
+_ONE, _Q_OF_B = Fraction(1), {2: Fraction(2, 3), -1: Fraction(-1, 3)}
 
 
 def lam0_matrix(entries: tuple[Surd, ...], m: MonicQuartic | None = None) -> Sym3Matrix:
     """The matrix of six entries (a, b, den) of m, as `lam0_surds` gives
     them: Fraction(a, den) where b = 0 (m is then not read), else the
-    QuadExt of `surd_parts`.  M(lam0) so built equals `pencil_matrix` at
-    lam0 in value and type."""
-    return Sym3Matrix(*(_in_field(m, a, b, den) if b else Fraction(a, den)
-                        for a, b, den in entries))
+    QuadExt p + q sqrt(d) of `surd_parts`, its d built once per matrix.
+    M(lam0) so built equals `pencil_matrix` at lam0 in value and type."""
+    values, d = [], None
+    for a, b, den in entries:
+        if not b:
+            values.append(_ONE if a == den else Fraction(a, den))
+            continue
+        p, q, d_ratio = surd_parts(m, a, b, den)
+        d = d or Fraction(*d_ratio)
+        # q = 0 when D is a square: the value is the rational p, and d is not kept
+        values.append(QuadExt._normalised(Fraction(*p), _Q_OF_B[b] if q[0] else _ZERO, d))
+    return Sym3Matrix(*values)
 
 
 def lam0_minor_signs(m: MonicQuartic) -> tuple[int, ...]:

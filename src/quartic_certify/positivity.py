@@ -46,7 +46,7 @@ from fractions import Fraction
 from . import classifier
 # sign_of stays bound for bench/spans.py to wrap
 from .exactnum import sign_of  # noqa: F401
-from .forms import MonicQuartic, NormalizedProblem, Orientation, _View
+from .forms import _NEGATIVE_SIDE, MonicQuartic, NormalizedProblem, _View
 # critical_param, g_eval, pencil_coeffs and pencil_matrix stay bound for
 # bench/spans.py to wrap
 from .pencil import (  # noqa: F401
@@ -82,34 +82,35 @@ class Definiteness(enum.Enum):
     NEGATIVE_SEMIDEFINITE = "negative-semidefinite-not-definite"
     ZERO = "identically-zero"
 
+    __hash__ = object.__hash__  # each member is equal only to itself; Enum's hash is slow
+
     def flipped(self) -> Definiteness:
         """The class of -f for a form f of this class: PD <-> ND and
         PSD <-> NSD; the indefinite and the zero class are their own."""
         return _FLIPPED.get(self, self)
 
 
-_FLIPPED = {
-    Definiteness.POSITIVE_DEFINITE: Definiteness.NEGATIVE_DEFINITE,
-    Definiteness.NEGATIVE_DEFINITE: Definiteness.POSITIVE_DEFINITE,
-    Definiteness.POSITIVE_SEMIDEFINITE: Definiteness.NEGATIVE_SEMIDEFINITE,
-    Definiteness.NEGATIVE_SEMIDEFINITE: Definiteness.POSITIVE_SEMIDEFINITE,
-}
+# bound once, in their order: a member read off its class costs 0.1 us (Python 3.11)
+_PD, _PSD, _INDEFINITE, _ND, _NSD, _ZERO = Definiteness
+_FLIPPED = {_PD: _ND, _ND: _PD, _PSD: _NSD, _NSD: _PSD}
 
 Point = tuple[Fraction, Fraction]
 
 
-# the views of a verdict on a form with e4 = 0, which has no kernel record,
-# read its problem
-def _certificate(v: Verdict) -> Sym3Matrix:
+def _certificate(v: Verdict) -> Sym3Matrix | None:
+    if v.classification is _INDEFINITE:
+        return None
     if v.kernel is None:
-        return lam0_matrix(degenerate_entries(v._problem))
-    return lam0_matrix(lam0_surds(v._form)[2], v._form)
+        return lam0_matrix(degenerate_entries(v._source))
+    return lam0_matrix(lam0_surds(v._source)[2], v._source)
 
 
-def _witnesses(v: Verdict) -> tuple[Point, Point]:
+def _witnesses(v: Verdict) -> tuple[Point, Point] | None:
+    if v.classification is not _INDEFINITE:
+        return None
     if v.kernel is None:
-        return _degenerate_witnesses(v._problem)
-    return classifier.witness_search(v._form)
+        return _degenerate_witnesses(v._source)
+    return classifier.witness_search(v._source)
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def signs_psd(signs: tuple[int, ...]) -> bool:
 
 
 def decide_monic(m: MonicQuartic) -> Verdict:
-    return _lazy_verdict(*_decide(m), _form=m)
+    return _lazy_verdict(*_decide(m), m)
 
 
 def _decide(m: MonicQuartic) -> tuple[Definiteness, Lam0Test]:
@@ -173,19 +174,17 @@ def _decide(m: MonicQuartic) -> tuple[Definiteness, Lam0Test]:
     kernel = lam0_test(m)
     slack, value = kernel
     if slack is not None and slack >= 0 and value >= 0:
-        if slack > 0 and value > 0:
-            return Definiteness.POSITIVE_DEFINITE, kernel
-        return Definiteness.POSITIVE_SEMIDEFINITE, kernel
-    return Definiteness.INDEFINITE, kernel
+        return (_PD if slack and value else _PSD), kernel
+    return _INDEFINITE, kernel
 
 
-def _lazy_verdict(cls: Definiteness, kernel: Lam0Test | None, **private) -> Verdict:
-    """A verdict of class cls that builds its certificate, or its witnesses,
-    on first read, from `_form` or `_problem` in `private`."""
+def _lazy_verdict(cls: Definiteness, kernel: Lam0Test | None,
+                  source: MonicQuartic | NormalizedProblem) -> Verdict:
+    """A verdict of class cls and kernel record, built of these and of
+    `source`, from which the certificate or the witnesses view is built on
+    first read: the decided form, or the problem when there is no record."""
     verdict = object.__new__(Verdict)
-    verdict.__dict__.update(
-        {"certificate" if cls is Definiteness.INDEFINITE else "witnesses": None},
-        classification=cls, kernel=kernel, **private)
+    verdict.__dict__.update(classification=cls, kernel=kernel, _source=source)
     return verdict
 
 
@@ -210,7 +209,7 @@ def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
     decided = problem.decided()
     if decided is not None:  # the swapped form's, with x and y exchanged back
         (px, py), (nx, ny) = classifier.witness_search(decided.form)
-        if decided.orientation is Orientation.NEGATIVE_SIDE:  # that form is -f(y, x) / |e0|
+        if decided.orientation is _NEGATIVE_SIDE:  # that form is -f(y, x) / |e0|
             return (ny, nx), (py, px)
         return (py, px), (ny, nx)
     _, _, k3, k2, k1, _ = problem.input_record
@@ -225,23 +224,20 @@ def _degenerate_witnesses(problem: NormalizedProblem) -> tuple[Point, Point]:
 
 
 def decide_problem(problem: NormalizedProblem) -> Verdict:
-    """Decide the form of the problem's `decided()`, mapping its class back
-    by that problem's orientation.  With e4 = e0 = 0, f = x y (e3 x^2 +
-    e2 x y + e1 y^2) is e2 x^2 y^2 when e3 = e1 = 0, and else indefinite."""
+    """Decide the form of the problem's `decided()` by the kernel's two
+    signs, its class mapped back by that problem's orientation, into a
+    verdict of the class, the record and the form (`_lazy_verdict`).  With
+    e4 = e0 = 0, f = x y (e3 x^2 + e2 x y + e1 y^2) is e2 x^2 y^2 when
+    e3 = e1 = 0, and else indefinite."""
     decided = problem.decided()
     if decided is not None:
         cls, kernel = _decide(decided.form)
-        if decided.orientation is Orientation.NEGATIVE_SIDE:
+        if decided.orientation is _NEGATIVE_SIDE:
             cls = cls.flipped()
         if decided is problem:
-            return _lazy_verdict(cls, kernel, _form=problem.form)
+            return _lazy_verdict(cls, kernel, problem.form)
         # the kernel record of f(y, x) describes that form, not f: not kept
-        return _lazy_verdict(cls, None, _problem=problem)
+        return _lazy_verdict(cls, None, problem)
     _, _, k3, k2, k1, _ = problem.input_record
-    if k3 or k1:
-        cls = Definiteness.INDEFINITE
-    elif k2:
-        cls = Definiteness.POSITIVE_SEMIDEFINITE if k2 > 0 else Definiteness.NEGATIVE_SEMIDEFINITE
-    else:
-        cls = Definiteness.ZERO
-    return _lazy_verdict(cls, None, _problem=problem)
+    cls = _INDEFINITE if k3 or k1 else _PSD if k2 > 0 else _NSD if k2 else _ZERO
+    return _lazy_verdict(cls, None, problem)

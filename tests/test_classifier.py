@@ -297,11 +297,10 @@ class TestIntegerRecord:
 
     def check(self, m):
         assert m.cleared == _lcm_clearing(m)
-        *invariants, root = m.invariants
-        assert tuple(invariants) == _invariants_formula(m)
-        disc = invariants[2]
-        assert root == (math.isqrt(disc) if disc >= 0 and math.isqrt(disc) ** 2 == disc
-                        else None)
+        assert m.invariants == _invariants_formula(m)
+        disc = m.invariants[2]
+        assert m.root == (math.isqrt(disc) if disc >= 0 and math.isqrt(disc) ** 2 == disc
+                          else None)
         assert discriminant_case(m) == _discriminant_case_formula(m)
         assert classifier._critical_point_witness(m) == _critical_point_witness_formula(m)
 

@@ -526,6 +526,30 @@ class TestBatch:
         assert proc.stderr.startswith(b"error: cannot read -: ")
         assert proc.stderr.count(b"\n") == 1
 
+    class FailingReader:
+        """A standard input whose read fails after its first line."""
+
+        def __iter__(self):
+            yield "1 0 0 1 1\n"
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def test_read_error_after_a_line(self, monkeypatch, capsys):
+        # a failed read is unreadable input, as a failed open is: exit 64 and
+        # one line on stderr, no traceback and no summary, and the line
+        # already written stays
+        monkeypatch.setattr(sys, "stdin", self.FailingReader())
+        code, text = run(["--batch", "-"])
+        assert code == 64
+        assert [json.loads(line)["verdict"] for line in text.splitlines()] == ["positive-definite"]
+        assert capsys.readouterr().err == (
+            f"error: cannot read -: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n")
+
+    def test_read_error_and_write_error(self, monkeypatch, capsys):
+        # the write of the first line fails before the read does: exit 74
+        monkeypatch.setattr(sys, "stdin", self.FailingReader())
+        assert main(["--batch", "-"], stdout=TestClosedOutput.Full()) == 74
+        assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -14,6 +14,7 @@ from quartic_certify import (
     MonicQuartic,
     QuadExt,
     Sym3Matrix,
+    certify,
     critical_param,
     decide_monic,
     evaluate,
@@ -463,6 +464,27 @@ class TestViewsOnFirstRead:
             lam0 = lam0_matrix(lam0_surds(m)[2], m).m22
             assert _entries(verdict.certificate) == _entries(pencil_matrix(m, lam0))
         assert built
+
+    @pytest.mark.parametrize("coeffs", [
+        (3, -5, 2, 9, -1),
+        (1, 0, 0, 1, 1),
+        (-1, 0, 4, 0, -4),
+        (0, 1, 2, 1, 3),  # decided as f(y, x)
+        (0, 1, 0, -1, 0),  # e4 = e0 = 0: the closed rule
+    ])
+    def test_certify_of_integers_builds_no_fraction(self, built, coeffs):
+        # each integer is taken as its ratio (n, 1), not as Fraction(n)
+        problem, verdict = certify(*coeffs)
+        assert built == []
+        assert problem.input_ratios == tuple((c, 1) for c in coeffs)
+        assert verdict.classification is certify(*map(F, coeffs))[1].classification
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_certify_rejects_a_float(self, position):
+        coeffs = [1, 0, 0, 1, 1]
+        coeffs[position] = float(coeffs[position])
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            certify(*coeffs)
 
     @given(st.tuples(*[st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))] * 5))
     @settings(max_examples=200, deadline=None)
