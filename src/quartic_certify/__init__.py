@@ -1,9 +1,8 @@
 """Exact definiteness certificates for binary quartic forms.
 
 The decision kernel is entirely exact (arbitrary-precision rationals and
-arithmetic in real quadratic extensions); floats appear only in the
-advisory circle minimum, in proposing witnesses that exact arithmetic then
-checks, and in decimal renderings of exact values.
+arithmetic in real quadratic extensions), and so are the certificates and
+witnesses; floats appear only in the advisory circle minimum.
 
 Typical use:
 

@@ -1,7 +1,8 @@
 """Exact univariate polynomial utilities over the rationals.
 
-Everything here is internal plumbing for the root classifiers and the
-exact witness fallback: Horner evaluation, euclidean division, monic gcd,
+Everything here is internal plumbing for the root oracles of
+`classifier` (`cubic_root_profile`, `quartic_root_nature`), which no
+`--batch` line runs: Horner evaluation, euclidean division, monic gcd,
 Yun square-free decomposition, Sturm chains, and real-root isolation with
 exact rational interval endpoints.  Polynomials are tuples of Fractions,
 low degree first, with no trailing zero coefficients (the zero polynomial

@@ -41,17 +41,10 @@ decomposition and Sturm counts (used by the test suite).  The module also
 provides a float minimum-on-the-circle estimate, which is advisory only,
 and the witness search that backs indefinite verdicts.
 
-Witnesses follow "floats propose, exact arithmetic decides".  The critical
-points of f(t, 1) come from a closed-form float cubic solve, lowest float
-value first; each is rounded to a few short dyadic rationals, and a
-candidate is accepted only if its exact value f(t, 1) is negative, first
-at t = s, then at t = 2^k s for the scales k of the form's Newton polygon,
-which bring coefficients beyond the float range into it.  Only when every
-candidate fails (a negative dip narrower than float resolution, or a
-near-double critical point) does the exact Sturm search run: it isolates
-the real roots of the derivative of f(t, 1) and bisects each interval
-holding a local minimum, on the exact sign of the derivative, until a
-midpoint has f(t, 1) < 0.  A float never decides a witness.
+A witness comes from one exact search, `witness_search`: a bisection of
+f(t, 1) on dyadic midpoints towards its local minima, every sign taken in
+integers (`forms.quartic_horner`, `exactnum.surd_sign`), with no float,
+`Fraction` arithmetic or root isolation.
 """
 
 from __future__ import annotations
@@ -487,160 +480,70 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]
     return f(mid), mid
 
 
-# -- witness search: floats propose, exact arithmetic decides ----------------
+# -- witness search: one exact integer bisection ---------------------------
 
 # the coordinates 0 and 1 of the witnesses (1, 0) and (t, 1), shared
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+# bisection rounds after which the kernel signs are read: is the form indefinite?
+_ROUNDS_UNCHECKED = 64
 
 
 def witness_search(m: MonicQuartic) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Two rational points with f > 0 and f < 0, for an indefinite form.
 
     (1, 0) always evaluates to 1 for a monic form.  The negative point is
-    proposed in floats and accepted in exact arithmetic: an indefinite
-    monic form has a negative global minimum of p(t) = f(t, 1), attained at
-    a real critical point, so `_critical_point_witness` rounds those points
-    to short dyadic rationals and keeps the first one whose exact value is
-    negative, rescaling t when the coefficients leave the float range.  When
-    none is (a dip narrower than float resolution, a near-double critical
-    point), `_sturm_witness` refines the exact critical points of f(t, 1)
-    until one of its bisection midpoints is negative.  Raises ValueError if
-    the form is not indefinite.
+    (t, 1) with p(t) = f(t, 1) < 0, found by bisection on dyadic midpoints
+    t = u / 2^j, every sign taken in integers.  An indefinite p has a
+    negative local minimum.  p' increases below and above the inflection
+    points r1,2 = (-3 e3 -+ sqrt(9 e3^2 - 24 e2 e4)) / (12 e4) of the
+    record (e4, .., e0), so there is at most one local minimum below r1 and
+    one above r2 (one in all when r1,2 are not real), both inside
+    (-2^k, 2^k), 2^k Fujiwara's bound on the roots of p'.  One bracket per
+    minimum is halved in turn, one step each per round, from that interval,
+    on the sign of t - r (`surd_sign`) beyond the inflection point and on
+    the sign of p'(t) before it.  The bracket of a negative minimum shrinks
+    onto it, so some midpoint, the first being t = 0, has p < 0.
+
+    Raises ValueError if the form is not indefinite: when the minimum of
+    each side is hit exactly with p >= 0, or when the kernel signs
+    (`lam0_test`), read after 64 rounds, say so.
     """
-    t = _critical_point_witness(m)
-    if t is None:
-        t = _sturm_witness(m)
-    return (_ONE, _ZERO), (t, _ONE)
-
-
-def _critical_point_witness(m: MonicQuartic) -> Fraction | None:
-    """A rational t with exact f(t, 1) < 0 near a float critical point, or
-    None.  When the floats of f propose none, t = 2^k s is tried for each
-    k = round((bitlen |ei| - bitlen e4) / (4 - i)) of the record's Newton
-    polygon, which brings coefficients beyond the float range into it."""
-    record = m.cleared
-    found = _proposed_witness(record)
-    if found is not None:
-        return Fraction(*found)
-    e4 = record[0]
-    for k in dict.fromkeys(round((abs(e).bit_length() - e4.bit_length()) / (4 - i))
-                           for i, e in enumerate(reversed(record[1:])) if e):
-        if not k:
-            continue
-        # the record of f(2^k x, y), times 2^(-4k) when k < 0 to keep it integral
-        found = _proposed_witness(tuple(e << i * k if k > 0 else e << (i - 4) * k
-                                        for i, e in zip(range(4, -1, -1), record)))
-        if found is not None:
-            n, den = found
-            return Fraction(n << k, den) if k > 0 else Fraction(n, den << -k)
-    return None
-
-
-def _proposed_witness(record: tuple[int, int, int, int, int]) -> tuple[int, int] | None:
-    """(n, den) with exact f(n / den, 1) < 0, the sign taken in integers,
-    near a float critical point of the form of the record, or None."""
-    e4, e3, e2, e1, e0 = record
-    try:
-        # int / int is correctly rounded: these are the floats of ai = ei / e4
-        a3, a2, a1, a0 = e3 / e4, e2 / e4, e1 / e4, e0 / e4
-        # p'(t) / 4 = t^3 + (3/4) a3 t^2 + (1/2) a2 t + (1/4) a1
-        points = _cubic_real_roots(0.75 * a3, 0.5 * a2, 0.25 * a1)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return None
-    ranked = []
-    for x in points:
-        value = (((x + a3) * x + a2) * x + a1) * x + a0
-        if math.isfinite(x) and math.isfinite(value):
-            ranked.append((value, x))
-    ranked.sort()
-
-    # e4 den^4 p(n / den) is the record's form at the integer point (n, den),
-    # so integers decide the sign
-    for _, x in ranked:
-        for n, den in _dyadic_ratios(x):
-            if quartic_horner(e4, e3, e2, e1, e0, n, den) < 0:
-                return n, den
-    return None
-
-
-def _dyadic_ratios(x: float):
-    """(n, 2**k) for x rounded to k = 4, 16, 32 fractional bits, coarsest
-    first, then x itself; a dip of half-width w around x accepts the first
-    k with 2**-(k+1) < w.  Rounds x's exact integer ratio, so no x overflows."""
-    num, den = x.as_integer_ratio()
-    for bits in (4, 16, 32):
-        scale = 1 << bits
-        if scale >= den:
-            break
-        yield (2 * num * scale + den) // (2 * den), scale
-    yield num, den
-
-
-def _cubic_real_roots(b: float, c: float, d: float) -> list[float]:
-    """Real roots of t^3 + b t^2 + c t + d in floats: closed form on the
-    depressed cubic, each polished by two Newton steps.  Close or double
-    roots may come out inaccurate or be missed; callers only propose."""
-    shift = b / 3
-    p = c - b * shift
-    q = (2 * shift * shift - c) * shift + d
-    disc = q * q / 4 + p * p * p / 27
-    if disc < 0:
-        # three real roots (p < 0): trigonometric form
-        r = math.sqrt(-p / 3)
-        angle = math.acos(max(-1.0, min(1.0, -q / (2 * r * r * r)))) / 3
-        roots = [2 * r * math.cos(angle - k * 2 * math.pi / 3) - shift for k in range(3)]
-    else:
-        # one real root: Cardano, choosing the cube root that does not cancel
-        big = -math.copysign((abs(q) / 2 + math.sqrt(disc)) ** (1 / 3), q)
-        roots = [(big - p / (3 * big) if big else 0.0) - shift]
-    for i, x in enumerate(roots):
-        for _ in range(2):
-            slope = (3 * x + 2 * b) * x + c
-            if not slope:
-                break
-            x -= (((x + b) * x + c) * x + d) / slope
-        roots[i] = x
-    return roots
-
-
-def _sturm_witness(m: MonicQuartic) -> Fraction:
-    """Exact fallback: a rational t with p(t) = f(t, 1) < 0 at or beside a
-    critical point of p, every sign taken in integers.
-
-    It stops on every indefinite form.  p tends to +inf both ways and takes
-    a negative value, so its minimum is negative, at a root r of p' of odd
-    multiplicity: p' changes sign across r, from - to +.  r is either an
-    exact root of the Sturm isolation of p', or inside one isolating
-    interval with p' < 0 at its left end and p' > 0 at its right end.
-    Those intervals are bisected in turn, one step each per round, on the
-    exact sign of p' at the midpoint.  The one holding r shrinks onto it,
-    and p is continuous, so some midpoint has p < 0.  The kernel signs are
-    read first: a form that is not indefinite raises ValueError.
-    """
-    from . import _polyroots as pr
-    signs = lam0_test(m)
-    if signs.slack is not None and min(signs) >= 0:
-        raise ValueError("form takes no negative value: not indefinite")
-    record = m.cleared
-    e4, e3, e2, e1, _ = record
-    slope = (0, 4 * e4, 3 * e3, 2 * e2, e1)  # e4 p'(t) as a quartic record
-
-    def sign(k: tuple[int, ...], t: Fraction) -> int:  # the sign of record k at (t, 1)
-        return quartic_horner(*k, t.numerator, t.denominator)
-
-    exact, isolated = pr.isolate_real_roots(pr.squarefree_part(pr.make_poly((e1, 2 * e2, 3 * e3, 4 * e4))))
-    for t in exact:
-        if sign(record, t) < 0:
-            return t
-    brackets = [[iso.lo, iso.hi] for iso in isolated if sign(slope, iso.lo) < 0 < sign(slope, iso.hi)]
-    while brackets:
-        for bracket in list(brackets):
-            mid = (bracket[0] + bracket[1]) / 2
-            if sign(record, mid) < 0:
-                return mid
-            at_mid = sign(slope, mid)
-            if at_mid:
-                bracket[at_mid > 0] = mid  # p' < 0 moves the left end, p' > 0 the right
-            else:  # the local minimum is p(mid) >= 0
-                brackets.remove(bracket)
-    raise ArithmeticError("an indefinite form with no negative critical value")
+    e4, e3, e2, e1, e0 = m.cleared
+    if e0 < 0:  # p(0) < 0: the first midpoint, t = 0, is the witness
+        return (_ONE, _ZERO), (_ZERO, _ONE)
+    # e4 p'(t) = d3 t^3 + d2 t^2 + d1 t + e1, as a quartic record (0, d3, d2, d1, e1)
+    d3, d2, d1 = 4 * e4, 3 * e3, 2 * e2
+    # 2^(k - 1) > |c / lead|^(1/i) for each nonzero coefficient c of t^(3 - i)
+    # in p', with lead = d3, and 2 d3 for the constant term
+    k = 1 + max((-((lead.bit_length() - 1 - abs(c).bit_length()) // i)
+                 for i, c, lead in ((1, d2, d3), (2, d1, d3), (3, e1, 2 * d3)) if c), default=-1)
+    radicand = d2 * d2 - 3 * d1 * d3  # 9 e3^2 - 24 e2 e4
+    # a side is [n, flank]: its bracket is [n, n + 2] / 2^j and its midpoint
+    # (n + 1) / 2^j; its flank is +1 for the minimum below r1, -1 for the one
+    # above r2, and 0 for the only one when p' increases everywhere
+    sides = [[-1, 1], [-1, -1]] if radicand >= 0 else [[-1, 0]]
+    j = -k
+    while sides:
+        for side in list(sides):
+            n, flank = side
+            u, w = (n + 1, 1 << j) if j >= 0 else ((n + 1) << -j, 1)
+            if quartic_horner(e4, e3, e2, e1, e0, u, w) < 0:
+                return (_ONE, _ZERO), (Fraction(u, w), _ONE)
+            # t beyond the flank's inflection point (t > r1, or t < r2) moves
+            # back towards it; otherwise p' > 0 keeps the lower half, p' < 0
+            # the upper one, and p' = 0 is the minimum itself, with p >= 0
+            if flank and surd_sign(3 * d3 * u + d2 * w, flank * w, radicand) == flank:
+                toward = flank
+            else:
+                toward = quartic_horner(0, d3, d2, d1, e1, u, w)
+                if not toward:
+                    sides.remove(side)
+                    continue
+            side[0] = 2 * n if toward > 0 else 2 * n + 2
+        j += 1
+        if j + k == _ROUNDS_UNCHECKED:
+            signs = lam0_test(m)
+            if signs.slack is not None and min(signs) >= 0:
+                raise ValueError("form takes no negative value: not indefinite")
+    raise ValueError("form takes no negative value: not indefinite")

@@ -35,8 +35,9 @@ are cleared once into the problem's `input_record` (`forms.from_ratios`),
 which keeps them as its `input_ratios`.  The report prints `input` from
 those ratios, with no gcd, and each witness value by integer Horner on the
 record (`forms.evaluate_ratio`) with `exactnum.ratio_text`.  A line of
-integer or p/q tokens builds no `Fraction`, save the witness coordinates
-that an indefinite one prints.
+integer or p/q tokens builds no `Fraction`, save the witness abscissa that
+an indefinite one prints when it is not 0; `classifier.witness_search`
+finds it by integer bisection, with no float.
 
 The report has one layout, the JSON text that `Report.build` writes from
 the integers, as `json.dumps` would spell it: each distinct value is

@@ -37,10 +37,10 @@ as before, whichever way the object was built.
 Three integer rules live here and nowhere else: `clear_ratios` clears
 five rationals with one lcm (`clear_denominators` is its view for
 `Fraction`s), `quartic_horner` evaluates a cleared form at an integer
-point (both witness searches of `classifier` use it), and `evaluate_ratio`
-takes a cleared form at a rational point by that Horner, as an integer
-ratio that the report prints with `exactnum.ratio_text` (`evaluate` is its
-`Fraction` for a monic form).
+point (`classifier.witness_search` takes its signs with it), and
+`evaluate_ratio` takes a cleared form at a rational point by that Horner,
+as an integer ratio that the report prints with `exactnum.ratio_text`
+(`evaluate` is its `Fraction` for a monic form).
 """
 
 from __future__ import annotations

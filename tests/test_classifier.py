@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -247,53 +248,12 @@ def _discriminant_case_formula(m):
     return 7 if p > 0 else 9
 
 
-def _float_tier_formula(a3, a2, a1, a0):
-    """The first dyadic candidate t, in the search's order, with
-    t^4 + a3 t^3 + a2 t^2 + a1 t + a0 < 0 in Fraction arithmetic, or None."""
-    try:
-        f3, f2, f1, f0 = float(a3), float(a2), float(a1), float(a0)
-        roots = classifier._cubic_real_roots(0.75 * f3, 0.5 * f2, 0.25 * f1)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return None
-    ranked = []
-    for x in roots:
-        value = (((x + f3) * x + f2) * x + f1) * x + f0
-        if math.isfinite(x) and math.isfinite(value):
-            ranked.append((value, x))
-    for _, x in sorted(ranked):
-        for n, den in classifier._dyadic_ratios(x):
-            t = F(n, den)
-            if (((t + a3) * t + a2) * t + a1) * t + a0 < 0:
-                return t
-    return None
-
-
-def _critical_point_witness_formula(m):
-    """The float tier on f, then, when it finds nothing, on the form
-    f(2^k s, 1) / 2^(4k) for each k of the Newton polygon of the
-    lcm-cleared record, k = round((bitlen |ei| - bitlen e4) / (4 - i)) for
-    e0, e1, e2, e3 in turn, each k != 0 once, with t = 2^k s."""
-    t = _float_tier_formula(m.a3, m.a2, m.a1, m.a0)
-    if t is not None:
-        return t
-    e4, *upper = _lcm_clearing(m)
-    ks = []
-    for i, e in enumerate(reversed(upper)):
-        k = round((abs(e).bit_length() - e4.bit_length()) / (4 - i)) if e else 0
-        if k and k not in ks:
-            ks.append(k)
-    for k in ks:
-        scale = F(2) ** k
-        s = _float_tier_formula(m.a3 / scale, m.a2 / scale**2, m.a1 / scale**3, m.a0 / scale**4)
-        if s is not None:
-            return scale * s
-    return None
-
-
 class TestIntegerRecord:
-    """`MonicQuartic.invariants`, `discriminant_case` and `_critical_point_witness`
-    read the form's integer record `MonicQuartic.cleared`; they give what
-    their formulas give on integers cleared by the lcm definition."""
+    """`MonicQuartic.invariants`, `discriminant_case` and `witness_search`
+    read the form's integer record `MonicQuartic.cleared`; the first two
+    give what their formulas give on integers cleared by the lcm
+    definition, and the witness of an indefinite form has f < 0 in
+    `Fraction` arithmetic that shares no code with the search."""
 
     def check(self, m):
         assert m.cleared == _lcm_clearing(m)
@@ -302,22 +262,23 @@ class TestIntegerRecord:
         assert m.root == (math.isqrt(disc) if disc >= 0 and math.isqrt(disc) ** 2 == disc
                           else None)
         assert discriminant_case(m) == _discriminant_case_formula(m)
-        assert classifier._critical_point_witness(m) == _critical_point_witness_formula(m)
+        if decide_monic(m).classification is Definiteness.INDEFINITE:
+            (px, py), (nx, ny) = witness_search(m)
+            coeffs = (1, m.a3, m.a2, m.a1, m.a0)
+            assert fraction_formula(*coeffs, px, py) > 0 > fraction_formula(*coeffs, nx, ny)
 
     def test_corpus(self, small_corpus):
         for _, form in NINE_CASES:
             self.check(form)
         for m in small_corpus:
             self.check(m)
-        # a case-4 form whose witness only the Newton-polygon retry finds
+        # a case-4 form of large coefficients, negative near t = 6089152
         m = MonicQuartic(
             F(-21208168904409, 870736),
             F(6072116781752049749388791089, 27294522541056),
             F(-5365769929778643335131679942111920157855, 5941580844827234304),
             F(7112384685808485099661465259387241581799791118313225,
               5173548338501486688927744))
-        assert classifier._proposed_witness(m.cleared) is None
-        assert classifier._critical_point_witness(m) == 6089152
         assert evaluate(m, 6089152, 1) < 0
         self.check(m)
 
@@ -506,41 +467,61 @@ class TestWitnessSearch:
             assert evaluate(m, px, py) > 0 and evaluate(m, nx, ny) < 0
         assert seen > 50
 
+    def test_height_3_monic_grid(self):
+        # every x^4 + a3 x^3 y + .. + a0 y^4 with a3..a0 in [-3, 3]: each
+        # indefinite form gets witnesses of exact signs, each other raises
+        found = rejected = 0
+        for coeffs in itertools.product(range(-3, 4), repeat=4):
+            m = MonicQuartic(*coeffs)
+            if decide_monic(m).classification is not Definiteness.INDEFINITE:
+                with pytest.raises(ValueError):
+                    witness_search(m)
+                rejected += 1
+                continue
+            (px, py), (nx, ny) = witness_search(m)
+            assert fraction_formula(1, *coeffs, px, py) > 0 > fraction_formula(1, *coeffs, nx, ny)
+            found += 1
+        assert (found, rejected) == (1894, 507)
+
 
 @pytest.fixture
-def sturm_calls(monkeypatch):
-    """Forms for which witness_search took the exact Sturm fallback."""
+def kernel_reads(monkeypatch):
+    """Forms for which witness_search read the kernel signs, which it does
+    only after 64 rounds of bisection."""
     calls = []
-    real = classifier._sturm_witness
+    real = classifier.lam0_test
 
     def spy(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(classifier, "_sturm_witness", spy)
+    monkeypatch.setattr(classifier, "lam0_test", spy)
     return calls
 
 
 class TestWitnessFallback:
-    @pytest.mark.parametrize("exponent, fallbacks",
+    """The hard inputs of the witness search: negative dips narrower than
+    float resolution, dips beyond the float range, critical points that
+    are multiple roots of p', and forms that are not indefinite."""
+
+    @pytest.mark.parametrize("exponent, finer_than_float",
                              [(20, 0), (40, 1), (60, 1), (100, 1), (200, 1), (290, 1)])
     @pytest.mark.parametrize("side", [1, -1])
-    def test_tiny_dip(self, sturm_calls, exponent, fallbacks, side):
+    def test_tiny_dip(self, exponent, finer_than_float, side):
         # (x^2 - 2y^2)^2 - eps y^4 dips below 0 only within ~eps^(1/2) of
-        # t = +-sqrt(2); below ~1e-32 no float-proposed rational lands there
+        # t = +-sqrt(2); below ~1e-32 that is narrower than the float spacing
+        # there, and the witness needs a denominator of more than 53 bits
         eps = F(1, 10**exponent)
         problem, verdict = certify(*(side * c for c in (1, 0, -4, 0, 4 - eps)))
         assert verdict.classification is Definiteness.INDEFINITE
         pos, neg = verdict.witnesses  # the search runs on this first read
-        assert len(sturm_calls) == fallbacks
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
+        assert (neg[0].denominator.bit_length() > 53) == finer_than_float
 
-    def test_coefficient_beyond_float_range(self, sturm_calls):
-        # the float proposal is rescaled, t = 2^k s, instead of falling back
+    def test_coefficient_beyond_float_range(self):
         problem, verdict = certify(1, 0, 0, 0, -10**400)
         assert verdict.classification is Definiteness.INDEFINITE
         pos, neg = verdict.witnesses
-        assert len(sturm_calls) == 0
         assert evaluate(problem.form, *pos) > 0 and evaluate(problem.form, *neg) < 0
 
     @pytest.mark.parametrize("coeffs", [
@@ -551,33 +532,33 @@ class TestWitnessFallback:
         (-F(10**590), 0, 1, 0, 0),
         (1, 0, -F(10**590), 0, 0),
     ])
-    def test_dip_beyond_float_range(self, sturm_calls, coeffs):
+    def test_dip_beyond_float_range(self, coeffs):
         # each form, or f(y, x) when e4 = 0, dips below 0 near |t| = 2^k with
         # |k| from 650 to 980, where its unscaled float coefficients
-        # overflow or vanish
+        # overflow or vanish; the search starts from Fujiwara's bound there
         problem, verdict = certify(*coeffs)
         assert verdict.classification is Definiteness.INDEFINITE
         (px, py), (nx, ny) = verdict.witnesses
-        assert sturm_calls == []
         if problem.orientation is Orientation.NEGATIVE_SIDE:
             (px, py), (nx, ny) = (nx, ny), (px, py)
         assert fraction_formula(*coeffs, px, py) > 0 > fraction_formula(*coeffs, nx, ny)
 
-    def test_definite_dip_raises(self, sturm_calls):
-        # (x^2 - 2y^2)^2 + eps y^4 is positive definite: every float proposal
-        # fails, and the fallback's kernel-sign guard raises before its loop
+    def test_definite_dip_raises(self, kernel_reads):
+        # (x^2 - 2y^2)^2 + eps y^4 is positive definite: the bisection never
+        # meets p < 0, and the kernel signs, read once after 64 rounds, stop it
         with pytest.raises(ValueError):
             witness_search(MonicQuartic(0, -4, 0, 4 + F(1, 10**100)))
-        assert len(sturm_calls) == 1
+        assert len(kernel_reads) == 1
 
     @pytest.mark.parametrize("m", [
         MonicQuartic(0, -4, 0, 4),      # (x^2 - 2y^2)^2: zeros at irrational minima
         MonicQuartic(4, 6, 4, 1),       # (x + y)^4: p' has a triple root
     ])
     def test_fallback_rejects_semidefinite(self, m):
-        # bisection would never find p < 0 here; the guard keeps it total
+        # bisection would never find p < 0 here; the kernel signs, or both
+        # minima hit exactly, keep it total
         with pytest.raises(ValueError):
-            classifier._sturm_witness(m)
+            witness_search(m)
 
     @pytest.mark.parametrize("m", [
         MonicQuartic(0, -2, 0, 0),      # x^4 - 2x^2y^2: p' = 4t(t^2 - 1), rational roots
@@ -585,8 +566,8 @@ class TestWitnessFallback:
         MonicQuartic(-4, 6, -4, 0),     # (x - y)^4 - y^4: p' = 4(t - 1)^3
     ])
     def test_fallback_on_structured_forms(self, m):
-        t = classifier._sturm_witness(m)
-        assert evaluate(m, t, 1) < 0
+        _, (t, y) = witness_search(m)
+        assert evaluate(m, t, y) < 0
 
     def test_fallback_on_random_indefinite_forms(self):
         rng = random.Random(18)
@@ -596,16 +577,16 @@ class TestWitnessFallback:
             if decide_monic(m).classification is not Definiteness.INDEFINITE:
                 continue
             seen += 1
-            t = classifier._sturm_witness(m)
-            assert evaluate(m, t, 1) < 0
+            _, (t, y) = witness_search(m)
+            assert evaluate(m, t, y) < 0
 
-    def test_corpus_needs_no_fallback(self, small_corpus, sturm_calls):
+    def test_corpus_needs_no_fallback(self, small_corpus, kernel_reads):
         indefinite = 0
         for m in small_corpus:
             verdict = decide_monic(m)
             if verdict.classification is Definiteness.INDEFINITE:
                 indefinite += 1
-                # short dyadic witnesses, not the float's full 53-bit ratio
+                # short dyadic witnesses, found before the kernel signs are read
                 assert verdict.witnesses[1][0].denominator <= 2**16
         assert indefinite > 50
-        assert sturm_calls == []
+        assert kernel_reads == []

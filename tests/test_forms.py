@@ -110,7 +110,7 @@ big_coefficients = st.one_of(
 points = st.one_of(
     st.integers(-10**30, 10**30),
     st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
-    # dyadic points, as the witness search proposes them
+    # dyadic points, as the witness search bisects on them
     st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(16, 64).map(lambda k: 2**k)),
     st.just(0),
 )

@@ -9,6 +9,11 @@ each form the verdict of its line.  The census of verdicts and of the nine
 cases is pinned, so a fault that every oracle shares still shows.  The grid
 reaches cases 4, 5 and 8 and the e4 = 0 swaps, which the bench corpora
 never reach.  The tier-1 suite runs H = 2; CI runs `grid_report(4)`.
+
+A change of variables needs no oracle either: f(a x + b y, c x + d y) with
+ad - bc != 0 has the verdict and the case of f, and -f the flipped verdict
+and the same case.  `test_height_2_grid_substitutions` checks both on the
+height-2 grid, across the e4 = 0 and monic routes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from quartic_certify import certify
+from quartic_certify import certify, classify_case
 from quartic_certify.cli import main
 
 CHECKER = Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -102,3 +107,48 @@ def expected_report(height: int) -> dict:
 
 def test_height_2_grid(tmp_path):
     assert grid_report(2, tmp_path) == expected_report(2)
+
+
+# (a, b, c, d) of f(x, y) -> f(a x + b y, c x + d y), each of nonzero
+# determinant: swap, reflection, x -> x + y, y -> 3x + y, x -> 2x and
+# (x, y) -> (x - 2y, 2x + y)
+SUBSTITUTIONS = [(0, 1, 1, 0), (-1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 3, 1), (2, 0, 0, 1),
+                 (1, -2, 2, 1)]
+
+
+def substituted(coeffs: tuple[int, ...], a: int, b: int, c: int, d: int) -> tuple[int, ...]:
+    """e4..e0 of f(a x + b y, c x + d y), f given by e4..e0, in integers."""
+    out = [0] * 5
+    for i, e in enumerate(coeffs):  # the term e x^(4 - i) y^i
+        term = [e]
+        for u, v in [(a, b)] * (4 - i) + [(c, d)] * i:  # times u x + v y
+            term = [p * u + q * v for p, q in zip(term + [0], [0] + term)]
+        out = [o + t for o, t in zip(out, term)]
+    return tuple(out)
+
+
+def verdict_and_case(coeffs: tuple[int, ...]):
+    """The class of f and its case, read on f(y, x) when e4 = 0; None when
+    e4 = e0 = 0, which a closed rule decides with no case."""
+    problem, verdict = certify(*coeffs)
+    decided = problem.decided()
+    return verdict.classification, None if decided is None else classify_case(decided.form).case_id
+
+
+def test_height_2_grid_substitutions():
+    wrong, crossings = [], 0
+    for coeffs in itertools.product(range(-2, 3), repeat=5):
+        if not any(coeffs):
+            continue
+        cls, case = verdict_and_case(coeffs)
+        if verdict_and_case(tuple(-c for c in coeffs)) != (cls.flipped(), case):
+            wrong.append((coeffs, "negated"))
+        for matrix in SUBSTITUTIONS:
+            image = substituted(coeffs, *matrix)
+            other_cls, other_case = verdict_and_case(image)
+            if other_cls is not cls or (None not in (case, other_case) and other_case != case):
+                wrong.append((coeffs, matrix))
+            crossings += (coeffs[0] == 0) != (image[0] == 0)
+    assert wrong == []
+    # the pairs that cross between the e4 = 0 route and the monic one
+    assert crossings == 2256

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -523,17 +522,10 @@ def assert_views_equal_the_eager_references(problem):
     m = problem.form
     verdict = decide_problem(problem)
     e4, *rest = m.cleared
-    # a3..a0, and the floats the critical-point witness first proposes from
-    # them, unscaled (a failed proposal is retried at rescaled coefficients)
+    # a3..a0
     coefficients = (m.a3, m.a2, m.a1, m.a0)
     assert coefficients == tuple(Fraction(e, e4) for e in rest)
     assert all(type(a) is Fraction for a in coefficients)
-    assert tuple(e / e4 for e in rest) == tuple(float(a) for a in coefficients)
-    with mock.patch.object(classifier, "_cubic_real_roots",
-                           wraps=classifier._cubic_real_roots) as proposed:
-        classifier._critical_point_witness(m)
-    assert proposed.call_args_list[0].args == (0.75 * float(m.a3), 0.5 * float(m.a2),
-                                               0.25 * float(m.a1))
     # lam0 and g(lam0)
     cubic = pencil_coeffs(m)
     lam0 = critical_param(cubic)
