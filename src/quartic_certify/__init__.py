@@ -1,8 +1,10 @@
 """Exact definiteness certificates for binary quartic forms.
 
-The decision kernel is entirely exact (arbitrary-precision rationals and
-arithmetic in real quadratic extensions), and so are the certificates and
-witnesses; floats appear only in the advisory circle minimum.
+The decision kernel is exact integer arithmetic on the form's cleared
+coefficients; the paper's objects, in rationals and real quadratic
+extensions Q(sqrt(d)), are an exact reference layer over it.  The
+certificates and witnesses are exact too; floats appear only in the
+advisory circle minimum.
 
 Typical use:
 

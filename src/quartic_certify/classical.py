@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import GeneralQuartic, MonicQuartic, clear_denominators
+from .forms import GeneralQuartic, MonicQuartic, clear_ratios
 
 __all__ = ["ClassicalQuantities", "classical_quantities", "classical_is_pd"]
 
@@ -62,7 +62,9 @@ def _pd_criterion(G, H, delta, aux) -> bool:
 
 def classical_quantities(v: GeneralQuartic) -> ClassicalQuantities:
     """G, H, I, J, Delta and aux of the weighted form v."""
-    ratios = _integer_quantities(*clear_denominators(v.c0, v.c1, v.c2, v.c3, v.c4))
+    ratios = _integer_quantities(*clear_ratios(
+        v.c0.as_integer_ratio(), v.c1.as_integer_ratio(), v.c2.as_integer_ratio(),
+        v.c3.as_integer_ratio(), v.c4.as_integer_ratio()))
     return ClassicalQuantities(*(Fraction(num, den) for num, den in ratios))
 
 

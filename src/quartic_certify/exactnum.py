@@ -11,10 +11,11 @@ enters any decision path; input text is parsed at the boundary by
 `parse_ratio`, the one parsing rule, to a reduced integer ratio
 (num, den) that the command line clears without building a `Fraction`
 (`parse_rational` is the `Fraction` of that ratio), and decimal output is
-rendered from the exact value on demand by `to_decimal`, a rational one
-from its integers by `ratio_decimal` and an irrational one by
-`surd_decimal`.  Each rounds once, half-even, from the exact value: one
-correctly rounded division, or exact integer floors of the scaled value.
+rendered from the exact value on demand by `to_decimal`, through
+`surd_decimal`, which brackets an irrational value between two integers at
+a fine enough decimal scale.  Every printed decimal is rounded once,
+half-even, from the exact value, by one routine: the correctly rounded
+division of `ratio_decimal`.
 `ratio_text` spells a ratio of integers as `str(Fraction)` does, so a
 value held as integers is rendered without building its `Fraction`.
 """
@@ -362,22 +363,17 @@ def sign_of(value: QuadExt | Fraction | int) -> int:
 
 
 def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
-    """Render an exact scalar to `digits` significant decimal digits.
+    """Render an exact scalar to `digits` significant decimal digits,
+    rounded half-even once, from the exact value.
 
-    Either way the value is rounded half-even once, from the exact value.
-    A rational value is one correctly rounded division (`ratio_decimal`).
-    An irrational value p + q sqrt(d) is cleared to (a + b sqrt(N)) / L in
-    integers (`clear_surds`) and rendered by `surd_decimal`, from exact
-    integer floors.  Every step runs in a fixed context (`_context`), so
+    The value p + q sqrt(d) (q = 0 for a rational one) is cleared to
+    (a + b sqrt(N)) / L in integers (`clear_surds`) and rendered by
+    `surd_decimal`, whose one rounding is the correctly rounded division of
+    `ratio_decimal`.  Every step runs in a fixed context (`_context`), so
     the caller's decimal settings change neither the digits nor the traps.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if isinstance(value, QuadExt) and value.q != 0:
-        ((a, b),), n, big = clear_surds(value)
-        return surd_decimal(a, b, n, big, digits)
-    value = value.p if isinstance(value, QuadExt) else as_fraction(value)
-    return ratio_decimal(value.numerator, value.denominator, digits)
+    ((a, b),), n, big = clear_surds(value if isinstance(value, QuadExt) else as_fraction(value))
+    return surd_decimal(a, b, n, big, digits)
 
 
 def clear_surds(*values: QuadExt | Fraction | int) -> tuple[tuple[tuple[int, int], ...], int, int]:
@@ -425,57 +421,39 @@ def ratio_decimal(num: int, den: int, digits: int) -> str:
 
 def surd_decimal(a: int, b: int, n: int, den: int, digits: int) -> str:
     """(a + b sqrt(n)) / den, for integers a, b, n >= 0 and den != 0, to
-    `digits` significant decimal digits, rounded half-even, spelled as
-    `Decimal.__str__` spells a result of that many digits (0 as "0").
+    `digits` significant decimal digits, rounded half-even once, from the
+    exact value, by `ratio_decimal`.
 
-    The value v is rounded once, from the exact value, by one identity: for
-    real y and an integer u > 0, floor(y / u) = floor(floor(y) / u).  So one
-    `math.isqrt` gives t = floor(2 |v| 10^w) at a scale w, each coarser
-    scale s takes floor(2 |v| 10^s) = t // 10^(w - s), and the rounding of
-    |v| 10^s is (that + 1) // 2, save on a tie, which only a rational value
-    reaches.  The scale widens when a and b sqrt(n) cancel beyond the size
-    estimate.
+    A rational value (b = 0, or n a square) is `ratio_decimal` of its
+    integers.  An irrational value v is bracketed, not rounded: one
+    `math.isqrt` gives t = floor(|v| 10^w) at a scale w where
+    t >= 10^(digits + 1), so t < |v| 10^w < t + 1.  At that scale the
+    rounding boundaries at `digits` digits and the powers of ten next to
+    |v| 10^w are integers, so v rounds as the midpoint
+    sign(v) (2t + 1) / (2 10^w) does.
+    The scale widens when a and b sqrt(n) cancel beyond the size estimate.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if den < 0:
         a, b, den = -a, -b, -den
     root = math.isqrt(n)
-    if root * root == n:  # fold a square n into a: b = 0 marks a rational value
-        a, b = a + b * root, 0
-    sign = surd_sign(a, b, n)
-    if not sign:
-        return "0"
+    if not b or root * root == n:
+        return ratio_decimal(a + b * root, den, digits)
+    sign = surd_sign(a, b, n)  # never 0: the value is irrational
     a, b = sign * a, sign * b  # v = (a + b sqrt(n)) / den > 0 from here
-    low = 10 ** (digits - 1)
-    high = 10 * low
-    lead = max(a.bit_length(), b.bit_length() + (n.bit_length() - 1) // 2 if b else 0)
+    lead = max(a.bit_length(), b.bit_length() + (n.bit_length() - 1) // 2)
     lead -= den.bit_length() + 1  # v >= 2^lead unless a and b sqrt(n) cancel
-    # floor(v 10^w) has a spare digit or more at this w; 1233/4096 < log10(2)
+    # floor(v 10^w) >= 10^(digits + 1) at this w; 1233/4096 < log10(2)
     w = max(0, digits + 1 - (lead * 1233 >> 12))
+    low = 10 ** (digits + 1)
     while True:
         scale = 10**w
-        x = 2 * b * scale
-        root = math.isqrt(x * x * n)  # floor(|x| sqrt(n)); x sqrt(n) is irrational unless x = 0
-        t = (2 * a * scale + (root if x >= 0 else -root - 1)) // den  # floor(2 v 10^w)
-        if t >> 1 >= low:
-            break
+        root = math.isqrt(b * b * scale * scale * n)  # floor(|b| 10^w sqrt(n))
+        t = (a * scale + (root if b > 0 else -root - 1)) // den
+        if t >= low:
+            return ratio_decimal(sign * (2 * t + 1), 2 * scale, digits)
         w += max(w, digits)
-    # the scale s with 10^(digits-1) <= v 10^s < 10^digits, from an
-    # underestimate of the digits of floor(v 10^w) beyond `digits`
-    drop = max(0, (((t >> 1).bit_length() - 1) * 1233 >> 12) + 1 - digits)
-    t //= 10**drop
-    while t >> 1 >= high:
-        t //= 10
-        drop += 1
-    s = w - drop
-    k = (t + 1) >> 1
-    if not b and t & k & 1 and 2 * a * 10 ** max(s, 0) == t * den * 10 ** max(-s, 0):
-        k -= 1  # 2 v 10^s = t exactly, t odd: a tie, and k is odd, so to k - 1
-    if k == high:  # rounded up to a power of ten: one digit fewer after the point
-        k, s = low, s - 1
-    out = _context(digits)
-    return out.to_sci_string(Decimal(sign * k).scaleb(-s, out))
 
 
 @functools.lru_cache(maxsize=64)

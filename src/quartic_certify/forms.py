@@ -15,11 +15,11 @@ Each input is cleared to integers once, in `from_ratios`, which takes
 the five coefficients as reduced integer ratios (num, den), as the command
 line parses them, so that no input builds a `Fraction` on the way in;
 `from_plain_coeffs` passes it each rational's `as_integer_ratio()`.  It
-clears by `clear_ratios` (`clear_denominators` is its view for
-`Fraction`s).  The problem keeps that input record (L, k4, k3, k2, k1, k0)
-and the five ratios (`input_ratios`), and its `MonicQuartic` is built from
-the same integers.  Every `MonicQuartic` carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm of the denominators
-and ei = e4 ai.  The integer kernels of `pencil` and `classifier`, the
+clears by `clear_ratios`.  The problem keeps that input record
+(L, k4, k3, k2, k1, k0) and the five ratios (`input_ratios`), and its
+`MonicQuartic` is built from the same integers.  Every `MonicQuartic`
+carries the record `cleared` = (e4, e3, e2, e1, e0) with e4 > 0 the lcm
+of the denominators and ei = e4 ai.  The integer kernels of `pencil` and `classifier`, the
 certificate, the report and the classical cross-check read that record,
 and the integer pencil invariants of it (`invariants`), instead of
 clearing the form again; `pencil.lam0_surds` keeps its tuple on the form.
@@ -35,9 +35,10 @@ way.  A view is built on ==, hash and repr too, which see the same values
 as before, whichever way the object was built.
 
 Three integer rules live here and nowhere else: `clear_ratios` clears
-five rationals with one lcm (`clear_denominators` is its view for
-`Fraction`s), `quartic_horner` evaluates a cleared form at an integer
-point (`classifier.witness_search` takes its signs with it), and
+five rationals, given as integer ratios, with one lcm (a `MonicQuartic`
+built from a3..a0 and `classical.classical_quantities` pass it
+`as_integer_ratio()` too), `quartic_horner` evaluates a cleared form at an
+integer point (`classifier.witness_search` takes its signs with it), and
 `evaluate_ratio` takes a cleared form at a rational point by that Horner,
 as an integer ratio that the report prints with `exactnum.ratio_text`
 (`evaluate` is its `Fraction` for a monic form).
@@ -129,7 +130,8 @@ class MonicQuartic:
         put(self, "a2", a2)
         put(self, "a1", a1)
         put(self, "a0", a0)
-        put(self, "cleared", clear_denominators(1, a3, a2, a1, a0)[1:])
+        put(self, "cleared", clear_ratios((1, 1), a3.as_integer_ratio(), a2.as_integer_ratio(),
+                                          a1.as_integer_ratio(), a0.as_integer_ratio())[1:])
 
     def coefficients(self) -> tuple[Fraction, ...]:
         """Plain coefficients (1, a3, a2, a1, a0), highest degree in x first."""
@@ -301,13 +303,6 @@ def evaluate_ratio(record: tuple[int, int, int, int, int, int], x: tuple[int, in
     scale = b * e
     scale *= scale
     return quartic_horner(k4, k3, k2, k1, k0, a * e, c * b), big * scale * scale
-
-
-def clear_denominators(c4, c3, c2, c1, c0) -> tuple[int, int, int, int, int, int]:
-    """`clear_ratios` of rationals (or integers) c4..c0."""
-    return clear_ratios((c4.numerator, c4.denominator), (c3.numerator, c3.denominator),
-                        (c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
-                        (c0.numerator, c0.denominator))
 
 
 def clear_ratios(r4: tuple[int, int], r3: tuple[int, int], r2: tuple[int, int],

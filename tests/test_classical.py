@@ -145,5 +145,5 @@ def test_monic_record_is_not_cleared_again(monkeypatch):
     def forbidden(*args):
         raise AssertionError("cleared again")
 
-    monkeypatch.setattr(classical, "clear_denominators", forbidden)
+    monkeypatch.setattr(classical, "clear_ratios", forbidden)
     assert tuple(F(*q) for q in _monic_quantities(m)) == _values(expected)

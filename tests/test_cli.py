@@ -926,7 +926,7 @@ class TestFrontEnd:
         # the cross-checks read 0 1 2 1 3 swapped, as 3 x^4 + x^3 y + 2 x^2 y^2
         # + x y^3, normalised from the reversed input record, and its cubic
         # witnesses are checked on the same record.  Every clearing of five
-        # rationals, clear_denominators' too, goes through forms.clear_ratios
+        # rationals goes through forms.clear_ratios
         import quartic_certify.forms as forms
 
         oracle = discriminant_case(from_plain_coeffs(3, 1, 2, 1, 0).form)

@@ -472,11 +472,25 @@ def test_to_decimal_against_the_decimal_reference(p, q, d, digits):
     lambda r: r * r)), st.integers(1, 10**12), st.integers(1, 60))
 @settings(max_examples=300, deadline=None)
 def test_surd_decimal_is_the_exact_rounding(a, b, n, den, digits):
-    # rational values (b = 0 or n a square) included, ties among them
+    # rational values (b = 0 or n a square) included, ties among them: those
+    # are ratio_decimal's, which test_ratio_decimal_is_the_exact_rounding checks
     value = QuadExt(F(a, den), F(b, den), F(n))
     text = surd_decimal(a, b, n, den, digits)
-    assert text == "0" if value == 0 else is_exact_rounding(value, text, digits)
+    if value.is_rational:
+        assert text == ratio_decimal(value.p.numerator, value.p.denominator, digits)
+    else:
+        assert is_exact_rounding(value, text, digits)
     assert surd_decimal(-a, -b, n, -den, digits) == text
+
+
+@given(_numerator, _numerator, st.integers(0, 10**15), st.integers(-10**12, 10**12).filter(bool),
+       st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_surd_decimal_of_a_rational_is_ratio_decimal(a, b, r, den, digits):
+    # b = 0 over any radicand, and any b over a square n = r^2: the folded
+    # integers have one spelling, ratio_decimal's ("0.125" for 1/8)
+    assert surd_decimal(a, 0, r, den, digits) == ratio_decimal(a, den, digits)
+    assert surd_decimal(a, b, r * r, den, digits) == ratio_decimal(a + b * r, den, digits)
 
 
 @given(_rational, st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)),
@@ -516,7 +530,7 @@ def test_to_decimal_at_the_precision_bound():
 
 @pytest.mark.parametrize("a, b, n, den, digits, text", [
     (0, 2, 3, 3, 12, "1.15470053838"),  # 2 / sqrt(3)
-    (1, 0, 5, 8, 12, "0.125000000000"),  # rational: all the digits are spelled
+    (1, 0, 5, 8, 12, "0.125"),  # rational: spelled as ratio_decimal spells 1/8
     (5, 0, 0, 2, 1, "2"),  # 5/2, a tie: to even
     (15, 0, 0, 2, 1, "8"),  # 15/2, a tie: to even
     (-5, 0, 0, 2, 1, "-2"),

@@ -14,7 +14,7 @@ from quartic_certify import (
     from_plain_coeffs,
     to_weighted,
 )
-from quartic_certify.forms import Orientation, clear_denominators, evaluate_ratio
+from quartic_certify.forms import Orientation, clear_ratios, evaluate_ratio
 
 from conftest import fraction_formula
 
@@ -97,7 +97,7 @@ def test_dehomogenized_matches_evaluation():
 
 def ratio_of(coeffs, x, y):
     """`evaluate_ratio` of plain coefficients: cleared, then at x, y."""
-    record = clear_denominators(*map(Fraction, coeffs))
+    record = clear_ratios(*(Fraction(c).as_integer_ratio() for c in coeffs))
     return evaluate_ratio(record, Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio())
 
 
@@ -249,7 +249,9 @@ def test_from_plain_record_is_the_lcm_record(coeffs):
     # both sides, and num/den up to 10^30/10^12
     e4, e3, e2, e1, e0 = map(Fraction, coeffs)
     p = from_plain_coeffs(*coeffs)
-    assert p.input_record == clear_denominators(e4, e3, e2, e1, e0)
+    big = math.lcm(e4.denominator, e3.denominator, e2.denominator, e1.denominator,
+                   e0.denominator)
+    assert p.input_record == (big, *(int(e * big) for e in (e4, e3, e2, e1, e0)))
     assert all(type(k) is int for k in p.input_record)
     if e4 == 0:
         assert p.form is None

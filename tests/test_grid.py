@@ -13,7 +13,9 @@ never reach.  The tier-1 suite runs H = 2; CI runs `grid_report(4)`.
 A change of variables needs no oracle either: f(a x + b y, c x + d y) with
 ad - bc != 0 has the verdict and the case of f, and -f the flipped verdict
 and the same case.  `test_height_2_grid_substitutions` checks both on the
-height-2 grid, across the e4 = 0 and monic routes.
+height-2 grid, across the e4 = 0 and monic routes (CI runs
+`substitution_report(3)`), and `test_drawn_substitutions` on drawn shears
+and swaps of random and large-coefficient forms.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartic_certify import certify, classify_case
 from quartic_certify.cli import main
@@ -135,9 +140,18 @@ def verdict_and_case(coeffs: tuple[int, ...]):
     return verdict.classification, None if decided is None else classify_case(decided.form).case_id
 
 
-def test_height_2_grid_substitutions():
-    wrong, crossings = [], 0
-    for coeffs in itertools.product(range(-2, 3), repeat=5):
+# pairs (form, substitution) of each grid, and those that cross between the
+# e4 = 0 route and the monic one
+SUBSTITUTION_PAIRS = {2: {"pairs": 18744, "crossings": 2256},
+                      3: {"pairs": 100836, "crossings": 8984}}
+
+
+def substitution_report(height: int) -> dict:
+    """The height-`height` grid under `SUBSTITUTIONS` and negation: the
+    (form, substitution or "negated") pairs whose verdict or case is wrong,
+    and the counts of `SUBSTITUTION_PAIRS`."""
+    wrong, pairs, crossings = [], 0, 0
+    for coeffs in itertools.product(range(-height, height + 1), repeat=5):
         if not any(coeffs):
             continue
         cls, case = verdict_and_case(coeffs)
@@ -148,7 +162,37 @@ def test_height_2_grid_substitutions():
             other_cls, other_case = verdict_and_case(image)
             if other_cls is not cls or (None not in (case, other_case) and other_case != case):
                 wrong.append((coeffs, matrix))
+            pairs += 1
             crossings += (coeffs[0] == 0) != (image[0] == 0)
-    assert wrong == []
-    # the pairs that cross between the e4 = 0 route and the monic one
-    assert crossings == 2256
+    return {"wrong": wrong, "pairs": pairs, "crossings": crossings}
+
+
+def test_height_2_grid_substitutions():
+    assert substitution_report(2) == {"wrong": [], **SUBSTITUTION_PAIRS[2]}
+
+
+def _product(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, ...]:
+    """e4..e0 of the product of two binary quadratics, each given by its
+    three coefficients."""
+    (a, b, c), (d, e, f) = p, q
+    return (a * d, a * e + b * d, a * f + b * e + c * d, b * f + c * e, c * f)
+
+
+_quadratic = st.tuples(*[st.builds(lambda m, s: m * s, st.integers(2**189, 2**190 - 1),
+                                   st.sampled_from((1, -1)))] * 3)
+_shear = st.integers(-10**6, 10**6)
+
+
+@given(st.one_of(st.tuples(*[st.integers(-10**6, 10**6)] * 5),
+                 st.builds(_product, _quadratic, _quadratic)).filter(any),
+       st.one_of(_shear.map(lambda k: (1, k, 0, 1)), _shear.map(lambda k: (1, 0, k, 1)),
+                 st.just((0, 1, 1, 0))))
+@settings(max_examples=300, deadline=None)
+def test_drawn_substitutions(coeffs, matrix):
+    # x -> x + k y, y -> y + k x and the swap, of random forms and of
+    # products of two quadratics with 190-bit coefficients
+    cls, case = verdict_and_case(coeffs)
+    other_cls, other_case = verdict_and_case(substituted(coeffs, *matrix))
+    assert other_cls is cls
+    assert None in (case, other_case) or other_case == case
+    assert verdict_and_case(tuple(-c for c in coeffs)) == (cls.flipped(), case)
