@@ -23,9 +23,9 @@ inside the interval and is exactly a root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exactnum import rational_sign
 
 Poly = tuple[Fraction, ...]
@@ -198,8 +198,7 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 # -- root isolation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(Record):
     """A single simple real root of `poly` trapped in the open interval
     (lo, hi); the endpoints are rational non-roots with a sign change."""
 

@@ -29,16 +29,15 @@ pass every cross-check alike.  The test suite guards the normalisation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .forms import GeneralQuartic, MonicQuartic, clear_ratios
 
 __all__ = ["ClassicalQuantities", "classical_quantities", "classical_is_pd"]
 
 
-@dataclass(frozen=True)
-class ClassicalQuantities:
+class ClassicalQuantities(Record):
     G: Fraction
     H: Fraction
     I: Fraction

@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .exactnum import rational_sign, surd_sign
 from .forms import MonicQuartic, quartic_horner
 # pencil_coeffs, critical_param and g_eval stay bound for bench/spans.py to wrap
@@ -67,9 +66,8 @@ from .pencil import (  # noqa: F401
     pencil_coeffs,
 )
 
-# its users import _polyroots on call: no typical --batch line runs them
-if TYPE_CHECKING:
-    from . import _polyroots as pr
+# `pr` in annotations is _polyroots, which its users import on call: no
+# typical --batch line runs them
 
 __all__ = [
     "CubicRootProfile",
@@ -114,8 +112,7 @@ PSD_CASES = frozenset({2, 5, 6, 7, 9})
 PD_CASES = frozenset({2, 7})
 
 
-@dataclass(frozen=True)
-class IntersectionCase:
+class IntersectionCase(Record):
     case_id: int
     description: str
 
@@ -124,8 +121,7 @@ class IntersectionCase:
 _CASES = {case_id: IntersectionCase(case_id, text) for case_id, text in CASE_DESCRIPTIONS.items()}
 
 
-@dataclass(frozen=True)
-class CubicRootProfile:
+class CubicRootProfile(Record):
     """Exact root structure of g over Q.
 
     Multiple roots of a rational cubic are always rational, so every entry
@@ -293,8 +289,7 @@ def discriminant_case(m: MonicQuartic) -> int:
     return 7 if p > 0 else 9
 
 
-@dataclass(frozen=True)
-class QuarticRootNature:
+class QuarticRootNature(Record):
     """Projective root multiplicity profile of a monic quartic."""
 
     real_simple: int = 0

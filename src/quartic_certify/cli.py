@@ -58,7 +58,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 # classical_quantities, classical_is_pd, circle_min_estimate_plain and
@@ -163,13 +162,14 @@ _CASE_TEXT = {case_id: f'{{"id": {case_id}, "description": {encode_basestring_as
               for case_id, text in CASE_DESCRIPTIONS.items()}
 
 
-@dataclass
 class Report:
-    problem: NormalizedProblem
-    verdict: Verdict
-    digits: int
-    include_case: bool
-    crosscheck: bool
+    def __init__(self, problem: NormalizedProblem, verdict: Verdict, digits: int,
+                 include_case: bool, crosscheck: bool) -> None:
+        self.problem = problem
+        self.verdict = verdict
+        self.digits = digits
+        self.include_case = include_case
+        self.crosscheck = crosscheck
 
     def build(self) -> tuple[str, int]:
         """The report as one JSON text, as `json.dumps` would spell it (the

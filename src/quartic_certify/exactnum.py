@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from decimal import (
     ROUND_HALF_EVEN,
     Context,
@@ -34,6 +33,8 @@ from decimal import (
     Overflow,
 )
 from fractions import Fraction
+
+from ._record import Record
 
 __all__ = [
     "QuadExt",
@@ -129,8 +130,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class QuadExt(Record):
     """An element p + q*sqrt(d) of a real quadratic extension of Q.
 
     Invariants (normalised on construction):

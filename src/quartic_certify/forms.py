@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .exactnum import as_fraction
 
 __all__ = [
@@ -71,10 +71,10 @@ class _View:
     attributes, then kept in the instance dict.
 
     It is a non-data descriptor, so a value already in the instance dict
-    (put there by a dataclass `__init__` or a private constructor) shadows
-    it.  As the class attribute of a dataclass field it also gives the
-    field's default: `_View(build, default)`, or no default when `default`
-    is left out.
+    (put there by a `Record` constructor or a private one) shadows it.  As
+    the class attribute of a record's field it also gives the field's
+    default: `_View(build, default)`, or no default when `default` is left
+    out.
     """
 
     def __init__(self, build, *default) -> None:
@@ -99,8 +99,7 @@ def _coefficient(i: int) -> _View:
     return _View(lambda m: Fraction(m.cleared[4 - i], m.cleared[0]))
 
 
-@dataclass(frozen=True)
-class MonicQuartic:
+class MonicQuartic(Record):
     """x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4 over Q.
 
     `cleared` is the integer record (e4, e3, e2, e1, e0): e4 > 0 is the lcm
@@ -110,15 +109,14 @@ class MonicQuartic:
     when D is a perfect square, else None, which only rendering reads
     (`pencil.surd_parts`); both are taken on first read.  A form built from
     its record (by `from_ratios`) builds a3..a0 on first read as well.
-    Neither record takes part in ==, hash or repr.
+    Neither record is a field: they take no part in the constructor, ==,
+    hash or repr.
     """
 
     a3: Fraction = _coefficient(3)
     a2: Fraction = _coefficient(2)
     a1: Fraction = _coefficient(1)
     a0: Fraction = _coefficient(0)
-    cleared: tuple[int, int, int, int, int] = field(
-        init=False, repr=False, compare=False)
     invariants = _View(lambda m: _pencil_invariants(*m.cleared))
     root = _View(lambda m: _square_root(m.invariants[2]))
 
@@ -142,8 +140,7 @@ class MonicQuartic:
         return (self.a0, self.a1, self.a2, self.a3, Fraction(1))
 
 
-@dataclass(frozen=True)
-class GeneralQuartic:
+class GeneralQuartic(Record):
     c0: Fraction
     c1: Fraction
     c2: Fraction
@@ -167,8 +164,7 @@ _POSITIVE_SIDE, _NEGATIVE_SIDE = Orientation
 _EXACT = (int, Fraction)
 
 
-@dataclass(frozen=True)
-class NormalizedProblem:
+class NormalizedProblem(Record, hidden=("input_record", "input_ratios")):
     """A definiteness question reduced to a monic positive-side form.
 
     `form` is the monic quartic actually decided; for negative-side inputs
@@ -186,10 +182,8 @@ class NormalizedProblem:
     form: MonicQuartic | None
     orientation: Orientation | None
     scale: Fraction = _View(lambda p: Fraction(abs(p.input_record[1]), p.input_record[0]))
-    input_record: tuple[int, int, int, int, int, int] | None = field(
-        default=None, repr=False, compare=False)
-    input_ratios: tuple[tuple[int, int], ...] | None = field(
-        default=None, repr=False, compare=False)
+    input_record: tuple[int, int, int, int, int, int] | None = None
+    input_ratios: tuple[tuple[int, int], ...] | None = None
 
     def decided(self) -> NormalizedProblem | None:
         """The problem whose form the decision reads, the one home of that

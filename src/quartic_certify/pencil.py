@@ -35,11 +35,11 @@ lam, and is the reference the integer route is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
+from ._record import Record
 from .exactnum import _ZERO, QuadExt, as_fraction, clear_surds, sign_of, surd_sign
 from .forms import MonicQuartic
 
@@ -65,8 +65,7 @@ __all__ = [
 Scalar = Fraction | QuadExt
 
 
-@dataclass(frozen=True)
-class PencilCubic:
+class PencilCubic(Record):
     """Coefficients (b0, b1, b2) of g(lam) = -1/4 lam^3 + b2 lam^2 + b1 lam + b0."""
 
     b0: Fraction
@@ -86,8 +85,7 @@ class PencilCubic:
         return (self.b0, self.b1, self.b2, Fraction(-1, 4))
 
 
-@dataclass(frozen=True)
-class Sym3Matrix:
+class Sym3Matrix(Record):
     """Symmetric 3x3 matrix over exact scalars; upper triangle stored.
 
     `principal_minor_signs` gives the signs of the seven principal minors,
@@ -197,8 +195,7 @@ def _minor_signs(m11, m12, m13, m22, m23, m33, n: int) -> tuple[int, ...]:
             surd_sign(c11a, c11b, n), surd_sign(det_a, det_b, n))
 
 
-@dataclass(frozen=True)
-class CriticalParam:
+class CriticalParam(Record):
     """lam0 when real (exactly, in Q(sqrt(d))), or the marker that it is not."""
 
     radicand: Fraction
@@ -295,12 +292,9 @@ def surd_parts(m: MonicQuartic, a: int, b: int,
     return (a, den), (2 * b * e4, den), d
 
 
-class Lam0Test(NamedTuple):
-    """The two sign tests on lam0: `slack` is the sign of lam0 - a3^2/4 and
+Lam0Test = namedtuple("Lam0Test", "slack value")
+Lam0Test.__doc__ = """The two sign tests on lam0: `slack` is the sign of lam0 - a3^2/4 and
     `value` that of g(lam0), both None when lam0 is not real (d < 0)."""
-
-    slack: int | None
-    value: int | None
 
 
 # the ten records, built once: _LAM0_TESTS[slack][value] is Lam0Test(slack,

@@ -40,10 +40,10 @@ e0 = 0 too, a closed integer rule decides.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classifier
+from ._record import Record
 # sign_of stays bound for bench/spans.py to wrap
 from .exactnum import sign_of  # noqa: F401
 from .forms import _NEGATIVE_SIDE, MonicQuartic, NormalizedProblem, _View
@@ -113,8 +113,7 @@ def _witnesses(v: Verdict) -> tuple[Point, Point] | None:
     return classifier.witness_search(v._source)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a definiteness decision.
 
     `certificate` is present for every verdict in {PD, PSD, ND, NSD, ZERO};

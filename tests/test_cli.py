@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import importlib
 import io
@@ -29,7 +28,7 @@ from quartic_certify import (
 from quartic_certify.cli import MAX_PRECISION, Report, main
 from quartic_certify.classifier import discriminant_case
 from quartic_certify.exactnum import parse_rational, ratio_text
-from quartic_certify.positivity import decide_problem
+from quartic_certify.positivity import Verdict, decide_problem
 
 from conftest import configured_form, fraction_formula
 
@@ -1140,8 +1139,13 @@ class TestDisagreementPath:
         # a positive-side PD form reported ND: the verdict's class on the
         # decided side is wrong for all three checks, not for the oracle alone
         decide = cli.decide_problem
-        monkeypatch.setattr(cli, "decide_problem", lambda problem: dataclasses.replace(
-            decide(problem), classification=Definiteness.NEGATIVE_DEFINITE))
+
+        def decide_wrong(problem):
+            right = decide(problem)
+            return Verdict(Definiteness.NEGATIVE_DEFINITE, right.certificate, right.witnesses,
+                           right.kernel)
+
+        monkeypatch.setattr(cli, "decide_problem", decide_wrong)
         code, out = run_json(["1", "0", "0", "1", "1"])
         assert out["verdict"] == "negative-definite"
         assert out["agreement"]["classical"] is False
@@ -1195,6 +1199,28 @@ class TestImportPath:
                   "assert quartic_root_nature(MonicQuartic(0, -5, 0, 4)).real_simple == 4\n")
         proc = subprocess.run([sys.executable, "-c", script, str(GOLDEN_FORMS),
                                str(GOLDEN_FORMS.parent)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_start_loads_no_class_generator(self):
+        # a fresh interpreter imports the package, certifies a form, runs the
+        # golden batch in the three modes and one form as text and as JSON
+        # without loading dataclasses or what it imports (inspect, ast, dis):
+        # the value classes are plain `_record.Record` classes
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import io, sys\n"
+                  "import quartic_certify\n"
+                  "from quartic_certify.cli import main\n"
+                  "assert quartic_certify.certify(1, 0, 0, 1, 1)[1].classification.value == "
+                  "'positive-definite'\n"
+                  "for flags in ([], ['--no-crosscheck'], ['--no-crosscheck', '--no-case']):\n"
+                  "    assert main([*flags, '--batch', sys.argv[1]], stdout=io.StringIO()) == 0\n"
+                  "for flags in ([], ['--json']):\n"
+                  "    assert main([*flags, '1', '0', '0', '1', '1'], stdout=io.StringIO()) == 0\n"
+                  "loaded = {'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)\n"
+                  "assert not loaded, sorted(loaded)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(GOLDEN_FORMS)],
                               env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
