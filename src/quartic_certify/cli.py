@@ -131,13 +131,6 @@ class InputError(ValueError):
     """Input that is rejected: exit 64, or an error line in a batch."""
 
 
-class CoefficientError(InputError):
-    def __init__(self, position: int, reason: str):
-        super().__init__(f"coefficient #{position} ({'e4 e3 e2 e1 e0'.split()[position - 1]}): "
-                         f"{reason}")
-        self.position = position
-
-
 def _surd_text(form, surd, d_text: str, digits: int, q_text: str | None = None) -> str:
     """The JSON text of a value (a, b, den) of `lam0_surds(form)`: p and q
     from its `surd_parts`, d the form's radicand as spelled once, d_text,
@@ -360,11 +353,11 @@ def _render_text(out: dict) -> str:
 def _parse_coefficients(raw: list[str]) -> list[tuple[int, int]]:
     """The five coefficients as reduced integer ratios (num, den), den > 0."""
     ratios = []
-    for i, text in enumerate(raw, start=1):
+    for i, (text, name) in enumerate(zip(raw, ("e4", "e3", "e2", "e1", "e0")), start=1):
         try:
             ratios.append(parse_ratio(text))
         except ValueError as exc:
-            raise CoefficientError(i, str(exc)) from None
+            raise InputError(f"coefficient #{i} ({name}): {exc}") from None
     bits = sum(num.bit_length() + den.bit_length() for num, den in ratios)
     if bits > MAX_FORM_BITS:
         raise InputError(f"form too large: its numerators and denominators take {bits} bits, "

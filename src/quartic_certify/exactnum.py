@@ -3,17 +3,17 @@
 Every inequality this package decides is reduced to an exact sign of a
 number of the form p + q*sqrt(d) with rational p, q and rational d >= 0.
 Rationals are `fractions.Fraction`; the extension element is `QuadExt`.
-That sign has one home, `surd_sign`: `QuadExt.sign`, the integer lam0
-kernel of `pencil`, its nine-case table in `classifier` and the integer
-Sylvester minors all take it there; clearing values of one Q(sqrt(d)) to
-integers of Z[sqrt(N)] has one home too, `clear_surds`.  No floating point
-enters any decision path; input text is parsed at the boundary by
-`parse_ratio`, the one parsing rule, to a reduced integer ratio
-(num, den) that the command line clears without building a `Fraction`
-(`parse_rational` is the `Fraction` of that ratio), and decimal output is
-rendered from the exact value on demand by `to_decimal`, through
-`surd_decimal`, which brackets an irrational value between two integers at
-a fine enough decimal scale.  Every printed decimal is rounded once,
+That sign has one home, `surd_sign`: `QuadExt.sign`, `rational_sign`,
+the integer lam0 kernel of `pencil`, its nine-case table in `classifier`
+and the integer Sylvester minors of M(lam0) all take it there.  No
+floating point enters any decision path; input text is parsed at the
+boundary by `parse_ratio`, the one parsing rule, to a reduced integer
+ratio (num, den) that the command line clears without building a
+`Fraction` (`parse_rational` is the `Fraction` of that ratio), and
+decimal output is rendered from the exact value on demand by
+`to_decimal`, which clears the value to integers in place, through
+`surd_decimal`, which brackets an irrational value between two integers
+at a fine enough decimal scale.  Every printed decimal is rounded once,
 half-even, from the exact value, by one routine: the correctly rounded
 division of `ratio_decimal`.
 `ratio_text` spells a ratio of integers as `str(Fraction)` does, so a
@@ -45,7 +45,6 @@ __all__ = [
     "parse_ratio",
     "parse_rational",
     "to_decimal",
-    "clear_surds",
     "surd_decimal",
     "ratio_text",
     "ratio_decimal",
@@ -130,6 +129,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+@functools.total_ordering
 class QuadExt(Record):
     """An element p + q*sqrt(d) of a real quadratic extension of Q.
 
@@ -271,12 +271,6 @@ class QuadExt(Record):
         """Exact sign of p + q*sqrt(d) in {-1, 0, +1}."""
         return surd_sign(self.p, self.q, self.d)
 
-    def _diff_sign(self, other: QuadExt | Fraction | int) -> int | None:
-        o = self._coerce(other)
-        if o is None:
-            return None
-        return (self - o).sign()
-
     def __eq__(self, other: object) -> bool:
         """Exact equality, also across radicands: q*sqrt(d) is fixed by the
         sign of q and by q**2 * d, so sqrt(8) == 2*sqrt(2) while sqrt(2) and
@@ -291,20 +285,8 @@ class QuadExt(Record):
         )
 
     def __lt__(self, other: QuadExt | Fraction | int):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s < 0
-
-    def __le__(self, other: QuadExt | Fraction | int):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s <= 0
-
-    def __gt__(self, other: QuadExt | Fraction | int):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s > 0
-
-    def __ge__(self, other: QuadExt | Fraction | int):
-        s = self._diff_sign(other)
-        return NotImplemented if s is None else s >= 0
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self - o).sign() < 0
 
     def __hash__(self) -> int:
         # hash what == compares: a rational value like its Fraction, an
@@ -333,11 +315,7 @@ class QuadExt(Record):
 
 def rational_sign(value: Fraction) -> int:
     """Sign of a Fraction (or int) in {-1, 0, +1}, with no type coercion."""
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+    return surd_sign(value, 0, 0)
 
 
 def surd_sign(a: int | Fraction, b: int | Fraction, n: int | Fraction) -> int:
@@ -366,35 +344,21 @@ def to_decimal(value: QuadExt | Fraction | int, digits: int = 12) -> str:
     """Render an exact scalar to `digits` significant decimal digits,
     rounded half-even once, from the exact value.
 
-    The value p + q sqrt(d) (q = 0 for a rational one) is cleared to
-    (a + b sqrt(N)) / L in integers (`clear_surds`) and rendered by
-    `surd_decimal`, whose one rounding is the correctly rounded division of
-    `ratio_decimal`.  Every step runs in a fixed context (`_context`), so
-    the caller's decimal settings change neither the digits nor the traps.
+    The value p + q sqrt(n/m) (q = 0 for a rational one) is cleared to
+    (a + b sqrt(n m)) / L in integers, L > 0 the lcm of the denominators
+    of p and q/m, and rendered by `surd_decimal`, whose one rounding is the
+    correctly rounded division of `ratio_decimal`.  Every step runs in a
+    fixed context (`_context`), so the caller's decimal settings change
+    neither the digits nor the traps.
     """
-    ((a, b),), n, big = clear_surds(value if isinstance(value, QuadExt) else as_fraction(value))
-    return surd_decimal(a, b, n, big, digits)
-
-
-def clear_surds(*values: QuadExt | Fraction | int) -> tuple[tuple[tuple[int, int], ...], int, int]:
-    """((a, b) per value, N, L) with L (p + q sqrt(d)) = a + b sqrt(N) for
-    each value p + q sqrt(d), all over one radicand d = n/m: N = n m and
-    L > 0 is the lcm of the denominators of every p and q/m.  Irrational
-    values over two radicands raise `MismatchedRadicandError`."""
-    radicand = _ZERO
-    for value in values:
-        if isinstance(value, QuadExt) and value.q:
-            if radicand and value.d != radicand:
-                raise MismatchedRadicandError(
-                    f"cannot combine sqrt({radicand}) with sqrt({value.d})")
-            radicand = value.d
-    parts = [(v.p, v.q) if isinstance(v, QuadExt) else (v, 0) for v in values]
-    m = radicand.denominator
-    big = math.lcm(*(p.denominator for p, _ in parts),
-                   *(q.denominator * m for _, q in parts if q))
-    return tuple((p.numerator * (big // p.denominator),
-                  q.numerator * (big // (q.denominator * m)) if q else 0)
-                 for p, q in parts), radicand.numerator * m, big
+    if isinstance(value, QuadExt):
+        p, q, d = value.p, value.q, value.d
+    else:
+        p, q, d = as_fraction(value), _ZERO, _ZERO
+    m = d.denominator
+    big = math.lcm(p.denominator, q.denominator * m)
+    return surd_decimal(p.numerator * (big // p.denominator),
+                        q.numerator * (big // (q.denominator * m)), d.numerator * m, big, digits)
 
 
 def ratio_text(num: int, den: int) -> str:

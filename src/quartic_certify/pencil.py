@@ -29,8 +29,9 @@ tuple, and `lam0_matrix` builds a certificate from six of its entries, or
 from six entries of the same shape of a form with e4 = 0
 (`positivity.degenerate_entries`).  The Q(sqrt(d)) route
 (`critical_param`, `g_eval`, `pencil_matrix`) builds the same values by
-field arithmetic; it serves the tests, the demos and M(lam) at any other
-lam, and is the reference the integer route is tested against.
+field arithmetic, and `Sym3Matrix.principal_minor_signs` takes the signs
+of a matrix's minors there; it serves the tests, the demos and M(lam) at
+any other lam, and is the reference the integer route is tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
-from .exactnum import _ZERO, QuadExt, as_fraction, clear_surds, sign_of, surd_sign
+from .exactnum import QuadExt, as_fraction, sign_of, surd_sign
 from .forms import MonicQuartic
 
 __all__ = [
@@ -88,9 +89,8 @@ class PencilCubic(Record):
 class Sym3Matrix(Record):
     """Symmetric 3x3 matrix over exact scalars; upper triangle stored.
 
-    `principal_minor_signs` gives the signs of the seven principal minors,
-    computed once per matrix in integer arithmetic over Z[sqrt(N)];
-    `principal_minors` and `det` build the same minors in Q(sqrt(d)).
+    `principal_minors` and `det` build the principal minors in Q(sqrt(d)),
+    and `principal_minor_signs` reads their signs, once per matrix.
     """
 
     m11: Scalar
@@ -128,11 +128,8 @@ class Sym3Matrix(Record):
 
     @cached_property
     def principal_minor_signs(self) -> tuple[int, ...]:
-        """Signs of the seven `principal_minors`, in their order, in integers:
-        the minors of the matrix L m_ij = a + b sqrt(N) of `clear_surds`,
-        L > 0, are L, L^2 and L^3 times these (`_minor_signs`)."""
-        parts, n, _ = clear_surds(self.m11, self.m12, self.m13, self.m22, self.m23, self.m33)
-        return _minor_signs(*parts, n)
+        """Signs of the seven `principal_minors`, in their order."""
+        return tuple(sign_of(x) for x in self.principal_minors())
 
     def two_by_two_minors(self) -> tuple[Scalar, ...]:
         """All nine 2x2 minors; rank <= 1 iff every one vanishes."""
@@ -174,9 +171,9 @@ class Sym3Matrix(Record):
 def _minor_signs(m11, m12, m13, m22, m23, m33, n: int) -> tuple[int, ...]:
     """Signs of the seven principal minors, in the order of
     `Sym3Matrix.principal_minors`, of the symmetric matrix whose entries
-    a + b sqrt(n) of Z[sqrt(n)] start with (a, b): pairs of `clear_surds`
-    or triples (a, b, den) of `lam0_surds`.  The cofactors c1j of the first
-    row and det = m11 c11 - m12 c12 + m13 c13 are local integers."""
+    are the triples (a, b, den) of `lam0_surds`, each over one den > 0, read
+    as a + b sqrt(n) in Z[sqrt(n)].  The cofactors c1j of the first row and
+    det = m11 c11 - m12 c12 + m13 c13 are local integers."""
     a11, b11, a12, b12, a13, b13 = m11[0], m11[1], m12[0], m12[1], m13[0], m13[1]
     a22, b22, a23, b23, a33, b33 = m22[0], m22[1], m23[0], m23[1], m33[0], m33[1]
     c11a = a22 * a33 - a23 * a23 + (b22 * b33 - b23 * b23) * n
@@ -226,6 +223,8 @@ def base_matrices(m: MonicQuartic) -> tuple[Sym3Matrix, Sym3Matrix]:
 
 
 def pencil_matrix(m: MonicQuartic, lam: Scalar) -> Sym3Matrix:
+    if not isinstance(lam, QuadExt):
+        lam = as_fraction(lam)
     half = Fraction(1, 2)
     return Sym3Matrix(
         Fraction(1),
@@ -239,6 +238,8 @@ def pencil_matrix(m: MonicQuartic, lam: Scalar) -> Sym3Matrix:
 
 def g_eval(p: PencilCubic, lam: Scalar) -> Scalar:
     """Horner evaluation of g; exact over Q or Q(sqrt(d))."""
+    if not isinstance(lam, QuadExt):
+        lam = as_fraction(lam)
     acc: Scalar = Fraction(-1, 4)
     for c in (p.b2, p.b1, p.b0):
         acc = acc * lam + c
@@ -328,25 +329,19 @@ def lam0_test(m: MonicQuartic) -> Lam0Test:
     return _LAM0_TESTS[surd_sign(a, 4 * e4, disc)][surd_sign(rn, 2 * disc, disc)]
 
 
-# the parts that every M(lam0) shares, built once: m11 = 1, and q = b/3 of its
-# two entries with b != 0 over 6 e4, lam0 (b = 2) and m13 (b = -1)
-_ONE, _Q_OF_B = Fraction(1), {2: Fraction(2, 3), -1: Fraction(-1, 3)}
-
-
 def lam0_matrix(entries: tuple[Surd, ...], m: MonicQuartic | None = None) -> Sym3Matrix:
     """The matrix of six entries (a, b, den) of m, as `lam0_surds` gives
     them: Fraction(a, den) where b = 0 (m is then not read), else the
-    QuadExt p + q sqrt(d) of `surd_parts`, its d built once per matrix.
-    M(lam0) so built equals `pencil_matrix` at lam0 in value and type."""
-    values, d = [], None
+    QuadExt p + q sqrt(d) of `surd_parts`.  M(lam0) so built equals
+    `pencil_matrix` at lam0 in value and type."""
+    values = []
     for a, b, den in entries:
         if not b:
-            values.append(_ONE if a == den else Fraction(a, den))
+            values.append(Fraction(a, den))
             continue
-        p, q, d_ratio = surd_parts(m, a, b, den)
-        d = d or Fraction(*d_ratio)
         # q = 0 when D is a square: the value is the rational p, and d is not kept
-        values.append(QuadExt._normalised(Fraction(*p), _Q_OF_B[b] if q[0] else _ZERO, d))
+        p, q, d = surd_parts(m, a, b, den)
+        values.append(QuadExt._normalised(Fraction(*p), Fraction(*q), Fraction(*d)))
     return Sym3Matrix(*values)
 
 

@@ -21,10 +21,10 @@ Sylvester's criterion and a matrix-vector product.  Otherwise the verdict's
 witnesses are two points of opposite sign, from
 `classifier.witness_search`, an integer bisection with no float.  The
 equivalent Sylvester-based test is kept as `sylvester_pd`/`sylvester_psd`
-for cross-checking: it takes the principal minor signs of a matrix over
-Z[sqrt(N)] (`Sym3Matrix.principal_minor_signs`, or for M(lam0) of a form
-`pencil.lam0_minor_signs`), arithmetic independent of the two sign tests,
-and never decides the user-facing verdict.
+for cross-checking: it takes the principal minor signs of a matrix, in
+Q(sqrt(d)) (`Sym3Matrix.principal_minor_signs`) or, for M(lam0) of a form,
+in Z[sqrt(D)] (`pencil.lam0_minor_signs`), arithmetic independent of the
+two sign tests, and never decides the user-facing verdict.
 
 Negative-side problems arrive here already sign-flipped to monic positive
 side (see forms.from_plain_coeffs); `decide_problem` maps the class of

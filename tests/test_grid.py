@@ -15,7 +15,10 @@ ad - bc != 0 has the verdict and the case of f, and -f the flipped verdict
 and the same case.  `test_height_2_grid_substitutions` checks both on the
 height-2 grid, across the e4 = 0 and monic routes (CI runs
 `substitution_report(3)`), and `test_drawn_substitutions` on drawn shears
-and swaps of random and large-coefficient forms.
+and swaps of random and large-coefficient forms.  A certificate M of f
+gives one of f(a x + b y, c x + d y) by congruence, S^T M S:
+`test_height_2_certificates_under_substitutions` checks that it rebuilds
+the substituted form and is semidefinite.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartic_certify import certify, classify_case
+from quartic_certify import Sym3Matrix, certify, classify_case, sylvester_psd
 from quartic_certify.cli import main
 
 CHECKER = Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -169,6 +172,43 @@ def substitution_report(height: int) -> dict:
 
 def test_height_2_grid_substitutions():
     assert substitution_report(2) == {"wrong": [], **SUBSTITUTION_PAIRS[2]}
+
+
+def gram_coefficients(mat: Sym3Matrix) -> tuple:
+    """e4..e0 of [x^2, xy, y^2] M [x^2, xy, y^2]^T, M the symmetric mat."""
+    return mat.m11, 2 * mat.m12, 2 * mat.m13 + mat.m22, 2 * mat.m23, mat.m33
+
+
+def congruent(mat: Sym3Matrix, a: int, b: int, c: int, d: int) -> Sym3Matrix:
+    """S^T M S, the Gram matrix of g(a x + b y, c x + d y) when M is one of
+    g: S, with the rows (a^2, 2ab, b^2), (ac, ad + bc, bd), (c^2, 2cd, d^2),
+    maps [x^2, xy, y^2] to the same vector at (a x + b y, c x + d y)."""
+    s = ((a * a, 2 * a * b, b * b), (a * c, a * d + b * c, b * d), (c * c, 2 * c * d, d * d))
+    rows = mat.rows()
+    ms = [[sum(rows[i][k] * s[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    out = [[sum(s[k][i] * ms[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    return Sym3Matrix(out[0][0], out[0][1], out[0][2], out[1][1], out[1][2], out[2][2])
+
+
+def test_height_2_certificates_under_substitutions():
+    # every third semidefinite form of the grid: the certificate M is the
+    # Gram matrix of +-f / |e4|, or of +-f when e4 = 0, the sign that of
+    # the verdict; under each of `SUBSTITUTIONS`, S^T M S must rebuild that
+    # form composed with the substitution and pass Sylvester's criterion,
+    # whose minor signs are taken in Q(sqrt(d))
+    forms = [c for c in itertools.product(range(-2, 3), repeat=5) if any(c)]
+    semidefinite = [(c, v) for c in forms if (v := certify(*c)[1]).certificate is not None]
+    assert len(semidefinite) == 772
+    sample = semidefinite[::3]
+    assert sum(not coeffs[0] for coeffs, _ in sample) == 16
+    for coeffs, verdict in sample:
+        sign = -1 if verdict.classification.value in (ND, NSD) else 1
+        certified = tuple(Fraction(sign * e, abs(coeffs[0]) or 1) for e in coeffs)
+        assert gram_coefficients(verdict.certificate) == certified
+        for matrix in SUBSTITUTIONS:
+            image = congruent(verdict.certificate, *matrix)
+            assert gram_coefficients(image) == substituted(certified, *matrix), (coeffs, matrix)
+            assert sylvester_psd(image), (coeffs, matrix)
 
 
 def _product(p: tuple[int, int, int], q: tuple[int, int, int]) -> tuple[int, ...]:

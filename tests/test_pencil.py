@@ -92,6 +92,17 @@ class TestGEval:
         assert g_eval(pencil_coeffs(EX5), F(4)) == 0
 
 
+def test_a_float_lam_is_rejected():
+    # a float would round; like every other entry point, these take only
+    # exact rationals and QuadExt values
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        g_eval(pencil_coeffs(EX1), 0.5)
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        pencil_matrix(EX1, 0.5)
+    with pytest.raises(TypeError, match="expected an exact rational"):
+        Sym3Matrix(0.5, 0, 0, 1, 0, 1).principal_minor_signs
+
+
 class TestCriticalParam:
     def test_irrational(self):
         lam0 = critical_param(PencilCubic(F(-1, 4), F(1), F(0)))
@@ -382,5 +393,5 @@ class TestPrincipalMinorSigns:
     def test_computed_once_per_matrix(self, monkeypatch):
         mat = pencil_matrix(EX1, critical_param(pencil_coeffs(EX1)).value)
         assert sylvester_pd(mat) and sylvester_psd(mat)
-        monkeypatch.setattr(pencil, "surd_sign", None)  # a second computation would fail
+        monkeypatch.setattr(pencil, "sign_of", None)  # a second computation would fail
         assert sylvester_pd(mat) and sylvester_psd(mat)
